@@ -108,9 +108,9 @@ def test_metric_distance_rows(benchmark):
 SIZE_GRID = (256, 1024, 4096)
 
 #: algorithm key -> (factory(use_accel), single_commodity, max_n).  The
-#: primal–dual algorithms are inherently O(history x n) per request on *both*
-#: paths (the accel layer removes constant-factor waste, not the bid-sum
-#: itself), so their grid is capped to keep the script's runtime sane.
+#: primal–dual reference path re-sums the whole bid history, O(history x n)
+#: per request (the accel path keeps a running sum instead), so their grid is
+#: capped to keep the script's runtime sane.
 _KERNELS = {
     "meyerson-ofl": (lambda ua: MeyersonOFLAlgorithm(use_accel=ua), True, max(SIZE_GRID)),
     "per-commodity-meyerson": (

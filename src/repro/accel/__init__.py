@@ -15,7 +15,8 @@ families of distance queries per arriving request:
 The primal–dual algorithms additionally rebuild O(h x n) bid sums over their
 request history each arrival;
 :class:`~repro.accel.history.BidHistoryBuffer` keeps those operands in
-preallocated buffers updated in place.
+preallocated buffers updated in place, and the sum itself as an exact running
+vector, O(n) per arrival.
 
 All three structures are **bit-identical** to the reference scans they
 replace (same floats, same tie-breaks, same numpy reduction orders); the

@@ -1,4 +1,4 @@
-"""Preallocated bid-history buffers for the primal–dual algorithms.
+"""Bid-history buffers with exact running bid sums for the primal–dual algorithms.
 
 The primal–dual algorithms (Fotakis OFL, PD-OMFLP) evaluate, per request, the
 bid sum of all earlier demands towards every candidate point:
@@ -8,24 +8,39 @@ bid sum of all earlier demands towards every candidate point:
 The reference implementations rebuild this from scratch each time — a Python
 list comprehension over the history for the bids plus an O(h x n) ``vstack``
 copy of the history distance rows.  :class:`BidHistoryBuffer` keeps the rows
-in one preallocated, geometrically-grown ``(capacity, n)`` array and the
+in one preallocated, geometrically-grown ``(capacity, n)`` array, the
 per-entry duals / nearest-facility distances in flat arrays updated in place,
-so each ``base()`` call is a single fused numpy expression with no Python
-loop and no row copying.
+and the sum itself as a running ``(n,)`` vector:
 
-The ``base()`` result is bit-for-bit identical to the reference: the operands
-are the same floats, the buffer slice has the same contiguous ``(h, n)``
-layout as the reference's ``vstack``, and numpy's pairwise-summation
-reduction order depends only on that layout.
+* ``append`` adds the new entry's clipped row ``(min{a_j, d(F, j)} - d(., j))_+``
+  in O(n).  The duals are frozen, so an entry's term changes only when its
+  bid ``min{a_j, d(F, j)}`` does.
+* ``update_nearest`` marks the sum stale only when a newly opened facility
+  lowers some entry's bid below its old value; openings that leave every bid
+  unchanged (the common case) keep the sum valid.
+* ``base()`` returns a copy of the running sum.  It recomputes the full
+  ``(h x n)`` expression only when the sum is stale — after such an opening,
+  or after :meth:`BidHistoryBuffer.load_state_dict`, which therefore does no
+  summing at restore — and always when ``n == 1``.
+
+The result is bit-for-bit identical to the reference.  The operands are the
+same floats, and the recompute slices a C-contiguous ``(h, n)`` block, the
+same layout as the reference's ``vstack``.  For ``n > 1`` numpy's axis-0 sum
+over that layout accumulates row by row in order, which is exactly the
+running ``+=``.  For ``n == 1`` it sums the single column pairwise, which a
+running sum cannot reproduce, so that case always recomputes.
 
 Memory: each buffer keeps its rows resident — O(entries x n) floats — where
 the reference only peaked at one transient ``vstack`` of the same size per
-request.  Keeping the block contiguous is deliberate: a deduplicated shared
-row store was tried and its per-``base()`` gather cost as much as the
-reference's ``vstack``, erasing the speedup.  PD-OMFLP's per-commodity
-buffers hold only the requests demanding that commodity, so the total across
-buffers is O(sum of demand sizes x n); for memory-constrained runs the
-``use_accel=False`` reference path remains available.
+request.  Only the recompute reads them (after a bid drops, after a restore,
+and at ``n == 1``); otherwise ``base()`` allocates no ``(h x n)``
+temporaries at all.  Keeping the block contiguous is deliberate: a
+deduplicated shared row store was tried when every ``base()`` recomputed,
+and its gather cost as much as the reference's ``vstack``.
+PD-OMFLP's per-commodity buffers hold only the requests demanding that
+commodity, so the total across buffers is O(sum of demand sizes x n); for
+memory-constrained runs the ``use_accel=False`` reference path remains
+available.
 """
 
 from __future__ import annotations
@@ -54,6 +69,11 @@ class BidHistoryBuffer:
         self._duals = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._nearest = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._size = 0
+        # Running bid sum over the entries; valid unless ``_stale``.  At
+        # n = 1 base() always recomputes (numpy sums that column pairwise).
+        self._sum = np.zeros(n, dtype=np.float64)
+        self._stale = False
+        self._pairwise = n == 1
 
     def __len__(self) -> int:
         return self._size
@@ -86,19 +106,25 @@ class BidHistoryBuffer:
         self._duals[h] = float(dual)
         self._nearest[h] = float(nearest)
         self._size = h + 1
+        if not self._stale:
+            bid = np.minimum(self._duals[h], self._nearest[h])
+            self._sum += np.maximum(bid - self._rows[h], 0.0)
 
     def update_nearest(self, opened_row: np.ndarray) -> None:
         """Fold a newly opened facility into every entry's nearest distance.
 
         ``opened_row`` is ``distances_from(opened_point)``; entry ``j``'s
         nearest distance becomes ``min(old, opened_row[point_j])`` — exactly
-        the reference's per-entry update, vectorized.
+        the reference's per-entry update, vectorized.  The running sum goes
+        stale only if some entry's bid ``min(dual_j, nearest_j)`` drops.
         """
         h = self._size
         if h:
-            np.minimum(
-                self._nearest[:h], opened_row[self._points[:h]], out=self._nearest[:h]
-            )
+            nearest = self._nearest[:h]
+            opened = opened_row[self._points[:h]]
+            if not self._stale:
+                self._stale = bool(np.any(opened < np.minimum(self._duals[:h], nearest)))
+            np.minimum(nearest, opened, out=nearest)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -119,24 +145,35 @@ class BidHistoryBuffer:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Rebuild the buffer by replaying ``append`` (requires a fresh buffer)."""
+        """Rebuild the buffer by replaying ``append`` (requires a fresh buffer).
+
+        The running sum is left stale, so the first ``base()`` computes it.
+        """
         if self._size:
             raise SnapshotError(
                 f"BidHistoryBuffer.load_state_dict requires an empty buffer; "
                 f"this one already holds {self._size} entries"
             )
+        points, duals = state["points"], state["duals"]
         nearest = decode_floats(state["nearest"])
-        for point, dual, near in zip(state["points"], state["duals"], nearest):
+        if not len(points) == len(duals) == len(nearest):
+            raise SnapshotError(
+                f"BidHistoryBuffer snapshot has mismatched entry lists: "
+                f"{len(points)} points, {len(duals)} duals, {len(nearest)} nearest"
+            )
+        self._stale = True
+        for point, dual, near in zip(points, duals, nearest):
             self.append(int(point), float(dual), near)
 
     # ------------------------------------------------------------------
     def base(self) -> np.ndarray:
         """``sum_j (min{dual_j, nearest_j} - d(m, j))_+`` over all points ``m``."""
-        h = self._size
-        if h == 0:
-            return np.zeros(self._metric.num_points, dtype=np.float64)
-        bids = np.minimum(self._duals[:h], self._nearest[:h])
-        return np.maximum(bids[:, None] - self._rows[:h], 0.0).sum(axis=0)
+        if self._stale or self._pairwise:
+            h = self._size
+            bids = np.minimum(self._duals[:h], self._nearest[:h])
+            self._sum = np.maximum(bids[:, None] - self._rows[:h], 0.0).sum(axis=0)
+            self._stale = False
+        return self._sum.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BidHistoryBuffer(entries={self._size})"

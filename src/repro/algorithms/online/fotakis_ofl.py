@@ -19,7 +19,8 @@ Two artifacts live here:
 Acceleration (``use_accel``, default on): the bid sums over earlier demands
 are evaluated from a preallocated
 :class:`~repro.accel.history.BidHistoryBuffer` (no per-request Python loop or
-``vstack`` copy over the history) and the nearest-own-facility query is O(1)
+``vstack`` copy over the history; an exact running sum makes a request O(n)
+unless an opening lowered some bid) and the nearest-own-facility query is O(1)
 via a :class:`~repro.accel.tracker.NearestSetTracker`.  Both are bit-identical
 to the reference path (``use_accel=False``), which is retained for the
 equivalence harness.

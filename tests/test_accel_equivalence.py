@@ -16,11 +16,13 @@ the accel layer's whole contract is bitwise equality.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 import pytest
 
+from repro.accel.history import BidHistoryBuffer
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
 from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
 from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm
@@ -32,6 +34,7 @@ from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost
+from repro.exceptions import SnapshotError
 from repro.metric.factories import (
     random_euclidean_metric,
     random_graph_metric,
@@ -250,3 +253,93 @@ def test_meyerson_budget_override_equivalence(seed):
         out_fast = fast.decide(point, rng_fast, budget=budget)
         assert out_fast == out_ref
     assert fast.facility_points == reference.facility_points
+
+
+# ---------------------------------------------------------------------------
+# BidHistoryBuffer: running bid sums against the full recompute
+# ---------------------------------------------------------------------------
+#: (num_points, share of steps that open a facility).  n = 1 is where numpy
+#: sums the history pairwise.  An opening zeroes every bid there (all
+#: distances vanish), so the case without openings is the one whose 300
+#: nonzero bids would expose a running sum standing in for that.
+BUFFER_CASES = [(1, 0.0), (1, 0.2), (2, 0.2), (256, 0.2)]
+
+
+@pytest.mark.parametrize("num_points,open_share", BUFFER_CASES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bid_history_base_matches_full_recompute(num_points, open_share, seed):
+    """``base()`` equals the reference expression bit for bit under random
+    interleavings of append / update_nearest / base / snapshot -> reload.
+
+    ``eager`` is checked after every step.  ``lazy`` is checked only on the
+    random ``base`` steps, so it also appends while its sum is stale.
+    """
+    rng = ensure_rng(seed)
+    metric = (
+        SinglePointMetric() if num_points == 1 else random_euclidean_metric(num_points, rng=seed)
+    )
+    eager, lazy = BidHistoryBuffer(metric), BidHistoryBuffer(metric)
+    rows: List[np.ndarray] = []
+    duals: List[float] = []
+    nearest: List[float] = []
+    points: List[int] = []
+
+    def expected() -> np.ndarray:
+        if not rows:
+            return np.zeros(num_points)
+        bids = np.array([min(dual, near) for dual, near in zip(duals, nearest)])
+        return np.maximum(bids[:, None] - np.vstack(rows), 0.0).sum(axis=0)
+
+    while len(rows) < 300:
+        step = rng.uniform()
+        if step < 0.6:
+            point = int(rng.integers(0, num_points))
+            dual = float(rng.uniform(0.0, 0.1))
+            near = float("inf") if rng.uniform() < 0.3 else float(rng.uniform(0.0, 0.1))
+            row = metric.distances_from(point)
+            eager.append(point, dual, near, row=row)
+            lazy.append(point, dual, near)
+            points.append(point)
+            rows.append(row.copy())
+            duals.append(dual)
+            nearest.append(near)
+        elif step < 0.6 + open_share:
+            opened = metric.distances_from(int(rng.integers(0, num_points)))
+            nearest = [min(near, float(opened[p])) for p, near in zip(points, nearest)]
+            eager.update_nearest(opened)
+            lazy.update_nearest(opened)
+        elif step < 0.95:
+            assert np.array_equal(lazy.base(), expected())
+        else:
+            state = json.loads(json.dumps(eager.state_dict()))
+            assert lazy.state_dict() == state
+            eager, lazy = BidHistoryBuffer(metric), BidHistoryBuffer(metric)
+            eager.load_state_dict(state)
+            lazy.load_state_dict(state)
+        assert np.array_equal(eager.base(), expected())
+    assert np.array_equal(lazy.base(), expected())
+
+
+def test_bid_history_base_returns_independent_arrays():
+    metric = random_euclidean_metric(16, rng=0)
+    buffer = BidHistoryBuffer(metric)
+    for point in range(6):
+        buffer.append(point, 0.4, float("inf"))
+    first = buffer.base()
+    kept = first.copy()
+    buffer.append(7, 0.3, 0.5)
+    buffer.update_nearest(metric.distances_from(2))
+    assert np.array_equal(first, kept)
+
+    current = buffer.base()
+    returned = buffer.base()
+    returned += 1.0
+    assert np.array_equal(buffer.base(), current)
+
+
+def test_bid_history_rejects_mismatched_snapshot():
+    buffer = BidHistoryBuffer(random_euclidean_metric(8, rng=0))
+    state = {"points": [0, 1, 2], "duals": [0.5, 0.25], "nearest": ["inf"]}
+    with pytest.raises(SnapshotError, match="3 points, 2 duals, 1 nearest"):
+        buffer.load_state_dict(state)
+    assert len(buffer) == 0
