@@ -10,14 +10,17 @@ Running this file as a script emits a machine-readable perf trajectory::
     PYTHONPATH=src python benchmarks/bench_algorithm_kernels.py --json BENCH_kernels.json
 
 which times every online algorithm at n ∈ {256, 1024, 4096} requests (metric
-points scale with n) on both the accelerated (``use_accel=True``) and the
-reference hot path, records ns/request and the accel speedup, and asserts the
-two paths' total costs are identical while doing so.  The committed
-``BENCH_kernels.json`` lets future PRs diff per-algorithm per-request cost.
+points scale with n) on both the production (accelerated) hot path and the
+reference scans of the test oracle ``tests/oracles.py``, records ns/request
+and the accel speedup, and asserts the two total costs are identical while
+doing so.  The committed ``BENCH_kernels.json`` lets future PRs diff
+per-algorithm per-request cost.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -107,25 +110,22 @@ def test_metric_distance_rows(benchmark):
 #: Request counts of the trajectory grid; the metric point count scales with n.
 SIZE_GRID = (256, 1024, 4096)
 
-#: algorithm key -> (factory(use_accel), single_commodity, max_n).  The
-#: primal–dual reference path re-sums the whole bid history, O(history x n)
-#: per request (the accel path keeps a running sum instead), so their grid is
-#: capped to keep the script's runtime sane.
+#: algorithm key (as in oracles.REFERENCE_ALGORITHMS) -> (production
+#: factory, single_commodity, max_n).  The primal–dual reference scans re-sum
+#: the whole bid history, O(history x n) per request (production keeps a
+#: running sum instead), so their grid is capped to keep the script's runtime
+#: sane.
 _KERNELS = {
-    "meyerson-ofl": (lambda ua: MeyersonOFLAlgorithm(use_accel=ua), True, max(SIZE_GRID)),
+    "meyerson-ofl": (MeyersonOFLAlgorithm, True, max(SIZE_GRID)),
     "per-commodity-meyerson": (
-        lambda ua: PerCommodityAlgorithm("meyerson", use_accel=ua),
+        lambda: PerCommodityAlgorithm("meyerson"),
         False,
         max(SIZE_GRID),
     ),
-    "rand-omflp": (lambda ua: RandOMFLPAlgorithm(use_accel=ua), False, max(SIZE_GRID)),
-    "fotakis-ofl": (lambda ua: FotakisOFLAlgorithm(use_accel=ua), True, 1024),
-    "per-commodity-fotakis": (
-        lambda ua: PerCommodityAlgorithm("fotakis", use_accel=ua),
-        False,
-        1024,
-    ),
-    "pd-omflp": (lambda ua: PDOMFLPAlgorithm(use_accel=ua), False, 1024),
+    "rand-omflp": (RandOMFLPAlgorithm, False, max(SIZE_GRID)),
+    "fotakis-ofl": (FotakisOFLAlgorithm, True, 1024),
+    "per-commodity-fotakis": (lambda: PerCommodityAlgorithm("fotakis"), False, 1024),
+    "pd-omflp": (PDOMFLPAlgorithm, False, 1024),
 }
 
 
@@ -155,25 +155,31 @@ def _trajectory_instance(n: int, *, single_commodity: bool):
     ).instance
 
 
-def _timed_run(factory, instance, *, use_accel: bool):
+def _timed_run(run):
     start = time.perf_counter()
-    result = run_online(
-        factory(use_accel), instance, rng=0, validate=False, use_accel=use_accel
-    )
+    result = run()
     elapsed = time.perf_counter() - start
     return elapsed, result.total_cost
 
 
 def collect_kernel_trajectory(sizes=SIZE_GRID, *, verbose: bool = True):
-    """Time every kernel at every grid size on both hot paths."""
+    """Time every kernel at every grid size on production and the oracle."""
+    # The reference scans live with the tests (tests/ is not a package).
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from oracles import run_reference
+
     rows = []
     for name, (factory, single_commodity, max_n) in _KERNELS.items():
         for n in sizes:
             if n > max_n:
                 continue
             instance = _trajectory_instance(n, single_commodity=single_commodity)
-            accel_seconds, accel_cost = _timed_run(factory, instance, use_accel=True)
-            reference_seconds, reference_cost = _timed_run(factory, instance, use_accel=False)
+            accel_seconds, accel_cost = _timed_run(
+                lambda: run_online(factory(), instance, rng=0, validate=False)
+            )
+            reference_seconds, reference_cost = _timed_run(
+                lambda: run_reference(name, instance, rng=0, validate=False)
+            )
             assert accel_cost == reference_cost, (
                 f"{name} n={n}: accel/reference cost mismatch "
                 f"({accel_cost} != {reference_cost})"

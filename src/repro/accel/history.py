@@ -5,9 +5,10 @@ bid sum of all earlier demands towards every candidate point:
 
     base(m) = sum_j ( min{a_j, d(F, j)} - d(m, j) )_+
 
-The reference implementations rebuild this from scratch each time — a Python
-list comprehension over the history for the bids plus an O(h x n) ``vstack``
-copy of the history distance rows.  :class:`BidHistoryBuffer` keeps the rows
+Rebuilding this from scratch each time would cost a Python pass over the
+history for the bids plus an O(h x n) ``vstack`` copy of the history distance
+rows (the scan the test oracle ``tests/oracles.py`` keeps).
+:class:`BidHistoryBuffer` keeps the rows
 in one preallocated, geometrically-grown ``(capacity, n)`` array, the
 per-entry duals / nearest-facility distances in flat arrays updated in place,
 and the sum itself as a running ``(n,)`` vector:
@@ -23,24 +24,21 @@ and the sum itself as a running ``(n,)`` vector:
   or after :meth:`BidHistoryBuffer.load_state_dict`, which therefore does no
   summing at restore — and always when ``n == 1``.
 
-The result is bit-for-bit identical to the reference.  The operands are the
+The result is bit-for-bit identical to that scan.  The operands are the
 same floats, and the recompute slices a C-contiguous ``(h, n)`` block, the
-same layout as the reference's ``vstack``.  For ``n > 1`` numpy's axis-0 sum
+same layout as the scan's ``vstack``.  For ``n > 1`` numpy's axis-0 sum
 over that layout accumulates row by row in order, which is exactly the
 running ``+=``.  For ``n == 1`` it sums the single column pairwise, which a
 running sum cannot reproduce, so that case always recomputes.
 
-Memory: each buffer keeps its rows resident — O(entries x n) floats — where
-the reference only peaked at one transient ``vstack`` of the same size per
-request.  Only the recompute reads them (after a bid drops, after a restore,
-and at ``n == 1``); otherwise ``base()`` allocates no ``(h x n)``
-temporaries at all.  Keeping the block contiguous is deliberate: a
-deduplicated shared row store was tried when every ``base()`` recomputed,
-and its gather cost as much as the reference's ``vstack``.
-PD-OMFLP's per-commodity buffers hold only the requests demanding that
-commodity, so the total across buffers is O(sum of demand sizes x n); for
-memory-constrained runs the ``use_accel=False`` reference path remains
-available.
+Memory: each buffer keeps its rows resident — O(entries x n) floats.  Only
+the recompute reads them (after a bid drops, after a restore, and at
+``n == 1``); otherwise ``base()`` allocates no ``(h x n)`` temporaries at
+all.  Keeping the block contiguous is deliberate: a deduplicated shared row
+store was tried when every ``base()`` recomputed, and its gather cost as much
+as a per-call ``vstack``.  PD-OMFLP's per-commodity buffers hold only the
+requests demanding that commodity, so the total across buffers is O(sum of
+demand sizes x n).
 """
 
 from __future__ import annotations
@@ -114,8 +112,8 @@ class BidHistoryBuffer:
         """Fold a newly opened facility into every entry's nearest distance.
 
         ``opened_row`` is ``distances_from(opened_point)``; entry ``j``'s
-        nearest distance becomes ``min(old, opened_row[point_j])`` — exactly
-        the reference's per-entry update, vectorized.  The running sum goes
+        nearest distance becomes ``min(old, opened_row[point_j])`` — the
+        per-entry update, vectorized.  The running sum goes
         stale only if some entry's bid ``min(dual_j, nearest_j)`` drops.
         """
         h = self._size

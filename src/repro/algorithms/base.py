@@ -133,7 +133,6 @@ def run_online(
     rng: RandomState = None,
     trace: bool = False,
     validate: bool = True,
-    use_accel: bool = True,
 ) -> OnlineResult:
     """Run an online algorithm over the request sequence of ``instance``.
 
@@ -141,8 +140,6 @@ def run_online(
     :class:`repro.api.session.OnlineSession`: the materialized sequence is fed
     through a session one request at a time, so batch and streaming execution
     share one code path and produce bit-identical costs for the same seed.
-    ``use_accel=False`` selects the reference (scan-per-query) state
-    implementation; see :mod:`repro.accel`.
     """
     # Imported lazily: repro.api.session depends on this module for the
     # OnlineAlgorithm / OnlineResult types.
@@ -156,7 +153,6 @@ def run_online(
         rng=rng,
         trace=trace,
         validate=validate,
-        use_accel=use_accel,
         name=instance.name,
         # Algorithms that inspect instance.requests (known-horizon baselines)
         # must see the caller's full instance, exactly as before the shim.

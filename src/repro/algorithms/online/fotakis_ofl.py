@@ -16,19 +16,14 @@ Two artifacts live here:
   :class:`~repro.algorithms.base.OnlineAlgorithm` for instances with
   ``|S| = 1`` (used by the substrate sanity experiment).
 
-Acceleration (``use_accel``, default on): the bid sums over earlier demands
-are evaluated from a preallocated
-:class:`~repro.accel.history.BidHistoryBuffer` (no per-request Python loop or
-``vstack`` copy over the history; an exact running sum makes a request O(n)
-unless an opening lowered some bid) and the nearest-own-facility query is O(1)
-via a :class:`~repro.accel.tracker.NearestSetTracker`.  Both are bit-identical
-to the reference path (``use_accel=False``), which is retained for the
-equivalence harness.
+The bid sums over earlier demands are evaluated from a preallocated
+:class:`~repro.accel.history.BidHistoryBuffer` (an exact running sum makes a
+request O(n) unless an opening lowered some bid) and the nearest-own-facility
+query is O(1) via a :class:`~repro.accel.tracker.NearestSetTracker`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,18 +37,8 @@ from repro.core.requests import Request
 from repro.core.state import OnlineState
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
-from repro.utils.encoding import decode_float, encode_float
 
 __all__ = ["SingleCommodityPrimalDual", "FotakisOFLAlgorithm"]
-
-
-@dataclass
-class _HistoryEntry:
-    """One earlier demand seen by the single-commodity primal–dual helper."""
-
-    point: int
-    dual: float
-    nearest_distance: float  # distance to the helper's nearest own facility
 
 
 class SingleCommodityPrimalDual:
@@ -71,9 +56,7 @@ class SingleCommodityPrimalDual:
         Vector of facility opening costs per point for this commodity.
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], *, use_accel: bool = True
-    ) -> None:
+    def __init__(self, metric: MetricSpace, opening_costs: Sequence[float]) -> None:
         costs = np.asarray(opening_costs, dtype=np.float64)
         if costs.shape != (metric.num_points,):
             raise AlgorithmError(
@@ -81,16 +64,11 @@ class SingleCommodityPrimalDual:
             )
         self._metric = metric
         self._costs = costs
-        self._history: List[_HistoryEntry] = []  # reference-path bid state only
         self._dual_values: List[float] = []
         self._facility_points: List[int] = []
         self._row_cache: Dict[int, np.ndarray] = {}
-        self._use_accel = bool(use_accel)
-        self._buffer: Optional[BidHistoryBuffer] = None
-        self._tracker: Optional[NearestSetTracker] = None
-        if self._use_accel:
-            self._buffer = BidHistoryBuffer(metric)
-            self._tracker = NearestSetTracker(metric)
+        self._buffer = BidHistoryBuffer(metric)
+        self._tracker = NearestSetTracker(metric)
 
     # ------------------------------------------------------------------
     @property
@@ -111,29 +89,28 @@ class SingleCommodityPrimalDual:
 
     def _nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
         """(index into facility_points, distance) of the nearest own facility."""
-        if self._tracker is not None:
-            entry = self._tracker.nearest(point)
-            if entry is None:
-                return None, float("inf")
-            return entry
-        if not self._facility_points:
+        entry = self._tracker.nearest(point)
+        if entry is None:
             return None, float("inf")
-        distances = self._metric.distances_between(point, self._facility_points)
-        best = int(np.argmin(distances))
-        return best, float(distances[best])
+        return entry
+
+    def _append_facility(self, point: int) -> None:
+        self._facility_points.append(int(point))
+        # Tag = slot index, so _nearest_own_facility reports the slot.
+        self._tracker.add(int(point), tag=len(self._facility_points) - 1)
 
     def _bid_base(self) -> np.ndarray:
         """Bid sum of earlier demands towards every point (constraint (3))."""
-        if self._buffer is not None:
-            return self._buffer.base()
-        if not self._history:
-            return np.zeros(self._metric.num_points, dtype=np.float64)
-        bids = np.array(
-            [min(entry.dual, entry.nearest_distance) for entry in self._history],
-            dtype=np.float64,
-        )
-        rows = np.vstack([self._row(entry.point) for entry in self._history])
-        return np.maximum(bids[:, None] - rows, 0.0).sum(axis=0)
+        return self._buffer.base()
+
+    def _join_bid_history(
+        self, point: int, dual: float, nearest: float, opened: Optional[int]
+    ) -> None:
+        """Fold the facility ``opened`` for this demand (if any) into the
+        earlier demands' bids, then append the demand itself."""
+        if opened is not None:
+            self._buffer.update_nearest(self._row(opened))
+        self._buffer.append(point, dual, nearest, row=self._row(point))
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -141,22 +118,13 @@ class SingleCommodityPrimalDual:
     def state_dict(self) -> Dict[str, Any]:
         """Facility points, dual values and the bid history of the helper.
 
-        The shape of ``history`` is the same for both hot paths — per-entry
-        ``(point, dual, nearest)`` triples — so the snapshot is agnostic to
-        which path produced it; distance rows are refetched on restore.
+        ``history`` holds per-entry ``(point, dual, nearest)`` triples;
+        distance rows are refetched on restore.
         """
-        if self._buffer is not None:
-            history = self._buffer.state_dict()
-        else:
-            history = {
-                "points": [entry.point for entry in self._history],
-                "duals": [entry.dual for entry in self._history],
-                "nearest": [encode_float(entry.nearest_distance) for entry in self._history],
-            }
         return {
             "facility_points": list(self._facility_points),
             "dual_values": [float(v) for v in self._dual_values],
-            "history": history,
+            "history": self._buffer.state_dict(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -166,24 +134,9 @@ class SingleCommodityPrimalDual:
                 "SingleCommodityPrimalDual.load_state_dict requires a fresh helper"
             )
         for point in state["facility_points"]:
-            self._facility_points.append(int(point))
-            if self._tracker is not None:
-                self._tracker.add(int(point), tag=len(self._facility_points) - 1)
+            self._append_facility(int(point))
         self._dual_values = [float(v) for v in state["dual_values"]]
-        history = state["history"]
-        if self._buffer is not None:
-            self._buffer.load_state_dict(history)
-        else:
-            for point, dual, nearest in zip(
-                history["points"], history["duals"], history["nearest"]
-            ):
-                self._history.append(
-                    _HistoryEntry(
-                        point=int(point),
-                        dual=float(dual),
-                        nearest_distance=decode_float(nearest),
-                    )
-                )
+        self._buffer.load_state_dict(state["history"])
 
     # ------------------------------------------------------------------
     def decide(self, point: int) -> Tuple[str, int, float]:
@@ -208,29 +161,15 @@ class SingleCommodityPrimalDual:
             kind, payload = "connect", int(slot)
         else:
             dual = open_level
-            self._facility_points.append(open_point)
-            if self._tracker is not None:
-                self._tracker.add(open_point, tag=len(self._facility_points) - 1)
+            self._append_facility(open_point)
             kind, payload = "open", open_point
 
-        # Update the bid history (the new demand's nearest distance reflects
-        # the facility set after its own processing).  The _HistoryEntry list
-        # backs only the reference bid sums, so the accel path does not grow
-        # it — stale entries would otherwise linger for anyone inspecting it.
+        # The demand joins the bid history; its nearest distance reflects the
+        # facility set after its own processing.
         _, new_nearest = self._nearest_own_facility(point)
-        if self._buffer is not None:
-            if kind == "open":
-                self._buffer.update_nearest(self._row(open_point))
-            self._buffer.append(point, dual, new_nearest, row=row)
-        else:
-            for entry in self._history:
-                if kind == "open":
-                    entry.nearest_distance = min(
-                        entry.nearest_distance, float(self._row(open_point)[entry.point])
-                    )
-            self._history.append(
-                _HistoryEntry(point=point, dual=dual, nearest_distance=new_nearest)
-            )
+        self._join_bid_history(
+            point, dual, new_nearest, open_point if kind == "open" else None
+        )
         self._dual_values.append(dual)
         return kind, payload, dual
 
@@ -246,9 +185,8 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
 
     randomized = False
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "fotakis-ofl"
-        self._use_accel = bool(use_accel)
         self._helper: Optional[SingleCommodityPrimalDual] = None
         self._facility_of_slot: Dict[int, int] = {}
 
@@ -259,9 +197,7 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
                 f"|S| = {instance.num_commodities}"
             )
         costs = instance.cost_function.costs_over_points((0,), list(range(instance.num_points)))
-        self._helper = SingleCommodityPrimalDual(
-            instance.metric, costs, use_accel=self._use_accel
-        )
+        self._helper = SingleCommodityPrimalDual(instance.metric, costs)
         self._facility_of_slot = {}
 
     def state_dict(self) -> Dict[str, Any]:

@@ -13,15 +13,13 @@ per-commodity decomposition baseline can instantiate one per commodity, and a
 thin :class:`MeyersonOFLAlgorithm` exposes the classical single-commodity
 algorithm.
 
-Acceleration (``use_accel``, default on): the helper precomputes the
-per-class distance tables once (:class:`~repro.accel.classes.ClassDistanceIndex`)
-and tracks its own facility set incrementally
-(:class:`~repro.accel.tracker.NearestSetTracker`), turning the per-demand
-work from O(classes x n) into O(classes + opened x n).  The per-class coin
-probabilities are then computed in one vectorized pass instead of a Python
-loop of scalar ``distance_to_class`` calls; the coins themselves are still
-flipped one class at a time so the RNG consumption — and hence every decision
-— is bit-identical to the reference path (``use_accel=False``).
+The helper memoizes the per-class distance columns
+(:class:`~repro.accel.classes.ClassDistanceIndex`) and tracks its own facility
+set incrementally (:class:`~repro.accel.tracker.NearestSetTracker`), so a
+demand costs O(classes) plus O(n) per opened facility or unseen point.  The
+per-class coin probabilities are computed in one vectorized pass; the coins
+themselves are flipped one class at a time, one uniform draw per class with a
+positive probability.
 """
 
 from __future__ import annotations
@@ -51,9 +49,7 @@ class SingleCommodityMeyerson:
     facilities onto real state facilities.
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], *, use_accel: bool = True
-    ) -> None:
+    def __init__(self, metric: MetricSpace, opening_costs: Sequence[float]) -> None:
         costs = np.asarray(opening_costs, dtype=np.float64)
         if costs.shape != (metric.num_points,):
             raise AlgorithmError(
@@ -71,16 +67,11 @@ class SingleCommodityMeyerson:
             np.where(rounded <= value)[0].astype(np.intp) for value in values
         ]
         self._facility_points: List[int] = []
-        self._use_accel = bool(use_accel)
-        self._class_index: Optional[ClassDistanceIndex] = None
-        self._tracker: Optional[NearestSetTracker] = None
-        if self._use_accel:
-            exact = [np.where(rounded == value)[0].astype(np.intp) for value in values]
-            # The cumulative sets are handed over in this helper's reference
-            # enumeration order (ascending point index) so lazy nearest-point
-            # scans tie-break exactly as the reference path does.
-            self._class_index = ClassDistanceIndex(metric, values, exact, self._class_points)
-            self._tracker = NearestSetTracker(metric)
+        exact = [np.where(rounded == value)[0].astype(np.intp) for value in values]
+        # The cumulative sets are handed over in ascending point order, so
+        # lazy nearest-point scans break ties towards the lowest point index.
+        self._class_index = ClassDistanceIndex(metric, values, exact, self._class_points)
+        self._tracker = NearestSetTracker(metric)
 
     # ------------------------------------------------------------------
     @property
@@ -97,48 +88,31 @@ class SingleCommodityMeyerson:
 
     def distance_to_class(self, index: int, point: int) -> float:
         """Distance to the nearest point of rounded cost at most ``C_i``."""
-        if self._class_index is not None:
-            return self._class_index.distance_to_class(index, point)
-        points = self._class_points[index - 1]
-        return float(np.min(self._metric.distances_between(point, points)))
+        return self._class_index.distance_to_class(index, point)
 
     def nearest_point_of_class(self, index: int, point: int) -> int:
-        if self._class_index is not None:
-            return self._class_index.nearest_point_of_class(index, point)[0]
-        points = self._class_points[index - 1]
-        nearest, _ = self._metric.nearest(point, points)
-        return int(nearest)
+        return self._class_index.nearest_point_of_class(index, point)[0]
 
     def nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
-        if self._tracker is not None:
-            entry = self._tracker.nearest(point)
-            if entry is None:
-                return None, float("inf")
-            return entry
-        if not self._facility_points:
+        entry = self._tracker.nearest(point)
+        if entry is None:
             return None, float("inf")
-        distances = self._metric.distances_between(point, self._facility_points)
-        best = int(np.argmin(distances))
-        return best, float(distances[best])
+        return entry
+
+    def cheapest_open_option(self, point: int) -> Tuple[int, float]:
+        """``(argmin_i, min_i (C_i + d(C_i, r)))`` with 1-based index (first minimum)."""
+        return self._class_index.cheapest_open_option(point)
 
     def connection_budget(self, point: int) -> float:
         """``X(r) = min{d(F, r), min_i (C_i + d(C_i, r))}`` for a demand at ``point``."""
         _, nearest = self.nearest_own_facility(point)
-        if self._class_index is not None:
-            _, cheapest_open = self._class_index.cheapest_open_option(point)
-        else:
-            cheapest_open = min(
-                self.class_value(i) + self.distance_to_class(i, point)
-                for i in range(1, self.num_classes + 1)
-            )
+        _, cheapest_open = self.cheapest_open_option(point)
         return min(nearest, cheapest_open)
 
     def _append_facility(self, point: int) -> None:
         self._facility_points.append(int(point))
-        if self._tracker is not None:
-            # Tag = slot index, so nearest_own_facility reports the slot the
-            # reference's argmin over the facility list would report.
-            self._tracker.add(int(point), tag=len(self._facility_points) - 1)
+        # Tag = slot index, so nearest_own_facility reports the slot.
+        self._tracker.add(int(point), tag=len(self._facility_points) - 1)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -157,7 +131,12 @@ class SingleCommodityMeyerson:
             self._append_facility(int(point))
 
     def _class_probabilities(self, point: int, effective_budget: float) -> np.ndarray:
-        """Vectorized per-class opening probabilities (fast path only)."""
+        """Per-class opening probabilities, ``d(C_0, r) := effective_budget``.
+
+        Class ``i`` opens with probability
+        ``min(max((d(C_{i-1}, r) - d(C_i, r)) / C_i, 0), 1)`` (a zero-cost
+        class opens exactly when that difference is positive).
+        """
         distances = self._class_index.class_distances(point)
         previous = np.empty_like(distances)
         previous[0] = effective_budget
@@ -187,37 +166,17 @@ class SingleCommodityMeyerson:
         """
         effective_budget = self.connection_budget(point) if budget is None else float(budget)
         opened: List[int] = []
-        if self._class_index is not None:
-            probabilities = self._class_probabilities(point, effective_budget)
-            for i in range(1, self.num_classes + 1):
-                probability = float(probabilities[i - 1])
-                if probability > 0 and rng.uniform() < probability:
-                    opened.append(self.nearest_point_of_class(i, point))
-        else:
-            previous_distance = effective_budget
-            for i in range(1, self.num_classes + 1):
-                value = self.class_value(i)
-                distance_i = self.distance_to_class(i, point)
-                increment = previous_distance - distance_i
-                previous_distance = distance_i
-                if value <= 0:
-                    probability = 1.0 if increment > 0 else 0.0
-                else:
-                    probability = min(max(increment / value, 0.0), 1.0)
-                if probability > 0 and rng.uniform() < probability:
-                    opened.append(self.nearest_point_of_class(i, point))
+        probabilities = self._class_probabilities(point, effective_budget)
+        for i in range(1, self.num_classes + 1):
+            probability = float(probabilities[i - 1])
+            if probability > 0 and rng.uniform() < probability:
+                opened.append(self.nearest_point_of_class(i, point))
         for new_point in opened:
             self._append_facility(int(new_point))
         if not self._facility_points:
             # Feasibility fallback: open the cheapest opening option
             # deterministically (changes constants only, see DESIGN.md §4.2).
-            if self._class_index is not None:
-                best_i, _ = self._class_index.cheapest_open_option(point)
-            else:
-                best_i = min(
-                    range(1, self.num_classes + 1),
-                    key=lambda i: self.class_value(i) + self.distance_to_class(i, point),
-                )
+            best_i, _ = self.cheapest_open_option(point)
             fallback = self.nearest_point_of_class(best_i, point)
             self._append_facility(int(fallback))
             opened.append(int(fallback))
@@ -230,9 +189,8 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
 
     randomized = True
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "meyerson-ofl"
-        self._use_accel = bool(use_accel)
         self._helper: Optional[SingleCommodityMeyerson] = None
         self._facility_of_slot: Dict[int, int] = {}
 
@@ -243,9 +201,7 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
                 f"|S| = {instance.num_commodities}"
             )
         costs = instance.cost_function.costs_over_points((0,), list(range(instance.num_points)))
-        self._helper = SingleCommodityMeyerson(
-            instance.metric, costs, use_accel=self._use_accel
-        )
+        self._helper = SingleCommodityMeyerson(instance.metric, costs)
         self._facility_of_slot = {}
 
     def state_dict(self) -> Dict[str, Any]:

@@ -29,7 +29,11 @@ Implementation conventions (DESIGN.md §4.1): the bid sums of constraints
 while processing a request join ``F`` only once actually opened; ties are
 broken deterministically in the order (1), (3), (2), (4), then by point and
 commodity index.  All per-point quantities are numpy vectors over the whole
-point set, so one event search is a handful of vectorized reductions.
+point set, so one event search is a handful of vectorized reductions.  The
+bid sums of constraints (3)/(4) come from
+:class:`~repro.accel.history.BidHistoryBuffer` running sums: one buffer per
+commodity (the earlier requests demanding it) and one for the large
+configuration.
 
 The class accepts a ``large_configuration`` parameter.  The default is the
 full commodity set ``S`` (the paper's algorithm); restricting it realizes the
@@ -39,7 +43,7 @@ large facility and are always served by small facilities.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from repro.core.state import OnlineState
 from repro.core.trace import DualFreezeEvent
 from repro.dual.variables import DualVariableStore
 from repro.exceptions import AlgorithmError, SnapshotError
-from repro.utils.encoding import decode_float, encode_float
 
 __all__ = ["PDOMFLPAlgorithm"]
 
@@ -65,31 +68,22 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
 
     randomized = False
 
-    def __init__(
-        self,
-        *,
-        large_configuration: Optional[Iterable[int]] = None,
-        use_accel: bool = True,
-    ) -> None:
+    def __init__(self, *, large_configuration: Optional[Iterable[int]] = None) -> None:
         self._large_override = (
             frozenset(int(e) for e in large_configuration)
             if large_configuration is not None
             else None
         )
         self.name = "pd-omflp" if self._large_override is None else "pd-omflp-restricted"
-        self._use_accel = bool(use_accel)
         # Per-run state; initialized in prepare().
         self._duals: Optional[DualVariableStore] = None
         self._instance: Optional[Instance] = None
         self._large_set: FrozenSet[int] = frozenset()
-        self._history: List[Request] = []
-        self._nearest_small: Dict[Tuple[int, int], float] = {}
-        self._nearest_large: Dict[int, float] = {}
         self._row_cache: Dict[int, np.ndarray] = {}
         self._f_small_cache: Dict[int, np.ndarray] = {}
         self._f_large: Optional[np.ndarray] = None
-        # Accelerated bid-history buffers (see repro.accel.history): one per
-        # commodity for constraint (3), one for the large constraint (4).
+        # Bid-history buffers (see repro.accel.history): one per commodity
+        # for constraint (3), one for the large constraint (4).
         self._small_buffers: Dict[int, BidHistoryBuffer] = {}
         self._large_buffer: Optional[BidHistoryBuffer] = None
 
@@ -110,13 +104,10 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             self._large_set = self._large_override
         else:
             self._large_set = instance.cost_function.full_set
-        self._history = []
-        self._nearest_small = {}
-        self._nearest_large = {}
         self._row_cache = {}
         self._f_small_cache = {}
         self._small_buffers = {}
-        self._large_buffer = BidHistoryBuffer(instance.metric) if self._use_accel else None
+        self._large_buffer = BidHistoryBuffer(instance.metric)
         all_points = list(range(instance.num_points))
         self._f_large = instance.cost_function.costs_over_points(self._large_set, all_points)
 
@@ -127,74 +118,41 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Duals plus the bid-history state of the active hot path.
+        """Duals plus the contents of every :class:`BidHistoryBuffer`.
 
-        The accel path serializes its :class:`BidHistoryBuffer` contents, the
-        reference path its request history and nearest-distance caches; the
-        static per-point cost vectors and distance-row caches are rebuilt by
-        ``prepare`` / lazily.  Nearest distances may be ``inf`` and are
-        string-encoded for strict JSON.
+        The static per-point cost vectors and distance-row caches are rebuilt
+        by ``prepare`` / lazily.
         """
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
-        data: Dict[str, Any] = {"duals": self._duals.to_dict()}
-        if self._use_accel:
-            data["small_buffers"] = [
+        return {
+            "duals": self._duals.to_dict(),
+            "small_buffers": [
                 [commodity, buffer.state_dict()]
                 for commodity, buffer in self._small_buffers.items()
-            ]
-            data["large_buffer"] = self._large_buffer.state_dict()
-        else:
-            data["history"] = [
-                [r.index, r.point, sorted(r.commodities)] for r in self._history
-            ]
-            data["nearest_small"] = [
-                [request_index, commodity, encode_float(distance)]
-                for (request_index, commodity), distance in self._nearest_small.items()
-            ]
-            data["nearest_large"] = [
-                [request_index, encode_float(distance)]
-                for request_index, distance in self._nearest_large.items()
-            ]
-        return data
+            ],
+            "large_buffer": self._large_buffer.state_dict(),
+        }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
-        if len(self._duals) or self._history or self._small_buffers:
+        if len(self._duals) or self._small_buffers or len(self._large_buffer):
             raise SnapshotError(
                 "PDOMFLPAlgorithm.load_state_dict requires a freshly prepared run"
             )
-        if self._use_accel != ("small_buffers" in state):
+        if "history" in state and "small_buffers" not in state:
             raise SnapshotError(
-                "snapshot was taken on the "
-                f"{'reference' if self._use_accel else 'accelerated'} hot path; "
-                f"construct the algorithm with use_accel={not self._use_accel} to restore it"
+                "PD-OMFLP snapshot holds the per-request 'history' bid state of "
+                "the removed reference hot path and cannot be restored; replay "
+                "the run's requests into a new session instead"
             )
         self._duals = DualVariableStore.from_dict(state["duals"])
-        if self._use_accel:
-            for commodity, buffer_state in state["small_buffers"]:
-                buffer = BidHistoryBuffer(self._instance.metric)
-                buffer.load_state_dict(buffer_state)
-                self._small_buffers[int(commodity)] = buffer
-            self._large_buffer.load_state_dict(state["large_buffer"])
-        else:
-            self._history = [
-                Request(
-                    index=int(index),
-                    point=int(point),
-                    commodities=frozenset(int(e) for e in commodities),
-                )
-                for index, point, commodities in state["history"]
-            ]
-            self._nearest_small = {
-                (int(request_index), int(commodity)): decode_float(distance)
-                for request_index, commodity, distance in state["nearest_small"]
-            }
-            self._nearest_large = {
-                int(request_index): decode_float(distance)
-                for request_index, distance in state["nearest_large"]
-            }
+        for commodity, buffer_state in state["small_buffers"]:
+            buffer = BidHistoryBuffer(self._instance.metric)
+            buffer.load_state_dict(buffer_state)
+            self._small_buffers[int(commodity)] = buffer
+        self._large_buffer.load_state_dict(state["large_buffer"])
 
     # ------------------------------------------------------------------
     # Cached quantities
@@ -215,28 +173,19 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         return vector
 
     def _register_opened_facility(self, point: int, configuration: FrozenSet[int]) -> None:
-        """Update the cached nearest-facility distances of earlier requests."""
-        if self._use_accel:
-            # Each commodity buffer holds exactly the earlier requests that
-            # demanded that commodity, so the reference's per-entry minimum
-            # becomes one vectorized fold per affected buffer.
-            row = self._distance_row(point)
-            for commodity in configuration:
-                buffer = self._small_buffers.get(commodity)
-                if buffer is not None:
-                    buffer.update_nearest(row)
-            if configuration >= self._large_set:
-                self._large_buffer.update_nearest(row)
-            return
-        for request in self._history:
-            distance = float(self._distance_row(point)[request.point])
-            for commodity in configuration & request.commodities:
-                key = (request.index, commodity)
-                if distance < self._nearest_small.get(key, float("inf")):
-                    self._nearest_small[key] = distance
-            if configuration >= self._large_set:
-                if distance < self._nearest_large.get(request.index, float("inf")):
-                    self._nearest_large[request.index] = distance
+        """Fold a newly opened facility into the earlier requests' bids.
+
+        Each commodity buffer holds exactly the earlier requests that
+        demanded that commodity, so lowering their nearest-facility distances
+        is one vectorized fold per affected buffer.
+        """
+        row = self._distance_row(point)
+        for commodity in configuration:
+            buffer = self._small_buffers.get(commodity)
+            if buffer is not None:
+                buffer.update_nearest(row)
+        if configuration >= self._large_set:
+            self._large_buffer.update_nearest(row)
 
     def _nearest_covering_large(self, state: OnlineState, point: int) -> Optional[Tuple[object, float]]:
         """Nearest open facility covering the large configuration, or ``None``."""
@@ -249,51 +198,14 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     # ------------------------------------------------------------------
     def _base_small(self, commodity: int) -> np.ndarray:
         """``sum_{j earlier, e in s_j} (min{a_{je}, d(F(e), j)} - d(m, j))_+`` over all m."""
-        num_points = self._instance.num_points
-        if self._use_accel:
-            buffer = self._small_buffers.get(commodity)
-            if buffer is None:
-                return np.zeros(num_points, dtype=np.float64)
-            return buffer.base()
-        relevant = [j for j in self._history if commodity in j.commodities]
-        if not relevant:
-            return np.zeros(num_points, dtype=np.float64)
-        bids = np.array(
-            [
-                min(
-                    self._duals.get(j.index, commodity),
-                    self._nearest_small.get((j.index, commodity), float("inf")),
-                )
-                for j in relevant
-            ],
-            dtype=np.float64,
-        )
-        rows = np.vstack([self._distance_row(j.point) for j in relevant])
-        return np.maximum(bids[:, None] - rows, 0.0).sum(axis=0)
+        buffer = self._small_buffers.get(commodity)
+        if buffer is None:
+            return np.zeros(self._instance.num_points, dtype=np.float64)
+        return buffer.base()
 
     def _base_large(self) -> np.ndarray:
         """``sum_{j earlier} (min{sum_e a_{je}, d(F̂, j)} - d(m, j))_+`` over all m."""
-        num_points = self._instance.num_points
-        if self._use_accel:
-            return self._large_buffer.base()
-        relevant = [j for j in self._history if j.commodities & self._large_set]
-        if not relevant:
-            return np.zeros(num_points, dtype=np.float64)
-        bids = np.array(
-            [
-                min(
-                    sum(
-                        self._duals.get(j.index, e)
-                        for e in j.commodities & self._large_set
-                    ),
-                    self._nearest_large.get(j.index, float("inf")),
-                )
-                for j in relevant
-            ],
-            dtype=np.float64,
-        )
-        rows = np.vstack([self._distance_row(j.point) for j in relevant])
-        return np.maximum(bids[:, None] - rows, 0.0).sum(axis=0)
+        return self._large_buffer.base()
 
     # ------------------------------------------------------------------
     # Request processing
@@ -433,45 +345,40 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             assignment.assign(commodity, served_by[commodity])
         state.record_assignment(request, assignment)
 
-        # The request joins the bid history; cache its nearest-facility
-        # distances with respect to the facility set *after* its own
-        # processing.  (self._history backs only the reference bid sums, so
-        # the accel path does not grow it — stale entries would otherwise
-        # linger for anyone inspecting it.)
-        if self._use_accel:
-            row = self._distance_row(point)
-            for commodity in commodities:
-                buffer = self._small_buffers.get(commodity)
-                if buffer is None:
-                    buffer = self._small_buffers[commodity] = BidHistoryBuffer(
-                        self._instance.metric
-                    )
-                buffer.append(
-                    point,
-                    self._duals.get(request.index, commodity),
-                    state.distance_to_nearest(commodity, point),
-                    row=row,
+        self._join_bid_history(request, state)
+
+    def _join_bid_history(self, request: Request, state: OnlineState) -> None:
+        """Append ``request``'s bids to the buffers of constraints (3) and (4).
+
+        Its nearest-facility distances are taken with respect to the facility
+        set *after* its own processing.
+        """
+        point = request.point
+        row = self._distance_row(point)
+        for commodity in sorted(request.commodities):
+            buffer = self._small_buffers.get(commodity)
+            if buffer is None:
+                buffer = self._small_buffers[commodity] = BidHistoryBuffer(
+                    self._instance.metric
                 )
-            if request.commodities & self._large_set:
-                dual_sum = sum(
-                    self._duals.get(request.index, e)
-                    for e in request.commodities & self._large_set
-                )
-                entry = self._nearest_covering_large(state, point)
-                self._large_buffer.append(
-                    point,
-                    dual_sum,
-                    entry[1] if entry is not None else float("inf"),
-                    row=row,
-                )
-        else:
-            self._history.append(request)
-            for commodity in commodities:
-                self._nearest_small[(request.index, commodity)] = state.distance_to_nearest(
-                    commodity, point
-                )
+            buffer.append(
+                point,
+                self._duals.get(request.index, commodity),
+                state.distance_to_nearest(commodity, point),
+                row=row,
+            )
+        if request.commodities & self._large_set:
+            dual_sum = sum(
+                self._duals.get(request.index, e)
+                for e in request.commodities & self._large_set
+            )
             entry = self._nearest_covering_large(state, point)
-            self._nearest_large[request.index] = entry[1] if entry is not None else float("inf")
+            self._large_buffer.append(
+                point,
+                dual_sum,
+                entry[1] if entry is not None else float("inf"),
+                row=row,
+            )
 
     # ------------------------------------------------------------------
     def _next_event(

@@ -38,16 +38,12 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
     base:
         ``"fotakis"`` (deterministic primal–dual, default) or ``"meyerson"``
         (randomized).
-    use_accel:
-        Forwarded to every per-commodity helper; selects the accelerated
-        (incremental distance-cache) or the bit-identical reference hot path.
     """
 
-    def __init__(self, base: str = "fotakis", *, use_accel: bool = True) -> None:
+    def __init__(self, base: str = "fotakis") -> None:
         if base not in ("fotakis", "meyerson"):
             raise AlgorithmError(f"unknown base algorithm {base!r}")
         self._base = base
-        self._use_accel = bool(use_accel)
         self.name = f"per-commodity-{base}"
         self.randomized = base == "meyerson"
         self._instance: Optional[Instance] = None
@@ -67,13 +63,9 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
                 (commodity,), list(range(self._instance.num_points))
             )
             if self._base == "fotakis":
-                helper = SingleCommodityPrimalDual(
-                    self._instance.metric, costs, use_accel=self._use_accel
-                )
+                helper = SingleCommodityPrimalDual(self._instance.metric, costs)
             else:
-                helper = SingleCommodityMeyerson(
-                    self._instance.metric, costs, use_accel=self._use_accel
-                )
+                helper = SingleCommodityMeyerson(self._instance.metric, costs)
             self._helpers[commodity] = helper
         return helper
 

@@ -31,12 +31,15 @@ commodities to one large facility — Figure 3 of the paper illustrates exactly
 this choice).  If some demanded commodity is offered nowhere, the cheapest
 small-facility option realizing ``X(r, e)`` is opened deterministically as a
 feasibility fallback (DESIGN.md §4.2); this only affects constants.
+
+The static per-class distances ``d(C^τ_i, ·)`` come from memoized
+:class:`~repro.accel.classes.ClassDistanceIndex` columns (O(1) per query
+after the first from a point) instead of an O(n) scan per class per request.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
-
 
 from repro.accel.classes import ClassDistanceIndex
 from repro.algorithms.base import OnlineAlgorithm
@@ -52,21 +55,12 @@ __all__ = ["RandOMFLPAlgorithm"]
 
 
 class RandOMFLPAlgorithm(OnlineAlgorithm):
-    """Randomized Meyerson-style online algorithm for the OMFLP (Algorithm 2).
-
-    With ``use_accel`` (the default) the static per-class distances
-    ``d(C^τ_i, ·)`` come from precomputed
-    :class:`~repro.accel.classes.ClassDistanceIndex` tables (O(1) per query)
-    instead of an O(n) scan per class per request; coin flips, trace events
-    and every decision are bit-identical to the reference path
-    (``use_accel=False``).
-    """
+    """Randomized Meyerson-style online algorithm for the OMFLP (Algorithm 2)."""
 
     randomized = True
 
-    def __init__(self, *, use_accel: bool = True) -> None:
+    def __init__(self) -> None:
         self.name = "rand-omflp"
-        self._use_accel = bool(use_accel)
         self._instance: Optional[Instance] = None
         self._small_classes: Dict[int, CostClassIndex] = {}
         self._large_classes: Optional[CostClassIndex] = None
@@ -84,10 +78,8 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
         self._large_classes = CostClassIndex(
             instance.metric, instance.cost_function, instance.cost_function.full_set
         )
-        self._large_accel = (
-            ClassDistanceIndex.from_cost_index(instance.metric, self._large_classes)
-            if self._use_accel
-            else None
+        self._large_accel = ClassDistanceIndex.from_cost_index(
+            instance.metric, self._large_classes
         )
 
     # ------------------------------------------------------------------
@@ -123,7 +115,9 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
             self._small_classes[commodity] = index
         return index
 
-    def _accel_for(self, commodity: int) -> ClassDistanceIndex:
+    def _provider_for(self, commodity: int) -> ClassDistanceIndex:
+        """Distance queries (``distance_to_class`` / ``nearest_point_of_class``
+        / ``cheapest_open_option``) over one commodity's cost classes."""
         accel = self._small_accel.get(commodity)
         if accel is None:
             accel = ClassDistanceIndex.from_cost_index(
@@ -132,19 +126,9 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
             self._small_accel[commodity] = accel
         return accel
 
-    def _provider_for(self, commodity: int):
-        """Distance-query provider for one commodity's cost classes.
-
-        :class:`CostClassIndex` (reference scans) and
-        :class:`ClassDistanceIndex` (memoized columns) expose the same
-        bit-identical ``distance_to_class`` / ``nearest_point_of_class`` /
-        ``cheapest_open_option`` surface, so every call site below selects
-        the provider once and stays branch-free.
-        """
-        return self._accel_for(commodity) if self._use_accel else self._classes_for(commodity)
-
-    def _large_provider(self):
-        return self._large_accel if self._use_accel else self._large_classes
+    def _large_provider(self) -> ClassDistanceIndex:
+        """Distance queries over the large configuration's cost classes."""
+        return self._large_accel
 
     # ------------------------------------------------------------------
     # Budgets (Section 4.1)

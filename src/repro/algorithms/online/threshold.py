@@ -41,9 +41,6 @@ class ThresholdPDAlgorithm(PDOMFLPAlgorithm):
         Commodities that are never offered by large facilities (the "heavy"
         commodities of the closing remarks); they are always served by small
         facilities.
-    use_accel:
-        Forwarded to PD-OMFLP: selects the accelerated or the bit-identical
-        reference hot path.
 
     The snapshot hooks (``state_dict`` / ``load_state_dict``) are inherited
     unchanged from :class:`PDOMFLPAlgorithm` — the excluded set is constructor
@@ -51,9 +48,7 @@ class ThresholdPDAlgorithm(PDOMFLPAlgorithm):
     algorithm to be rebuilt with the same arguments.
     """
 
-    def __init__(
-        self, num_commodities: int, excluded: Iterable[int] = (), *, use_accel: bool = True
-    ) -> None:
+    def __init__(self, num_commodities: int, excluded: Iterable[int] = ()) -> None:
         excluded_set = frozenset(int(e) for e in excluded)
         if any(not 0 <= e < num_commodities for e in excluded_set):
             raise AlgorithmError(
@@ -62,7 +57,7 @@ class ThresholdPDAlgorithm(PDOMFLPAlgorithm):
         large = frozenset(range(num_commodities)) - excluded_set
         if not large:
             raise AlgorithmError("at least one commodity must remain in the large configuration")
-        super().__init__(large_configuration=large, use_accel=use_accel)
+        super().__init__(large_configuration=large)
         self.excluded = excluded_set
         self.name = "pd-omflp-heavy-excluded" if excluded_set else "pd-omflp"
 

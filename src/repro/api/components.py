@@ -106,7 +106,7 @@ WORKLOADS.add("service-network", service_network_workload)
 # Online algorithms — keys equal each algorithm's ``name`` attribute so
 # that result rows and spec keys agree.
 # ----------------------------------------------------------------------
-ALGORITHMS = Registry("online algorithm")
+ALGORITHMS = Registry("online algorithm", strict_params=True)
 ALGORITHMS.add("pd-omflp", PDOMFLPAlgorithm)
 ALGORITHMS.add("rand-omflp", RandOMFLPAlgorithm)
 ALGORITHMS.add("threshold-pd", ThresholdPDAlgorithm)

@@ -172,12 +172,6 @@ class OnlineSession:
         Record structured trace events.
     validate:
         Validate feasibility of the final solution in :meth:`finalize`.
-    use_accel:
-        Maintain the incremental nearest-facility distance caches of
-        :mod:`repro.accel` (the default), giving the streaming hot path O(1)
-        ``d(F(e), r)`` / ``d(F̂, r)`` queries.  ``False`` selects the
-        reference per-query scans — bit-identical, kept for the equivalence
-        harness.
     name:
         Instance name used in result rows.
     instance:
@@ -219,7 +213,6 @@ class OnlineSession:
         rng: RandomState = None,
         trace: bool = False,
         validate: bool = True,
-        use_accel: bool = True,
         name: str = "session",
         instance: Optional[Instance] = None,
         telemetry: Any = None,
@@ -233,7 +226,6 @@ class OnlineSession:
         # start is recorded on the final RunRecord alongside the optional
         # seed, and anchors snapshot/restore.
         self._initial_rng_state = rng_state(self._rng)
-        self._use_accel = bool(use_accel)
         self._validate = validate
         if tracer is None or tracer is False:
             self._tracer = None
@@ -249,18 +241,14 @@ class OnlineSession:
             )
         self._instance = instance
         build_start = wall_now()
-        self._state = OnlineState(
-            self._instance, trace=Trace(enabled=trace), use_accel=use_accel
-        )
+        self._state = OnlineState(self._instance, trace=Trace(enabled=trace))
         if self._tracer is not None:
-            # Covers the accel nearest-facility cache construction when
-            # use_accel is on (the session-controlled accel-kernel phase).
+            # Covers building the online state and its facility store.
             self._tracer.add(
                 "session.state-build",
                 category="session",
                 seconds=wall_now() - build_start,
                 wall_start=build_start,
-                attributes={"use_accel": self._use_accel},
             )
         self._requests: list[Request] = []
         self._runtime = 0.0
@@ -434,7 +422,6 @@ class OnlineSession:
                     ordinal=request.index,
                     seconds=elapsed,
                     wall_start=start,
-                    attributes={"use_accel": self._use_accel},
                 )
                 event_start = wall_now()
             else:
@@ -527,7 +514,6 @@ class OnlineSession:
             seed=self._seed,
             initial_rng_state=copy.deepcopy(self._initial_rng_state),
             rng_state=rng_state(self._rng),
-            use_accel=self._use_accel,
             validate=self._validate,
             instance_name=self._instance.name,
             runtime_seconds=self._runtime,
@@ -607,7 +593,6 @@ class OnlineSession:
             rng=None,
             trace=snapshot.trace_enabled,
             validate=snapshot.validate,
-            use_accel=snapshot.use_accel,
             name=snapshot.instance_name,
             instance=instance,
         )

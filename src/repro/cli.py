@@ -485,11 +485,6 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
         help="LRU-evict sessions beyond this count to the snapshot dir",
     )
     parser.add_argument(
-        "--no-accel",
-        action="store_true",
-        help="run new sessions on the reference (non-accelerated) hot path",
-    )
-    parser.add_argument(
         "--trace-out",
         type=Path,
         default=None,
@@ -519,7 +514,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     manager = SessionManager(
         snapshot_dir=args.snapshot_dir,
         max_live_sessions=args.max_live_sessions,
-        default_use_accel=not args.no_accel,
     )
     serve(
         manager,

@@ -70,21 +70,14 @@ class FacilityStore:
     """The set ``F`` of currently open facilities with per-commodity indexes.
 
     The store answers the three distance queries the algorithms need —
-    ``d(F(e), r)``, ``d(F̂, r)`` and nearest-facility lookups.  With
-    ``use_accel`` (the default) each query is O(1) against incremental
-    :class:`~repro.accel.tracker.NearestSetTracker` minima folded in at
-    opening time; with ``use_accel=False`` the reference implementation scans
-    the relevant facility locations with one vectorized pass per query.  The
-    two paths are bit-identical (see :mod:`repro.accel`).
+    ``d(F(e), r)``, ``d(F̂, r)`` and nearest-facility lookups.  Each is O(1)
+    against incremental :class:`~repro.accel.tracker.NearestSetTracker`
+    minima folded in at opening time (see :mod:`repro.accel`);
+    :meth:`nearest_covering`, needed only for restricted large
+    configurations, scans the open facilities.
     """
 
-    def __init__(
-        self,
-        metric: MetricSpace,
-        cost_function: FacilityCostFunction,
-        *,
-        use_accel: bool = True,
-    ) -> None:
+    def __init__(self, metric: MetricSpace, cost_function: FacilityCostFunction) -> None:
         self._metric = metric
         self._cost_function = cost_function
         self._facilities: List[Facility] = []
@@ -92,7 +85,6 @@ class FacilityStore:
         self._large: List[int] = []
         self._total_opening_cost = 0.0
         self._full_set = cost_function.full_set
-        self._use_accel = bool(use_accel)
         self._trackers: Dict[int, NearestSetTracker] = {}
         self._large_tracker: Optional[NearestSetTracker] = None
 
@@ -118,16 +110,15 @@ class FacilityStore:
         if config == self._full_set:
             self._large.append(facility.id)
         self._total_opening_cost += cost
-        if self._use_accel:
-            for commodity in config:
-                tracker = self._trackers.get(commodity)
-                if tracker is None:
-                    tracker = self._trackers[commodity] = NearestSetTracker(self._metric)
-                tracker.add(facility.point, tag=facility.id)
-            if config == self._full_set:
-                if self._large_tracker is None:
-                    self._large_tracker = NearestSetTracker(self._metric)
-                self._large_tracker.add(facility.point, tag=facility.id)
+        for commodity in config:
+            tracker = self._trackers.get(commodity)
+            if tracker is None:
+                tracker = self._trackers[commodity] = NearestSetTracker(self._metric)
+            tracker.add(facility.point, tag=facility.id)
+        if config == self._full_set:
+            if self._large_tracker is None:
+                self._large_tracker = NearestSetTracker(self._metric)
+            self._large_tracker.add(facility.point, tag=facility.id)
         return facility
 
     # ------------------------------------------------------------------
@@ -207,55 +198,29 @@ class FacilityStore:
     # ------------------------------------------------------------------
     def distance_to_nearest(self, commodity: int, point: int) -> float:
         """``d(F(e), r)`` — ``inf`` when no facility offers the commodity yet."""
-        if self._use_accel:
-            tracker = self._trackers.get(commodity)
-            return tracker.distance(point) if tracker is not None else float("inf")
-        ids = self._by_commodity.get(commodity)
-        if not ids:
-            return float("inf")
-        points = [self._facilities[i].point for i in ids]
-        return float(np.min(self._metric.distances_between(point, points)))
+        tracker = self._trackers.get(commodity)
+        return tracker.distance(point) if tracker is not None else float("inf")
 
     def nearest_offering(self, commodity: int, point: int) -> Optional[Tuple[Facility, float]]:
         """Nearest facility offering ``commodity`` and its distance, or ``None``."""
-        if self._use_accel:
-            tracker = self._trackers.get(commodity)
-            if tracker is None:
-                return None
-            facility_id, distance = tracker.nearest(point)
-            return self._facilities[facility_id], distance
-        ids = self._by_commodity.get(commodity)
-        if not ids:
+        tracker = self._trackers.get(commodity)
+        if tracker is None:
             return None
-        points = [self._facilities[i].point for i in ids]
-        distances = self._metric.distances_between(point, points)
-        best = int(np.argmin(distances))
-        return self._facilities[ids[best]], float(distances[best])
+        facility_id, distance = tracker.nearest(point)
+        return self._facilities[facility_id], distance
 
     def distance_to_nearest_large(self, point: int) -> float:
         """``d(F̂, r)`` — ``inf`` when no large facility exists yet."""
-        if self._use_accel:
-            tracker = self._large_tracker
-            return tracker.distance(point) if tracker is not None else float("inf")
-        if not self._large:
-            return float("inf")
-        points = [self._facilities[i].point for i in self._large]
-        return float(np.min(self._metric.distances_between(point, points)))
+        tracker = self._large_tracker
+        return tracker.distance(point) if tracker is not None else float("inf")
 
     def nearest_large(self, point: int) -> Optional[Tuple[Facility, float]]:
         """Nearest large facility and its distance, or ``None``."""
-        if self._use_accel:
-            tracker = self._large_tracker
-            if tracker is None:
-                return None
-            facility_id, distance = tracker.nearest(point)
-            return self._facilities[facility_id], distance
-        if not self._large:
+        tracker = self._large_tracker
+        if tracker is None:
             return None
-        points = [self._facilities[i].point for i in self._large]
-        distances = self._metric.distances_between(point, points)
-        best = int(np.argmin(distances))
-        return self._facilities[self._large[best]], float(distances[best])
+        facility_id, distance = tracker.nearest(point)
+        return self._facilities[facility_id], distance
 
     def nearest_covering(self, commodities: FrozenSet[int], point: int) -> Optional[Tuple[Facility, float]]:
         """Nearest facility offering *all* the given commodities, or ``None``."""

@@ -29,17 +29,9 @@ __all__ = ["OnlineState"]
 class OnlineState:
     """State of one online execution over a fixed instance."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        *,
-        trace: Optional[Trace] = None,
-        use_accel: bool = True,
-    ) -> None:
+    def __init__(self, instance: Instance, *, trace: Optional[Trace] = None) -> None:
         self._instance = instance
-        self._store = FacilityStore(
-            instance.metric, instance.cost_function, use_accel=use_accel
-        )
+        self._store = FacilityStore(instance.metric, instance.cost_function)
         self._assignments: Dict[int, Assignment] = {}
         self._trace = trace if trace is not None else Trace(enabled=False)
         self._full_set = instance.cost_function.full_set
@@ -200,12 +192,18 @@ class OnlineState:
                 "OnlineState.load_state_dict requires a fresh state; this one "
                 f"already processed {len(self._processed_requests)} requests"
             )
+        requests, assignments = state["requests"], state["assignments"]
+        if len(requests) != len(assignments):
+            raise SnapshotError(
+                f"OnlineState snapshot has {len(requests)} requests but "
+                f"{len(assignments)} assignments"
+            )
         self._store.load_state_dict(state["store"])
         enabled = self._trace.enabled
         self._trace.enabled = False
         try:
             for index, ((point, commodities), items) in enumerate(
-                zip(state["requests"], state["assignments"])
+                zip(requests, assignments)
             ):
                 request = Request(
                     index=index,

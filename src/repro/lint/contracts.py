@@ -125,10 +125,14 @@ class ContractContext:
     def strict_registries(self) -> Mapping[str, Registry]:
         """Registries that *must* enforce strict kwarg validation."""
         if self._strict_registries is None:
-            from repro.api.components import WORKLOADS
+            from repro.api.components import ALGORITHMS, WORKLOADS
             from repro.scenarios import SCENARIOS
 
-            self._strict_registries = {"workload": WORKLOADS, "scenario": SCENARIOS}
+            self._strict_registries = {
+                "workload": WORKLOADS,
+                "scenario": SCENARIOS,
+                "algorithm": ALGORITHMS,
+            }
         return self._strict_registries
 
     @property

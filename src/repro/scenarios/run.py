@@ -149,8 +149,6 @@ class ScenarioSession:
         A declarative :class:`~repro.api.spec.RunSpec` (or its dict form)
         whose ``scenario`` entry names the arrival process and whose
         ``algorithm`` is an online algorithm.
-    use_accel:
-        Accel mode of the underlying session.
     telemetry:
         Opt-in streaming metrics, forwarded to the underlying
         :class:`OnlineSession` (``True``, a probe list, or a prebuilt
@@ -168,7 +166,6 @@ class ScenarioSession:
         self,
         spec: Union[RunSpec, Mapping[str, Any]],
         *,
-        use_accel: bool = True,
         telemetry: Any = None,
         tracer: Any = None,
     ) -> None:
@@ -184,7 +181,6 @@ class ScenarioSession:
             rng=generator,
             trace=run_spec.trace,
             validate=run_spec.validate,
-            use_accel=use_accel,
             name=instance.name,
             telemetry=telemetry,
             tracer=tracer,

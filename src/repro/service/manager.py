@@ -63,8 +63,6 @@ class SessionManager:
         Soft capacity: when more sessions than this are resident, the least
         recently used ones are snapshotted to disk (requires
         ``snapshot_dir``).  ``None`` keeps everything resident.
-    default_use_accel:
-        Default accel mode for new sessions (overridable per ``create``).
     tracer:
         Opt-in span tracing (:mod:`repro.trace`) of the manager's I/O
         phases: disk reloads (``service.session-reload``) and evictions
@@ -79,7 +77,6 @@ class SessionManager:
         *,
         snapshot_dir: Optional[Union[str, Path]] = None,
         max_live_sessions: Optional[int] = None,
-        default_use_accel: bool = True,
         tracer: Any = None,
     ) -> None:
         if max_live_sessions is not None and max_live_sessions < 1:
@@ -90,7 +87,6 @@ class SessionManager:
             raise ServiceError("max_live_sessions needs a snapshot_dir to evict into")
         self._snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self._max_live = max_live_sessions
-        self._default_use_accel = bool(default_use_accel)
         #: Live sessions in least-recently-used-first order.
         self._live: "OrderedDict[str, _ManagedSession]" = OrderedDict()
         self._finalized: Dict[str, RunRecord] = {}
@@ -163,7 +159,6 @@ class SessionManager:
         name: str,
         spec: Mapping[str, Any],
         *,
-        use_accel: Optional[bool] = None,
         trace: bool = False,
         validate: bool = True,
         telemetry: Any = None,
@@ -214,9 +209,6 @@ class SessionManager:
             rng=generator,
             trace=trace,
             validate=validate,
-            use_accel=(
-                self._default_use_accel if use_accel is None else bool(use_accel)
-            ),
             name=run_spec.name or name,
             telemetry=telemetry,
         )

@@ -14,7 +14,7 @@ Operations
     Liveness check; echoes the known session count.
 ``create``
     ``{"op": "create", "name": ..., "spec": {...RunSpec dict...}}`` — create a
-    named session (optional ``use_accel``/``trace``/``validate`` flags).  An
+    named session (optional JSON-boolean ``trace``/``validate`` flags).  An
     optional ``telemetry`` field opts the session into streaming metrics:
     ``true`` for the stock probe catalog, or a list of probe names / spec
     dicts (see :mod:`repro.telemetry`); subsequent ``status`` responses then
@@ -165,6 +165,16 @@ class ServiceProtocol:
             raise ReproError(f"op {message.get('op')!r} needs a {key!r} field")
         return message[key]
 
+    @staticmethod
+    def _flag(message: Mapping[str, Any], key: str, default: bool) -> bool:
+        value = message.get(key, default)
+        if not isinstance(value, bool):
+            raise ReproError(
+                f"op {message.get('op')!r} field {key!r} must be a JSON boolean, "
+                f"got {value!r}"
+            )
+        return value
+
     def _op_ping(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "pong": True, "sessions": len(self._manager)}
 
@@ -174,9 +184,8 @@ class ServiceProtocol:
         status = self._manager.create(
             name,
             spec,
-            use_accel=message.get("use_accel"),
-            trace=bool(message.get("trace", False)),
-            validate=bool(message.get("validate", True)),
+            trace=self._flag(message, "trace", False),
+            validate=self._flag(message, "validate", True),
             telemetry=message.get("telemetry"),
         )
         return {"ok": True, "session": status}

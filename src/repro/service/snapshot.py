@@ -10,7 +10,7 @@ run **bit-identically** in a fresh process —
   in arrival order, the trace) from
   :meth:`repro.core.state.OnlineState.state_dict`,
 * the exact NumPy bit-generator state (initial and current), and
-* session metadata (seed, accel mode, validation flag, instance name).
+* session metadata (seed, validation flag, instance name).
 
 What is deliberately *not* stored: opening costs and accel caches
 (:class:`~repro.accel.tracker.NearestSetTracker`,
@@ -64,7 +64,6 @@ class SessionSnapshot:
     seed: Optional[int]
     initial_rng_state: Dict[str, Any]
     rng_state: Dict[str, Any]
-    use_accel: bool
     validate: bool
     instance_name: str
     runtime_seconds: float
@@ -110,7 +109,15 @@ class SessionSnapshot:
                 f"unsupported snapshot version {version!r}; this build reads "
                 f"version {SNAPSHOT_VERSION}"
             )
-        fields = {key: value for key, value in data.items() if key != "format"}
+        # Snapshots written while a scan-based hot path still existed carry
+        # a session-level "use_accel" flag.  Both paths computed the same
+        # facility state, so the flag is ignored (the reference *algorithm*
+        # state is refused by the algorithm's own load_state_dict).
+        fields = {
+            key: value
+            for key, value in data.items()
+            if key not in ("format", "use_accel")
+        }
         try:
             return cls(**fields)
         except TypeError as error:

@@ -1,9 +1,9 @@
-"""Bit-identical equivalence of the accelerated and reference hot paths.
+"""Bit-identical equivalence of the production hot path and the reference scans.
 
 The acceleration layer (:mod:`repro.accel`) claims to be an *exact* drop-in:
-for every algorithm, metric space, workload and seed, the fast path
-(``use_accel=True``, the default) must produce byte-for-byte the same run as
-the reference scans it replaces — same total/opening/connection cost, same
+for every algorithm, metric space, workload and seed, production must produce
+byte-for-byte the same run as the reference scans it replaces, kept as a test
+oracle in ``tests/oracles.py`` — same total/opening/connection cost, same
 facility-opening sequence (ids, points, configurations, costs), and the same
 assignment trace (which facility serves which commodity of every request,
 with the same per-request connection cost).
@@ -25,12 +25,13 @@ import pytest
 from repro.accel.history import BidHistoryBuffer
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
 from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm
+from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCommodityMeyerson
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
+from repro.core.state import OnlineState
 from repro.core.requests import Request, RequestSequence
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost
@@ -47,6 +48,14 @@ from repro.metric.single_point import SinglePointMetric
 from repro.utils.rng import ensure_rng
 from repro.workloads.clustered import clustered_workload
 from repro.workloads.uniform import uniform_workload
+
+from oracles import (
+    ReferenceMeyerson,
+    ReferencePrimalDual,
+    ScanFacilityStore,
+    reference_scans,
+    run_reference,
+)
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -136,14 +145,15 @@ SCENARIOS: List[Tuple[str, int, Callable[[int], Instance]]] = [
     ("uniform-euclidean", 5, _uniform_euclidean_multi),
 ]
 
-#: name -> (factory taking use_accel, single_commodity_only)
-ALGORITHMS: Dict[str, Tuple[Callable[[bool], OnlineAlgorithm], bool]] = {
-    "meyerson-ofl": (lambda ua: MeyersonOFLAlgorithm(use_accel=ua), True),
-    "fotakis-ofl": (lambda ua: FotakisOFLAlgorithm(use_accel=ua), True),
-    "pd-omflp": (lambda ua: PDOMFLPAlgorithm(use_accel=ua), False),
-    "rand-omflp": (lambda ua: RandOMFLPAlgorithm(use_accel=ua), False),
-    "per-commodity-fotakis": (lambda ua: PerCommodityAlgorithm("fotakis", use_accel=ua), False),
-    "per-commodity-meyerson": (lambda ua: PerCommodityAlgorithm("meyerson", use_accel=ua), False),
+#: name (as in oracles.REFERENCE_ALGORITHMS) -> (production factory,
+#: single_commodity_only)
+ALGORITHMS: Dict[str, Tuple[Callable[[], OnlineAlgorithm], bool]] = {
+    "meyerson-ofl": (MeyersonOFLAlgorithm, True),
+    "fotakis-ofl": (FotakisOFLAlgorithm, True),
+    "pd-omflp": (PDOMFLPAlgorithm, False),
+    "rand-omflp": (RandOMFLPAlgorithm, False),
+    "per-commodity-fotakis": (lambda: PerCommodityAlgorithm("fotakis"), False),
+    "per-commodity-meyerson": (lambda: PerCommodityAlgorithm("meyerson"), False),
 }
 
 CASES = [
@@ -182,13 +192,9 @@ def _per_request_connection_costs(result: OnlineResult) -> List[float]:
     ]
 
 
-def _run(algorithm_name: str, scenario_name: str, seed: int, use_accel: bool) -> OnlineResult:
-    factory, _ = ALGORITHMS[algorithm_name]
+def _instance(scenario_name: str, seed: int) -> Instance:
     builder = next(b for name, _, b in SCENARIOS if name == scenario_name)
-    instance = builder(seed)
-    return run_online(
-        factory(use_accel), instance, rng=seed, trace=True, use_accel=use_accel
-    )
+    return builder(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +202,11 @@ def _run(algorithm_name: str, scenario_name: str, seed: int, use_accel: bool) ->
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm_name,scenario_name,seed", CASES)
 def test_fast_path_is_bit_identical_to_reference(algorithm_name, scenario_name, seed):
-    reference = _run(algorithm_name, scenario_name, seed, use_accel=False)
-    fast = _run(algorithm_name, scenario_name, seed, use_accel=True)
+    reference = run_reference(
+        algorithm_name, _instance(scenario_name, seed), rng=seed, trace=True
+    )
+    factory, _ = ALGORITHMS[algorithm_name]
+    fast = run_online(factory(), _instance(scenario_name, seed), rng=seed, trace=True)
 
     # Exact cost equality — bitwise, not approximate.
     assert fast.total_cost == reference.total_cost
@@ -213,18 +222,41 @@ def test_fast_path_is_bit_identical_to_reference(algorithm_name, scenario_name, 
     assert _per_request_connection_costs(fast) == _per_request_connection_costs(reference)
 
 
+def test_reference_scans_reach_production_constructors():
+    """The grid only means something while the oracle really runs:
+    reference_scans() must reach the facility store and every
+    single-commodity helper production builds."""
+    single, multi = _euclidean_single(0), _clustered_multi(0)
+    runs = [
+        (FotakisOFLAlgorithm(), single, ReferencePrimalDual),
+        (MeyersonOFLAlgorithm(), single, ReferenceMeyerson),
+        (PerCommodityAlgorithm("fotakis"), multi, ReferencePrimalDual),
+        (PerCommodityAlgorithm("meyerson"), multi, ReferenceMeyerson),
+    ]
+    with reference_scans():
+        assert type(OnlineState(multi).store) is ScanFacilityStore
+        for algorithm, instance, _ in runs:
+            run_online(algorithm, instance, rng=0)
+    for algorithm, _, helper_type in runs:
+        if isinstance(algorithm, PerCommodityAlgorithm):
+            helpers = list(algorithm._helpers.values())
+        else:
+            helpers = [algorithm._helper]
+        assert helpers and all(type(h) is helper_type for h in helpers)
+    assert type(OnlineState(multi).store) is not ScanFacilityStore
+
+
 def test_streaming_session_matches_batch_fast_path():
     """The accel caches thread through OnlineSession identically to batch."""
     from repro.api.session import OnlineSession
 
     instance = _clustered_multi(7)
-    batch = run_online(PDOMFLPAlgorithm(), instance, use_accel=True)
+    batch = run_online(PDOMFLPAlgorithm(), instance)
     session = OnlineSession(
         PDOMFLPAlgorithm(),
         instance.metric,
         instance.cost_function,
         commodities=instance.commodities,
-        use_accel=True,
         instance=instance,
     )
     for request in instance.requests:
@@ -237,14 +269,12 @@ def test_streaming_session_matches_batch_fast_path():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_meyerson_budget_override_equivalence(seed):
     """SingleCommodityMeyerson.decide with an explicit budget (the RAND-OMFLP
-    entry point) is bit-identical between the fast and reference helper."""
-    from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
-
+    entry point) is bit-identical between the production and reference helper."""
     rng = ensure_rng(seed)
     metric = random_euclidean_metric(30, rng=seed)
     costs = rng.uniform(0.25, 4.0, size=metric.num_points)
-    reference = SingleCommodityMeyerson(metric, costs, use_accel=False)
-    fast = SingleCommodityMeyerson(metric, costs, use_accel=True)
+    reference = ReferenceMeyerson(metric, costs)
+    fast = SingleCommodityMeyerson(metric, costs)
     rng_ref, rng_fast = ensure_rng(seed + 1), ensure_rng(seed + 1)
     for _ in range(40):
         point = int(rng.integers(0, metric.num_points))

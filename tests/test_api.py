@@ -153,6 +153,15 @@ class TestRunSpec:
         assert RunSpec.from_dict(DICT_SPEC).mode() == "online"
         assert RunSpec.from_dict(dict(DICT_SPEC, algorithm="greedy")).mode() == "offline"
 
+    @pytest.mark.parametrize("key", ["use_acel", "use_accel"])
+    def test_build_algorithm_rejects_unknown_params(self, key):
+        # A typo, or a parameter the algorithms no longer take: either way a
+        # named ReproError, not a TypeError from the constructor.
+        spec = RunSpec.from_dict(dict(DICT_SPEC, algorithm={"kind": "pd-omflp", key: False}))
+        with pytest.raises(ReproError, match=f"unknown parameter\\(s\\) '{key}'") as info:
+            spec.build_algorithm()
+        assert not isinstance(info.value, TypeError)
+
 
 class TestRun:
     def test_dict_scenario_runs_end_to_end(self):

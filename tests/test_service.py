@@ -244,6 +244,45 @@ def test_protocol_registry_typo_gets_suggestion():
     assert "did you mean" in response["error"] and "pd-omflp" in response["error"]
 
 
+@pytest.mark.parametrize("key", ["use_acel", "use_accel"])
+def test_protocol_create_rejects_unknown_algorithm_params(key):
+    """A typo'd (or removed) algorithm parameter is a ReproError naming the
+    key, not a raw TypeError from the algorithm constructor."""
+    protocol = ServiceProtocol(SessionManager())
+    spec = dict(_explicit_spec(), algorithm={"kind": "pd-omflp", key: False})
+    response = protocol.handle({"op": "create", "name": "s", "spec": spec})
+    assert response["ok"] is False
+    assert response["error_type"] == "ReproError"
+    assert f"unknown parameter(s) '{key}'" in response["error"]
+    assert protocol.handle({"op": "list"})["sessions"] == []
+
+
+@pytest.mark.parametrize(
+    "field,value", [("validate", "false"), ("trace", "no"), ("trace", 1), ("validate", None)]
+)
+def test_protocol_create_requires_boolean_flags(field, value):
+    protocol = ServiceProtocol(SessionManager())
+    response = protocol.handle(
+        {"op": "create", "name": "s", "spec": _explicit_spec(), field: value}
+    )
+    assert response["ok"] is False
+    assert f"field {field!r} must be a JSON boolean" in response["error"]
+    assert protocol.handle({"op": "list"})["sessions"] == []
+
+
+def test_protocol_create_flags_apply_and_default():
+    protocol = ServiceProtocol(SessionManager())
+    for name, flags in (("set", {"trace": True, "validate": False}), ("default", {})):
+        created = protocol.handle(
+            dict({"op": "create", "name": name, "spec": _explicit_spec()}, **flags)
+        )
+        assert created["ok"]
+    snapshot = protocol.handle({"op": "snapshot", "name": "set"})["snapshot"]
+    assert snapshot["state"]["trace"]["enabled"] is True and snapshot["validate"] is False
+    snapshot = protocol.handle({"op": "snapshot", "name": "default"})["snapshot"]
+    assert snapshot["state"]["trace"]["enabled"] is False and snapshot["validate"] is True
+
+
 def test_protocol_status_and_metrics_carry_telemetry(tmp_path):
     """Telemetry-aware observability over the wire, through real JSON text.
 

@@ -9,14 +9,19 @@ events, the same final costs, the same facility-opening sequence and the
 same assignment trace.
 
 This harness pins that claim for every registered online algorithm over a
-grid of metric/cost scenarios, seeds and both hot paths
-(``use_accel=True``/``False``), mirroring the accel-equivalence harness of
-``tests/test_accel_equivalence.py``.  Equality is asserted with ``==`` on
-floats throughout — "close" is not good enough; resume is exact or broken.
+grid of metric/cost scenarios and seeds, mirroring the accel-equivalence
+harness of ``tests/test_accel_equivalence.py``.  Each case resumes in
+production and compares against an uninterrupted run either in production
+(``-accel``) or on the reference scans of ``tests/oracles.py`` (``-ref``),
+so a resumed stream is also pinned to the oracle.  Equality is asserted with
+``==`` on floats throughout — "close" is not good enough; resume is exact or
+broken.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 from typing import Callable, Dict, List, Tuple
 
 import pytest
@@ -42,6 +47,8 @@ from repro.metric.grid import GridMetric
 from repro.service.snapshot import SessionSnapshot
 from repro.utils.rng import ensure_rng
 from repro.workloads.clustered import clustered_workload
+
+from oracles import REFERENCE_ALGORITHMS, ReferencePDOMFLPAlgorithm, reference_scans
 
 SEEDS = [0, 1, 2]
 
@@ -99,41 +106,51 @@ SCENARIOS: List[Tuple[str, int, Callable[[int], Instance]]] = [
     ("grid-l1", 4, _grid_multi),
 ]
 
-#: name -> (factory taking (num_commodities, use_accel), single_commodity_only)
-ALGORITHMS: Dict[str, Tuple[Callable[[int, bool], OnlineAlgorithm], bool]] = {
-    "meyerson-ofl": (lambda c, ua: MeyersonOFLAlgorithm(use_accel=ua), True),
-    "fotakis-ofl": (lambda c, ua: FotakisOFLAlgorithm(use_accel=ua), True),
-    "pd-omflp": (lambda c, ua: PDOMFLPAlgorithm(use_accel=ua), False),
-    "rand-omflp": (lambda c, ua: RandOMFLPAlgorithm(use_accel=ua), False),
-    "threshold-pd": (
-        lambda c, ua: ThresholdPDAlgorithm(c, excluded=(0,), use_accel=ua),
-        False,
-    ),
-    "per-commodity-fotakis": (
-        lambda c, ua: PerCommodityAlgorithm("fotakis", use_accel=ua),
-        False,
-    ),
-    "per-commodity-meyerson": (
-        lambda c, ua: PerCommodityAlgorithm("meyerson", use_accel=ua),
-        False,
-    ),
-    "no-prediction-greedy": (lambda c, ua: NoPredictionGreedy(), False),
-    "always-large-greedy": (lambda c, ua: AlwaysLargeGreedy(), False),
+#: name -> (factory taking num_commodities, single_commodity_only)
+ALGORITHMS: Dict[str, Tuple[Callable[[int], OnlineAlgorithm], bool]] = {
+    "meyerson-ofl": (lambda c: MeyersonOFLAlgorithm(), True),
+    "fotakis-ofl": (lambda c: FotakisOFLAlgorithm(), True),
+    "pd-omflp": (lambda c: PDOMFLPAlgorithm(), False),
+    "rand-omflp": (lambda c: RandOMFLPAlgorithm(), False),
+    "threshold-pd": (lambda c: ThresholdPDAlgorithm(c, excluded=(0,)), False),
+    "per-commodity-fotakis": (lambda c: PerCommodityAlgorithm("fotakis"), False),
+    "per-commodity-meyerson": (lambda c: PerCommodityAlgorithm("meyerson"), False),
+    "no-prediction-greedy": (lambda c: NoPredictionGreedy(), False),
+    "always-large-greedy": (lambda c: AlwaysLargeGreedy(), False),
 }
+
+
+class _ReferenceThresholdPD(ThresholdPDAlgorithm, ReferencePDOMFLPAlgorithm):
+    """Threshold PD-OMFLP on the reference PD-OMFLP bid sums."""
+
+
+#: name -> factory of the oracle version, run under reference_scans().  The
+#: greedy baselines keep no caches of their own: the scan facility store is
+#: their whole oracle.
+ORACLES: Dict[str, Callable[[int], OnlineAlgorithm]] = {
+    **{name: (lambda c, f=factory: f()) for name, factory in REFERENCE_ALGORITHMS.items()},
+    "threshold-pd": lambda c: _ReferenceThresholdPD(c, excluded=(0,)),
+    "no-prediction-greedy": lambda c: NoPredictionGreedy(),
+    "always-large-greedy": lambda c: AlwaysLargeGreedy(),
+}
+
+#: The uninterrupted run each resumed run is compared against: production
+#: ("accel") or the oracle ("ref").
+BASELINES = ("accel", "ref")
 
 CASES = [
     pytest.param(
         algorithm_name,
         scenario_name,
         seed,
-        use_accel,
-        id=f"{algorithm_name}-{scenario_name}-s{seed}-{'accel' if use_accel else 'ref'}",
+        baseline,
+        id=f"{algorithm_name}-{scenario_name}-s{seed}-{baseline}",
     )
     for algorithm_name, (_, single_only) in ALGORITHMS.items()
     for scenario_name, num_commodities, _ in SCENARIOS
     if single_only == (num_commodities == 1)
     for seed in SEEDS
-    for use_accel in (True, False)
+    for baseline in BASELINES
 ]
 
 
@@ -154,20 +171,23 @@ def _assignment_trace(result: OnlineResult) -> List[Tuple[int, Tuple[Tuple[int, 
     ]
 
 
-def _session_for(algorithm_name: str, scenario_name: str, seed: int, use_accel: bool):
-    """A fresh (session, instance) pair — components rebuilt from scratch."""
-    factory, _ = ALGORITHMS[algorithm_name]
+def _session_for(algorithm_name: str, scenario_name: str, seed: int, *, oracle: bool = False):
+    """A fresh (session, instance) pair — components rebuilt from scratch.
+
+    With ``oracle`` the algorithm is its reference version; the caller runs
+    the session inside :func:`reference_scans`.
+    """
+    factory = ORACLES[algorithm_name] if oracle else ALGORITHMS[algorithm_name][0]
     builder = next(b for name, _, b in SCENARIOS if name == scenario_name)
     num_commodities = next(c for name, c, _ in SCENARIOS if name == scenario_name)
     instance = builder(seed)
     session = OnlineSession(
-        factory(num_commodities, use_accel),
+        factory(num_commodities),
         instance.metric,
         instance.cost_function,
         commodities=instance.commodities,
         rng=seed,
         trace=True,
-        use_accel=use_accel,
     )
     return session, instance
 
@@ -175,17 +195,17 @@ def _session_for(algorithm_name: str, scenario_name: str, seed: int, use_accel: 
 # ---------------------------------------------------------------------------
 # The harness
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("algorithm_name,scenario_name,seed,use_accel", CASES)
-def test_resume_is_bit_identical_to_uninterrupted(
-    algorithm_name, scenario_name, seed, use_accel
-):
-    # Uninterrupted reference run.
-    full, instance = _session_for(algorithm_name, scenario_name, seed, use_accel)
-    full_events = [full.submit(r.point, r.commodities) for r in instance.requests]
-    full_record = full.finalize()
+@pytest.mark.parametrize("algorithm_name,scenario_name,seed,baseline", CASES)
+def test_resume_is_bit_identical_to_uninterrupted(algorithm_name, scenario_name, seed, baseline):
+    # Uninterrupted run, in production or on the oracle.
+    oracle = baseline == "ref"
+    with reference_scans() if oracle else contextlib.nullcontext():
+        full, instance = _session_for(algorithm_name, scenario_name, seed, oracle=oracle)
+        full_events = [full.submit(r.point, r.commodities) for r in instance.requests]
+        full_record = full.finalize()
 
     # Interrupted run: serve SPLIT requests, snapshot, round-trip the codec.
-    partial, instance2 = _session_for(algorithm_name, scenario_name, seed, use_accel)
+    partial, instance2 = _session_for(algorithm_name, scenario_name, seed)
     partial_events = [
         partial.submit(r.point, r.commodities) for r in instance2.requests[:SPLIT]
     ]
@@ -199,7 +219,7 @@ def test_resume_is_bit_identical_to_uninterrupted(
     instance3 = builder(seed)
     resumed = OnlineSession.restore(
         snapshot,
-        algorithm=factory(num_commodities, use_accel),
+        algorithm=factory(num_commodities),
         metric=instance3.metric,
         cost=instance3.cost_function,
         commodities=instance3.commodities,
@@ -267,7 +287,7 @@ def test_snapshot_restores_from_embedded_spec():
 
 
 def test_restore_rejects_mismatched_codec_versions():
-    session, _ = _session_for("pd-omflp", "grid-l1", 0, True)
+    session, _ = _session_for("pd-omflp", "grid-l1", 0)
     data = session.snapshot().to_dict()
     data["version"] = 999
     with pytest.raises(SnapshotError, match="version"):
@@ -279,14 +299,14 @@ def test_restore_rejects_mismatched_codec_versions():
 
 
 def test_restore_requires_components_or_spec():
-    session, _ = _session_for("pd-omflp", "grid-l1", 0, True)
+    session, _ = _session_for("pd-omflp", "grid-l1", 0)
     snapshot = session.snapshot()
     with pytest.raises(SnapshotError, match="embedded spec"):
         OnlineSession.restore(snapshot)
 
 
 def test_snapshot_refuses_finalized_sessions():
-    session, instance = _session_for("no-prediction-greedy", "grid-l1", 0, True)
+    session, instance = _session_for("no-prediction-greedy", "grid-l1", 0)
     session.submit(instance.requests[0].point, instance.requests[0].commodities)
     session.finalize()
     with pytest.raises(SnapshotError, match="finalized"):
@@ -340,14 +360,82 @@ def test_streaming_scenario_session_resumes_bit_identically():
     )
 
 
-def test_pd_snapshot_refuses_cross_accel_restore():
-    """A PD snapshot records which hot path produced it and rejects the other."""
-    session, instance = _session_for("pd-omflp", "clustered-euclidean", 0, True)
-    for request in instance.requests[:4]:
+def _restore_and_finish(snapshot_data, algorithm_name, scenario_name, seed):
+    """Restore ``snapshot_data`` onto fresh components and serve the rest."""
+    factory, _ = ALGORITHMS[algorithm_name]
+    num_commodities = next(c for name, c, _ in SCENARIOS if name == scenario_name)
+    instance = next(b for name, _, b in SCENARIOS if name == scenario_name)(seed)
+    resumed = OnlineSession.restore(
+        SessionSnapshot.from_json(json.dumps(snapshot_data)),
+        algorithm=factory(num_commodities),
+        metric=instance.metric,
+        cost=instance.cost_function,
+        commodities=instance.commodities,
+    )
+    events = [resumed.submit(r.point, r.commodities) for r in instance.requests[SPLIT:]]
+    return events, resumed.finalize()
+
+
+@pytest.mark.parametrize("legacy_flag", [True, False])
+def test_legacy_use_accel_snapshot_key_is_ignored(legacy_flag):
+    """Snapshots written with a session-level ``use_accel`` flag (either
+    value) still load and resume bit-identically; rand-omflp's state was the
+    same on both former hot paths."""
+    full, instance = _session_for("rand-omflp", "clustered-euclidean", 0)
+    full_events = [full.submit(r.point, r.commodities) for r in instance.requests]
+    full_record = full.finalize()
+
+    partial, instance2 = _session_for("rand-omflp", "clustered-euclidean", 0)
+    for request in instance2.requests[:SPLIT]:
+        partial.submit(request.point, request.commodities)
+    data = partial.snapshot().to_dict()
+    assert "use_accel" not in data
+    data["use_accel"] = legacy_flag
+
+    events, record = _restore_and_finish(data, "rand-omflp", "clustered-euclidean", 0)
+    assert events == full_events[SPLIT:]
+    assert record.total_cost == full_record.total_cost
+    assert _facility_sequence(record.source) == _facility_sequence(full_record.source)
+    assert [e.to_dict() for e in record.trace.events] == [
+        e.to_dict() for e in full_record.trace.events
+    ]
+
+
+def test_pd_snapshot_in_reference_format_is_refused():
+    """PD-OMFLP state of the removed reference hot path (a per-request
+    ``history`` instead of ``small_buffers``) is refused, not converted."""
+    session, instance = _session_for("pd-omflp", "clustered-euclidean", 0)
+    for request in instance.requests[:SPLIT]:
         session.submit(request.point, request.commodities)
-    snapshot = session.snapshot()
-    algorithm = PDOMFLPAlgorithm(use_accel=False)
-    instance2 = _clustered_multi(0)
-    algorithm.prepare(instance2, None, None)
-    with pytest.raises(SnapshotError, match="hot path"):
-        algorithm.load_state_dict(snapshot.algorithm_state)
+    data = session.snapshot().to_dict()
+    data["use_accel"] = False
+    duals = data["algorithm_state"]["duals"]
+    data["algorithm_state"] = {
+        "duals": duals,
+        "history": [
+            [index, point, commodities]
+            for index, (point, commodities) in enumerate(data["state"]["requests"])
+        ],
+        "nearest_small": [],
+        "nearest_large": [],
+    }
+    with pytest.raises(SnapshotError, match="reference hot path"):
+        _restore_and_finish(data, "pd-omflp", "clustered-euclidean", 0)
+
+
+def test_restore_rejects_truncated_assignment_log():
+    """A state snapshot with fewer assignments than requests is refused
+    instead of silently dropping the unassigned requests."""
+    session, instance = _session_for("pd-omflp", "grid-l1", 0)
+    for request in instance.requests[:3]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    data["state"]["assignments"] = data["state"]["assignments"][:2]
+    with pytest.raises(SnapshotError, match="3 requests but 2 assignments"):
+        OnlineSession.restore(
+            data,
+            algorithm=PDOMFLPAlgorithm(),
+            metric=instance.metric,
+            cost=instance.cost_function,
+            commodities=instance.commodities,
+        )

@@ -206,7 +206,7 @@ def test_tracing_is_exactly_passive(algorithm, scenario, seed):
 
     def build(tracer):
         return OnlineSession(
-            factory(True),
+            factory(),
             instance.metric,
             instance.cost_function,
             commodities=instance.commodities,
