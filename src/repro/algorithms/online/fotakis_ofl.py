@@ -76,6 +76,11 @@ class SingleCommodityPrimalDual:
         return list(self._facility_points)
 
     @property
+    def num_facilities(self) -> int:
+        """``len(facility_points)`` without copying the list."""
+        return len(self._facility_points)
+
+    @property
     def duals(self) -> List[float]:
         """Dual value raised for each processed demand, in arrival order."""
         return list(self._dual_values)
@@ -224,7 +229,7 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
         kind, payload, _ = self._helper.decide(request.point)
         if kind == "open":
             facility = state.open_facility(request, payload, (0,))
-            slot = len(self._helper.facility_points) - 1
+            slot = self._helper.num_facilities - 1
             self._facility_of_slot[slot] = facility.id
             facility_id = facility.id
         else:

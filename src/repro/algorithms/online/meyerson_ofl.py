@@ -79,6 +79,11 @@ class SingleCommodityMeyerson:
         return list(self._facility_points)
 
     @property
+    def num_facilities(self) -> int:
+        """``len(facility_points)`` without copying the list."""
+        return len(self._facility_points)
+
+    @property
     def num_classes(self) -> int:
         return len(self._class_values)
 
@@ -161,8 +166,9 @@ class SingleCommodityMeyerson:
         demand's own connection budget ``X(r)``.
 
         Returns ``(opened_points, facility_slot, connection_distance)`` where
-        ``facility_slot`` indexes the helper's facility list for the facility
-        the demand connects to.
+        ``opened_points`` are the points this call appended to the helper's
+        facility list, in slot order, and ``facility_slot`` indexes that
+        list for the facility the demand connects to.
         """
         effective_budget = self.connection_budget(point) if budget is None else float(budget)
         opened: List[int] = []
@@ -225,12 +231,12 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before process()")
-        before = len(self._helper.facility_points)
         opened, slot, _ = self._helper.decide(request.point, rng)
-        # Open the real facilities for every new helper facility, in order.
-        helper_points = self._helper.facility_points
-        for new_slot in range(before, len(helper_points)):
-            facility = state.open_facility(request, helper_points[new_slot], (0,))
+        # Open the real facilities for every new helper facility, in order:
+        # ``opened`` lists exactly the helper's newly appended points.
+        first_slot = self._helper.num_facilities - len(opened)
+        for new_slot, new_point in enumerate(opened, start=first_slot):
+            facility = state.open_facility(request, new_point, (0,))
             self._facility_of_slot[new_slot] = facility.id
         assignment = Assignment(request_index=request.index)
         assignment.assign(0, self._facility_of_slot[slot])

@@ -273,27 +273,32 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                 frozen[commodity] = level
                 unserved.discard(commodity)
                 served_by[commodity] = nearest[0].id
-                state.trace.record(
-                    DualFreezeEvent(
-                        request_index=request.index,
-                        commodity=commodity,
-                        value=level,
-                        reason="constraint (1): connected to existing facility",
+                if state.trace.enabled:
+                    state.trace.record(
+                        DualFreezeEvent(
+                            request_index=request.index,
+                            commodity=commodity,
+                            value=level,
+                            reason="constraint (1): connected to existing facility",
+                        )
                     )
-                )
             elif kind == "open-small":
                 commodity, m = event[2], event[3]
                 frozen[commodity] = level
                 unserved.discard(commodity)
                 temp_small[commodity] = m
-                state.trace.record(
-                    DualFreezeEvent(
-                        request_index=request.index,
-                        commodity=commodity,
-                        value=level,
-                        reason=f"constraint (3): temporarily opened small facility at point {m}",
+                if state.trace.enabled:
+                    state.trace.record(
+                        DualFreezeEvent(
+                            request_index=request.index,
+                            commodity=commodity,
+                            value=level,
+                            reason=(
+                                "constraint (3): temporarily opened small facility "
+                                f"at point {m}"
+                            ),
+                        )
                     )
-                )
             elif kind in ("connect-large", "open-large"):
                 # Freeze all still-unserved commodities of the large part at
                 # the current level; connect every commodity of s_r ∩ L to the
@@ -303,14 +308,16 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                     if e in self._large_set:
                         frozen[e] = level
                         unserved.discard(e)
-                        state.trace.record(
-                            DualFreezeEvent(
-                                request_index=request.index,
-                                commodity=e,
-                                value=level,
-                                reason=f"constraint ({'2' if kind == 'connect-large' else '4'})",
+                        if state.trace.enabled:
+                            constraint = "2" if kind == "connect-large" else "4"
+                            state.trace.record(
+                                DualFreezeEvent(
+                                    request_index=request.index,
+                                    commodity=e,
+                                    value=level,
+                                    reason=f"constraint ({constraint})",
+                                )
                             )
-                        )
                 if kind == "connect-large":
                     entry = self._nearest_covering_large(state, point)
                     if entry is None:

@@ -111,17 +111,16 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
                 kind, payload, _ = helper.decide(request.point)
                 if kind == "open":
                     facility = state.open_facility(request, payload, (commodity,))
-                    slot = len(helper.facility_points) - 1
+                    slot = helper.num_facilities - 1
                     self._facility_of_slot[(commodity, slot)] = facility.id
                     facility_id = facility.id
                 else:
                     facility_id = self._facility_of_slot[(commodity, payload)]
             else:
-                before = len(helper.facility_points)
-                _, slot, _ = helper.decide(request.point, rng)
-                helper_points = helper.facility_points
-                for new_slot in range(before, len(helper_points)):
-                    facility = state.open_facility(request, helper_points[new_slot], (commodity,))
+                opened, slot, _ = helper.decide(request.point, rng)
+                first_slot = helper.num_facilities - len(opened)
+                for new_slot, new_point in enumerate(opened, start=first_slot):
+                    facility = state.open_facility(request, new_point, (commodity,))
                     self._facility_of_slot[(commodity, new_slot)] = facility.id
                 facility_id = self._facility_of_slot[(commodity, slot)]
             assignment.assign(commodity, facility_id)

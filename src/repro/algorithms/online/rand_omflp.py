@@ -172,16 +172,17 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
                 else:
                     probability = min(max(increment / cls.value, 0.0), 1.0) * share
                 success = probability > 0 and rng.uniform() < probability
-                state.trace.record(
-                    CoinFlipEvent(
-                        request_index=request.index,
-                        kind="small",
-                        commodity=e,
-                        class_index=cls.index,
-                        probability=probability,
-                        success=success,
+                if state.trace.enabled:
+                    state.trace.record(
+                        CoinFlipEvent(
+                            request_index=request.index,
+                            kind="small",
+                            commodity=e,
+                            class_index=cls.index,
+                            probability=probability,
+                            success=success,
+                        )
                     )
-                )
                 if success:
                     target, _ = provider.nearest_point_of_class(cls.index, point)
                     state.open_facility(request, target, (e,))
@@ -198,16 +199,17 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
             else:
                 probability = min(max(increment / cls.value, 0.0), 1.0)
             success = probability > 0 and rng.uniform() < probability
-            state.trace.record(
-                CoinFlipEvent(
-                    request_index=request.index,
-                    kind="large",
-                    commodity=None,
-                    class_index=cls.index,
-                    probability=probability,
-                    success=success,
+            if state.trace.enabled:
+                state.trace.record(
+                    CoinFlipEvent(
+                        request_index=request.index,
+                        kind="large",
+                        commodity=None,
+                        class_index=cls.index,
+                        probability=probability,
+                        success=success,
+                    )
                 )
-            )
             if success:
                 target, _ = large_provider.nearest_point_of_class(cls.index, point)
                 state.open_facility(request, target, self._instance.cost_function.full_set)

@@ -27,7 +27,12 @@ __all__ = ["OnlineState"]
 
 
 class OnlineState:
-    """State of one online execution over a fixed instance."""
+    """State of one online execution over a fixed instance.
+
+    Trace events are built only when the trace is enabled: every event
+    site, here and in the algorithms, sits behind an ``if
+    state.trace.enabled:`` check, and a new one must guard the same way.
+    """
 
     def __init__(self, instance: Instance, *, trace: Optional[Trace] = None) -> None:
         self._instance = instance
@@ -88,16 +93,17 @@ class OnlineState:
     def open_facility(self, request: Request, point: int, configuration: Iterable[int]) -> Facility:
         """Open a facility while processing ``request`` (charged immediately)."""
         facility = self._store.open(point, configuration)
-        self._trace.record(
-            FacilityOpenedEvent(
-                request_index=request.index,
-                facility_id=facility.id,
-                point=facility.point,
-                configuration=facility.configuration,
-                opening_cost=facility.opening_cost,
-                is_large=facility.configuration == self._full_set,
+        if self._trace.enabled:
+            self._trace.record(
+                FacilityOpenedEvent(
+                    request_index=request.index,
+                    facility_id=facility.id,
+                    point=facility.point,
+                    configuration=facility.configuration,
+                    opening_cost=facility.opening_cost,
+                    is_large=facility.configuration == self._full_set,
+                )
             )
-        )
         return facility
 
     def open_large_facility(self, request: Request, point: int) -> Facility:
@@ -114,15 +120,17 @@ class OnlineState:
         self._processed_requests.append(request)
         connection = assignment.connection_cost(request, facilities, self._instance.metric)
         self._connection_cost += connection
-        self._trace.record(
-            RequestAssignedEvent(
-                request_index=request.index,
-                facility_ids=tuple(sorted(assignment.facility_ids())),
-                connection_cost=connection,
-                via_large=assignment.uses_single_facility()
-                and facilities[next(iter(assignment.facility_ids()))].configuration == self._full_set,
+        if self._trace.enabled:
+            self._trace.record(
+                RequestAssignedEvent(
+                    request_index=request.index,
+                    facility_ids=tuple(sorted(assignment.facility_ids())),
+                    connection_cost=connection,
+                    via_large=assignment.uses_single_facility()
+                    and facilities[next(iter(assignment.facility_ids()))].configuration
+                    == self._full_set,
+                )
             )
-        )
 
     def assign_to_single_facility(self, request: Request, facility: Facility) -> Assignment:
         """Connect every demanded commodity of ``request`` to one facility."""

@@ -155,7 +155,13 @@ def event_from_dict(data: Mapping[str, Any]) -> TraceEvent:
 
 
 class Trace:
-    """An append-only list of trace events with pretty-printing helpers."""
+    """An append-only list of trace events with pretty-printing helpers.
+
+    :meth:`record` drops events while the trace is disabled, but callers
+    build events only under ``if trace.enabled:``, so a disabled trace (the
+    default) costs no event construction; new event sites must guard the
+    same way.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled

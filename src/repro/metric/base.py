@@ -28,8 +28,13 @@ __all__ = ["MetricSpace"]
 class MetricSpace(abc.ABC):
     """A finite metric space over points ``0, ..., num_points - 1``.
 
-    Subclasses must implement :meth:`distances_from`; the scalar
-    :meth:`distance` and all convenience queries are derived from it.
+    Subclasses must implement :meth:`distances_from`; the convenience
+    queries are derived from it.  The scalar :meth:`distance` must equal
+    ``distances_from(a)[b]`` bit for bit, before and after
+    :meth:`pairwise_matrix` caches the matrix (pinned for every space by
+    ``tests/test_metric_properties.py``).  The default reads the cached
+    matrix or one row; the Euclidean space overrides it with an O(d) form
+    of the row's own formula.
     """
 
     #: Absolute tolerance used when validating the metric axioms.
@@ -55,7 +60,7 @@ class MetricSpace(abc.ABC):
     # Derived queries
     # ------------------------------------------------------------------
     def distance(self, a: int, b: int) -> float:
-        """Distance between two points."""
+        """Distance between two points, bit-for-bit ``distances_from(a)[b]``."""
         self._check_point(a)
         self._check_point(b)
         cached = getattr(self, "_pairwise_cache", None)

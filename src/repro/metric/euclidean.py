@@ -61,6 +61,18 @@ class EuclideanMetric(MetricSpace):
         delta = self._coords - self._coords[point]
         return np.sqrt(np.einsum("ij,ij->i", delta, delta))
 
+    def distance(self, a: int, b: int) -> float:
+        """O(d) scalar distance, bit-for-bit ``distances_from(a)[b]``.
+
+        The same ``sqrt(einsum)`` contraction as the row, on one difference
+        vector; ``math.hypot`` or a Python sum over coordinates round
+        differently.
+        """
+        self._check_point(a)
+        self._check_point(b)
+        delta = self._coords[b] - self._coords[a]
+        return float(np.sqrt(np.einsum("i,i->", delta, delta)))
+
     def pairwise_matrix(self) -> np.ndarray:
         """Chunk-vectorized full distance matrix.
 

@@ -21,15 +21,18 @@ Operations
     carry the per-probe summaries.
 ``submit``
     ``{"op": "submit", "name": ..., "point": p, "commodities": [..]}`` —
-    route one request; responds with the
+    route one request (``point`` a JSON integer, ``commodities`` a JSON
+    array of integers; bools, floats and strings are refused, never
+    coerced); responds with the
     :meth:`~repro.api.session.AssignmentEvent.to_dict` event.  Rejected for
     scenario-backed sessions (their arrival order belongs to the scenario).
 ``advance``
     ``{"op": "advance", "name": ..., "count": n}`` — stream the next ``n``
     requests of a scenario-backed session (created from a spec with a
     ``scenario`` entry) out of its bound generator; responds with the event
-    list, the count served and whether the stream is exhausted.  Omitting
-    ``count`` drains a finite scenario to its end.
+    list, the count served and whether the stream is exhausted.  ``count``
+    is a JSON integer; omitting it (or ``null``) drains a finite scenario to
+    its end.
 ``status`` / ``list``
     Introspect one session / list all known session names.  ``status`` on a
     live session reports its running request count, cost totals and
@@ -175,6 +178,16 @@ class ServiceProtocol:
             )
         return value
 
+    @staticmethod
+    def _integer(message: Mapping[str, Any], key: str, value: Any) -> int:
+        """``value`` of field ``key`` if it is a JSON integer (not a bool)."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ReproError(
+                f"op {message.get('op')!r} field {key!r} must be a JSON integer, "
+                f"got {value!r}"
+            )
+        return value
+
     def _op_ping(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "pong": True, "sessions": len(self._manager)}
 
@@ -192,17 +205,25 @@ class ServiceProtocol:
 
     def _op_submit(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         name = self._required(message, "name")
-        point = self._required(message, "point")
+        point = self._integer(message, "point", self._required(message, "point"))
         commodities = self._required(message, "commodities")
+        if not isinstance(commodities, list):
+            raise ReproError(
+                f"op 'submit' field 'commodities' must be a JSON array of integers, "
+                f"got {commodities!r}"
+            )
+        commodities = [
+            self._integer(message, f"commodities[{i}]", e) for i, e in enumerate(commodities)
+        ]
         event = self._manager.submit(name, point, commodities)
         return {"ok": True, "name": name, "event": event.to_dict()}
 
     def _op_advance(self, message: Mapping[str, Any]) -> Dict[str, Any]:
         name = self._required(message, "name")
         count = message.get("count")
-        events, exhausted = self._manager.advance(
-            name, int(count) if count is not None else None
-        )
+        if count is not None:
+            count = self._integer(message, "count", count)
+        events, exhausted = self._manager.advance(name, count)
         return {
             "ok": True,
             "name": name,

@@ -9,7 +9,13 @@ hypothesis-drawn ``(seed, size)``; every property then holds uniformly:
   ``nearest``, ``nearest_distance``, ``diameter``) with ``pairwise_matrix``;
 * the :meth:`MetricSpace.distances_to` exactness contract the acceleration
   layer relies on: ``distances_to(p)[q]`` is bit-for-bit equal to
-  ``distances_from(q)[p]``.
+  ``distances_from(q)[p]``;
+* the scalar contract of :meth:`MetricSpace.distance`: ``distance(p, q)``
+  is bit-for-bit ``distances_from(p)[q]`` on a fresh space (the O(d)
+  Euclidean override, or one row) and again once the pairwise matrix is
+  cached.  Connection costs are sums of these scalars, and the equivalence
+  grids cannot catch a wrong one: production and the test oracle share
+  ``Assignment.connection_cost``.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from repro.metric.single_point import SinglePointMetric
 from repro.utils.rng import ensure_rng
 
 
-def _build_euclidean(seed: int, size: int):
+def _build_euclidean(seed: int, size: int, dimension: int = 3):
     rng = ensure_rng(seed)
-    return EuclideanMetric(rng.uniform(-2.0, 2.0, size=(size, 3)))
+    return EuclideanMetric(rng.uniform(-2.0, 2.0, size=(size, dimension)))
 
 
 def _build_grid(seed: int, size: int):
@@ -150,6 +156,35 @@ def test_distances_to_is_exact_transpose(metric_builder, seed, size):
         column = metric.distances_to(p)
         for q in range(n):
             assert column[q] == metric.distances_from(q)[p]
+
+
+def _assert_scalar_distance_matches_row(metric) -> None:
+    """``distance(p, q) == distances_from(p)[q]`` bit for bit, for all p, q,
+    on the space as given and again once its pairwise matrix is cached."""
+    n = metric.num_points
+    for _ in ("fresh", "cached"):
+        for p in range(n):
+            row = metric.distances_from(p)
+            for q in range(n):
+                assert metric.distance(p, q) == row[q]
+        metric.pairwise_matrix()
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 24))
+def test_scalar_distance_matches_row(metric_builder, seed, size):
+    _assert_scalar_distance_matches_row(metric_builder(seed, size))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 8, 17])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 24))
+def test_euclidean_scalar_distance_matches_row_in_any_dimension(dimension, seed, size):
+    _assert_scalar_distance_matches_row(_build_euclidean(seed, size, dimension))
 
 
 @settings(

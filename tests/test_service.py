@@ -19,6 +19,7 @@ import pytest
 
 from repro.api.session import AssignmentEvent, OnlineSession
 from repro.exceptions import ServiceError, SnapshotError, UnknownComponentError
+from repro.scenarios import EXAMPLE_SPECS
 from repro.service import ServiceProtocol, SessionManager, components_from_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -268,6 +269,55 @@ def test_protocol_create_requires_boolean_flags(field, value):
     assert response["ok"] is False
     assert f"field {field!r} must be a JSON boolean" in response["error"]
     assert protocol.handle({"op": "list"})["sessions"] == []
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"point": 3.7}, "'point'"),
+        ({"point": "5"}, "'point'"),
+        ({"point": True}, "'point'"),
+        ({"point": None}, "'point'"),
+        ({"commodities": [1.9]}, "'commodities[0]'"),
+        ({"commodities": [0, False]}, "'commodities[1]'"),
+        ({"commodities": "01"}, "'commodities'"),
+        ({"commodities": 1}, "'commodities'"),
+        ({"commodities": {"0": 1}}, "'commodities'"),
+    ],
+    ids=[
+        "point-float",
+        "point-string",
+        "point-bool",
+        "point-null",
+        "commodity-float",
+        "commodity-bool",
+        "commodities-string",
+        "commodities-int",
+        "commodities-object",
+    ],
+)
+def test_protocol_submit_requires_json_integers(fields, named):
+    """Non-integer wire input is refused with the field named, never coerced
+    (3.7 once served point 3, and the string "01" commodities [0, 1])."""
+    protocol = ServiceProtocol(SessionManager())
+    protocol.handle({"op": "create", "name": "s", "spec": _explicit_spec()})
+    message = dict({"op": "submit", "name": "s", "point": 1, "commodities": [0]}, **fields)
+    response = json.loads(protocol.handle_line(json.dumps(message)))
+    assert response["ok"] is False and response["error_type"] == "ReproError"
+    assert f"field {named} must be a JSON" in response["error"]
+    assert protocol.handle({"op": "status", "name": "s"})["session"]["num_requests"] == 0
+
+
+@pytest.mark.parametrize("count", ["3", 3.0, True, [3]])
+def test_protocol_advance_requires_integer_count(count):
+    protocol = ServiceProtocol(SessionManager())
+    spec = {"algorithm": "rand-omflp", "scenario": EXAMPLE_SPECS["drift"], "seed": 0}
+    assert protocol.handle({"op": "create", "name": "a", "spec": spec})["ok"]
+    response = protocol.handle({"op": "advance", "name": "a", "count": count})
+    assert response["ok"] is False
+    assert "field 'count' must be a JSON integer" in response["error"]
+    served = protocol.handle({"op": "advance", "name": "a", "count": 3})
+    assert served["ok"] and served["served"] == 3
 
 
 def test_protocol_create_flags_apply_and_default():

@@ -1,7 +1,13 @@
 """Tests for OnlineState and execution traces."""
 
+from collections import Counter
+
 import pytest
 
+import repro.algorithms.online.pd_omflp as pd_omflp_module
+import repro.algorithms.online.rand_omflp as rand_omflp_module
+import repro.core.state as state_module
+from repro import ALGORITHMS, run_online
 from repro.core import Assignment, OnlineState, Request, Trace
 from repro.core.trace import (
     CoinFlipEvent,
@@ -10,6 +16,7 @@ from repro.core.trace import (
     RequestAssignedEvent,
 )
 from repro.exceptions import AlgorithmError
+from repro.workloads import uniform_workload
 
 
 class TestOnlineState:
@@ -102,3 +109,58 @@ class TestTraceEvents:
         assert "commodity 1" in coin.describe()
         base_event = FacilityOpenedEvent(request_index=0)
         assert "request 0" in base_event.describe()
+
+
+class TestEventConstruction:
+    """Event sites build events only when the trace is enabled."""
+
+    #: Every module that constructs one of the four event classes.
+    EVENT_SITES = (
+        (state_module, FacilityOpenedEvent),
+        (state_module, RequestAssignedEvent),
+        (rand_omflp_module, CoinFlipEvent),
+        (pd_omflp_module, DualFreezeEvent),
+    )
+    PARAMS = {"threshold-pd": {"num_commodities": 4, "excluded": [0]}}
+    SINGLE_COMMODITY = {"fotakis-ofl", "meyerson-ofl"}
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Per-class counts of event constructions at every event site."""
+        counts = Counter()
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                counts[cls] += 1
+                return cls(*args, **kwargs)
+
+            return build
+
+        for module, cls in self.EVENT_SITES:
+            monkeypatch.setattr(module, cls.__name__, counting(cls))
+        return counts
+
+    def _run(self, name, *, trace):
+        workload = uniform_workload(
+            num_requests=20,
+            num_commodities=1 if name in self.SINGLE_COMMODITY else 4,
+            num_points=12,
+            rng=3,
+        )
+        algorithm = ALGORITHMS.build(name, **self.PARAMS.get(name, {}))
+        return run_online(algorithm, workload.instance, rng=5, trace=trace)
+
+    @pytest.mark.parametrize("name", ALGORITHMS.names())
+    def test_disabled_trace_builds_no_events(self, constructions, name):
+        result = self._run(name, trace=False)
+        assert result.solution.num_facilities() > 0
+        assert len(result.trace) == 0
+        assert sum(constructions.values()) == 0
+
+    @pytest.mark.parametrize("name", ALGORITHMS.names())
+    def test_enabled_trace_records_every_built_event(self, constructions, name):
+        result = self._run(name, trace=True)
+        recorded = Counter(type(event) for event in result.trace.events)
+        assert recorded == constructions
+        assert recorded[RequestAssignedEvent] == 20
+        assert recorded[FacilityOpenedEvent] == result.solution.num_facilities()
