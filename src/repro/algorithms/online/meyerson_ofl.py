@@ -56,9 +56,9 @@ class SingleCommodityMeyerson:
                 f"opening_costs must have one entry per point, got shape {costs.shape}"
             )
         self._metric = metric
-        rounded = np.array([round_down_power_of_two(float(c)) for c in costs])
+        rounded = round_down_power_of_two(costs)
         self._rounded = rounded
-        values = sorted(set(float(v) for v in rounded))
+        values = np.unique(rounded).tolist()
         self._class_values: List[float] = values
         self._values_array = np.asarray(values, dtype=np.float64)
         # cumulative point sets: points whose rounded cost is <= class value

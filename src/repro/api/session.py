@@ -598,14 +598,8 @@ class OnlineSession:
         )
         session._state.load_state_dict(snapshot.state)
         session._algorithm.load_state_dict(snapshot.algorithm_state)
-        session._requests = [
-            Request(
-                index=index,
-                point=int(point),
-                commodities=frozenset(int(e) for e in commodity_list),
-            )
-            for index, (point, commodity_list) in enumerate(snapshot.state["requests"])
-        ]
+        # The state's replay already built every Request; share them.
+        session._requests = session._state.processed_requests
         if len(session._requests) != snapshot.num_requests:
             raise SnapshotError(
                 f"snapshot claims {snapshot.num_requests} requests but carries "

@@ -67,10 +67,10 @@ class CostClassIndex:
             raise InvalidCostFunctionError("cost classes require a non-empty configuration")
         points = list(range(metric.num_points))
         raw_costs = cost_function.costs_over_points(self._configuration, points)
-        rounded = np.array([round_down_power_of_two(float(c)) for c in raw_costs])
+        rounded = round_down_power_of_two(raw_costs)
         self._rounded_costs = rounded
 
-        distinct = sorted(set(float(v) for v in rounded))
+        distinct = np.unique(rounded).tolist()
         classes: List[CostClass] = []
         cumulative: List[int] = []
         cumulative_arrays: List[np.ndarray] = []

@@ -21,15 +21,21 @@ restore rebuilds them bit-for-bit by replay — which also keeps snapshots
 small: O(requests + facilities) instead of O(requests x points).
 
 Snapshots serialize to *strict* JSON (``inf`` distances are string-encoded,
-see :mod:`repro.utils.encoding`) and carry a format name plus version number
-so future codec changes fail loudly instead of restoring garbage.
+see :mod:`repro.utils.encoding`; NaN is refused) and carry a format name plus
+version number so future codec changes fail loudly instead of restoring
+garbage; input that is not a snapshot raises
+:class:`~repro.exceptions.SnapshotError`.  Files are written compact: an
+``indent`` would push :func:`json.dumps` off its C encoder, and
+:meth:`SessionSnapshot.to_json` encodes the fields in place rather than the
+deep copy :meth:`~SessionSnapshot.to_dict` makes, so an eviction costs one
+encode of the session's state.  Indented files still load.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -90,7 +96,10 @@ class SessionSnapshot:
     # Serialized forms
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Strict-JSON-compatible dictionary form (includes the format marker)."""
+        """Strict-JSON-compatible dictionary form (includes the format marker).
+
+        An independent deep copy: callers may mutate or embed it freely.
+        """
         data = asdict(self)
         data["format"] = SNAPSHOT_FORMAT
         return data
@@ -98,6 +107,10 @@ class SessionSnapshot:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SessionSnapshot":
         """Decode a snapshot dictionary, checking format and version."""
+        if not isinstance(data, Mapping):
+            raise SnapshotError(
+                f"a session snapshot is a JSON object, not {type(data).__name__}"
+            )
         if data.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotError(
                 f"not a session snapshot (format={data.get('format')!r}, "
@@ -113,23 +126,33 @@ class SessionSnapshot:
         # a session-level "use_accel" flag.  Both paths computed the same
         # facility state, so the flag is ignored (the reference *algorithm*
         # state is refused by the algorithm's own load_state_dict).
-        fields = {
+        kwargs = {
             key: value
             for key, value in data.items()
             if key not in ("format", "use_accel")
         }
         try:
-            return cls(**fields)
+            return cls(**kwargs)
         except TypeError as error:
             raise SnapshotError(f"malformed session snapshot: {error}") from None
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Strict JSON text (``allow_nan=False`` guards the encoding contract)."""
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+        """Strict JSON text (``allow_nan=False`` guards the encoding contract).
+
+        Byte for byte ``json.dumps(self.to_dict(), ...)``, but the fields are
+        encoded in place instead of deep-copied first.
+        """
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["format"] = SNAPSHOT_FORMAT
+        return json.dumps(data, indent=indent, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "SessionSnapshot":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise SnapshotError(f"session snapshot is not valid JSON: {error}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def coerce(
@@ -158,13 +181,17 @@ class SessionSnapshot:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         temporary = path.with_name(path.name + ".tmp")
-        temporary.write_text(self.to_json(indent=2))
+        temporary.write_text(self.to_json())
         os.replace(temporary, path)
         return path
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SessionSnapshot":
-        return cls.from_json(Path(path).read_text())
+        """Read a snapshot file; a damaged one raises a SnapshotError naming it."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except (SnapshotError, UnicodeDecodeError) as error:
+            raise SnapshotError(f"cannot load session snapshot {path}: {error}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,6 +12,7 @@ agree on the exact same definitions.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -92,31 +93,51 @@ def positive_part(x):
     return x if x > 0 else 0.0 * x
 
 
-def round_down_power_of_two(value: float) -> float:
-    """Round ``value`` down to the nearest power of two.
+def _power_of_two_split(value) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(costs, mantissas, exponents)`` with ``costs == mantissas * 2**exponents``.
+
+    ``np.frexp`` splits a finite float exactly, with the mantissa in
+    ``[0.5, 1)`` (``(0, 0)`` for zero); a logarithm would round, and at the
+    neighbours of a power of two land on the wrong exponent.
+    """
+    costs = np.asarray(value, dtype=np.float64)
+    valid = np.isfinite(costs) & (costs >= 0)
+    if not valid.all():
+        raise ValueError(
+            f"facility costs must be finite and non-negative, got {costs[~valid][0]}"
+        )
+    mantissas, exponents = np.frexp(costs)
+    return costs, mantissas, exponents
+
+
+def round_down_power_of_two(value):
+    """Round ``value`` down to the nearest power of two, exactly.
 
     Used by :mod:`repro.costs.classes` to build the facility cost classes of
     RAND-OMFLP (Section 4.1: "rounded down to the nearest power of 2").
     Values in ``(0, 1]`` round down to negative powers of two; zero maps to
-    zero; negative values are rejected because facility costs are
-    non-negative.
+    zero; negative and non-finite values are rejected because facility costs
+    are non-negative reals.  The result is the largest power of two ``p``
+    with ``p <= value``, so ``p <= value < 2 * p`` holds without slack.
+
+    Accepts a scalar (returns a ``float``) or an array of costs (returns a
+    ``float64`` array of the same shape, rounded elementwise).
     """
-    if value < 0:
-        raise ValueError(f"facility costs must be non-negative, got {value}")
-    if value == 0:
-        return 0.0
-    exponent = math.floor(math.log2(value))
-    return float(2.0**exponent)
+    costs, _, exponents = _power_of_two_split(value)
+    rounded = np.where(costs > 0.0, np.ldexp(0.5, exponents), 0.0)
+    return float(rounded) if costs.ndim == 0 else rounded
 
 
-def round_up_power_of_two(value: float) -> float:
-    """Round ``value`` up to the nearest power of two (see the down variant)."""
-    if value < 0:
-        raise ValueError(f"facility costs must be non-negative, got {value}")
-    if value == 0:
-        return 0.0
-    exponent = math.ceil(math.log2(value))
-    return float(2.0**exponent)
+def round_up_power_of_two(value):
+    """Round ``value`` up to the nearest power of two, exactly.
+
+    The smallest power of two ``p`` with ``value <= p`` (zero maps to zero);
+    scalars and arrays are accepted as by :func:`round_down_power_of_two`.
+    """
+    costs, mantissas, exponents = _power_of_two_split(value)
+    # Mantissa 0.5 is a power of two already, mantissa 0 is zero: both stay.
+    rounded = np.where(mantissas > 0.5, np.ldexp(1.0, exponents), costs)
+    return float(rounded) if costs.ndim == 0 else rounded
 
 
 def ceil_div(a: int, b: int) -> int:

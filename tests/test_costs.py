@@ -250,14 +250,34 @@ class TestOrderedLinearCost:
 
 
 class TestCostClassIndex:
-    def test_classes_are_rounded_powers_of_two(self):
-        metric = uniform_line_metric(4)
-        cost = ConstantCost(2, point_scales=[1.0, 3.0, 5.0, 16.0])
+    @pytest.mark.parametrize(
+        "scales,values,points",
+        [
+            pytest.param(
+                [1.0, 3.0, 5.0, 16.0],
+                [1.0, 2.0, 4.0, 16.0],
+                [(0,), (1,), (2,), (3,)],
+                id="distinct",
+            ),
+            pytest.param(
+                [3.0, 0.0, 3.0, 2.5, 0.0, 7.9],
+                [0.0, 2.0, 4.0],
+                [(1, 4), (0, 2, 3), (5,)],
+                id="repeated-and-zero",
+            ),
+        ],
+    )
+    def test_classes_are_rounded_powers_of_two(self, scales, values, points):
+        metric = uniform_line_metric(len(scales))
+        cost = ConstantCost(2, point_scales=scales)
         index = CostClassIndex(metric, cost, {0})
-        values = [c.value for c in index.classes]
-        assert values == [1.0, 2.0, 4.0, 16.0]
-        assert index.num_classes == 4
-        assert index.class_of_point(1) == 2
+        assert [c.value for c in index.classes] == values
+        assert [c.points for c in index.classes] == points
+        assert index.num_classes == len(values)
+        for cls in index.classes:
+            for point in cls.points:
+                assert index.class_of_point(point) == cls.index
+                assert index.rounded_cost_at(point) == cls.value
 
     def test_distance_convention_is_cumulative(self):
         metric = uniform_line_metric(4)

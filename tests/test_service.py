@@ -236,6 +236,34 @@ def test_protocol_lifecycle_and_error_responses(tmp_path):
     assert down["shutdown"] is True
 
 
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        pytest.param(lambda text: text[: len(text) // 2].encode(), id="cut-in-half"),
+        pytest.param(lambda text: b"[1, 2]", id="not-an-object"),
+        pytest.param(lambda text: b"\xff\xfe\x00", id="undecodable-bytes"),
+    ],
+)
+def test_protocol_reports_damaged_snapshot_file_as_snapshot_error(tmp_path, damaged):
+    """A damaged eviction file surfaces as a SnapshotError naming the file,
+    not as whatever the JSON decoder or the field access happened to raise."""
+    protocol = ServiceProtocol(SessionManager(snapshot_dir=tmp_path, max_live_sessions=1))
+    for name in ("a", "b"):
+        line = json.dumps({"op": "create", "name": name, "spec": _explicit_spec()})
+        assert json.loads(protocol.handle_line(line))["ok"]
+    path = tmp_path / "a.session.json"  # creating "b" evicted "a"
+    path.write_bytes(damaged(path.read_text()))
+
+    for message in (
+        {"op": "submit", "name": "a", "point": 1, "commodities": [0]},
+        {"op": "status", "name": "a"},
+    ):
+        response = json.loads(protocol.handle_line(json.dumps(message)))
+        assert response["ok"] is False
+        assert response["error_type"] == "SnapshotError"
+        assert str(path) in response["error"]
+
+
 def test_protocol_registry_typo_gets_suggestion():
     protocol = ServiceProtocol(SessionManager())
     response = protocol.handle(

@@ -21,6 +21,7 @@ broken.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 from typing import Callable, Dict, List, Tuple
 
@@ -439,3 +440,55 @@ def test_restore_rejects_truncated_assignment_log():
             cost=instance.cost_function,
             commodities=instance.commodities,
         )
+
+
+# ---------------------------------------------------------------------------
+# The codec: in-place compact encoding vs the deep-copied dictionary form
+# ---------------------------------------------------------------------------
+def _mid_stream_snapshot(algorithm_name: str) -> SessionSnapshot:
+    """A traced snapshot after SPLIT requests on the algorithm's first grid scenario."""
+    single_only = ALGORITHMS[algorithm_name][1]
+    scenario_name = next(
+        name for name, commodities, _ in SCENARIOS if single_only == (commodities == 1)
+    )
+    session, instance = _session_for(algorithm_name, scenario_name, 0)
+    for request in instance.requests[:SPLIT]:
+        session.submit(request.point, request.commodities)
+    return session.snapshot()
+
+
+@pytest.mark.parametrize("algorithm_name", list(ALGORITHMS))
+def test_to_json_encodes_exactly_the_dictionary_form(algorithm_name):
+    snapshot = _mid_stream_snapshot(algorithm_name)
+    text = snapshot.to_json()
+    assert text == json.dumps(snapshot.to_dict(), allow_nan=False)
+    assert snapshot.to_json(indent=2) == json.dumps(
+        snapshot.to_dict(), indent=2, allow_nan=False
+    )
+
+    # to_dict() is an independent copy: mutating it leaves the snapshot alone.
+    data = snapshot.to_dict()
+    data["state"]["requests"].clear()
+    data["state"]["requests"].append([0, [0]])
+    assert snapshot.to_json() == text
+
+
+@pytest.mark.parametrize("algorithm_name", list(ALGORITHMS))
+def test_snapshot_files_round_trip_compact_and_indented(algorithm_name, tmp_path):
+    snapshot = _mid_stream_snapshot(algorithm_name)
+    path = snapshot.save(tmp_path / "compact.json")
+    assert path.read_text() == snapshot.to_json()
+    assert SessionSnapshot.load(path) == snapshot
+
+    # Files written indented (the codec's earlier on-disk format) still load.
+    indented = tmp_path / "indented.json"
+    indented.write_text(snapshot.to_json(indent=2))
+    assert SessionSnapshot.load(indented) == snapshot
+
+
+def test_to_json_still_refuses_nan():
+    snapshot = _mid_stream_snapshot("pd-omflp")
+    state = snapshot.to_dict()["state"]
+    state["assignments"].append([float("nan")])
+    with pytest.raises(ValueError):
+        dataclasses.replace(snapshot, state=state).to_json()

@@ -101,13 +101,40 @@ class TestPowerOfTwoRounding:
         with pytest.raises(ValueError):
             round_up_power_of_two(-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -2.0], [0.5, np.inf]])
+    def test_non_finite_and_negative_entries_rejected(self, value):
+        with pytest.raises(ValueError):
+            round_down_power_of_two(value)
+        with pytest.raises(ValueError):
+            round_up_power_of_two(value)
+
     @given(st.floats(min_value=1e-6, max_value=1e12))
     def test_round_down_is_power_of_two_and_below(self, value):
         rounded = round_down_power_of_two(value)
-        assert rounded <= value * (1 + 1e-12)
-        assert 2 * rounded > value * (1 - 1e-12)
-        exponent = math.log2(rounded)
-        assert abs(exponent - round(exponent)) < 1e-9
+        assert rounded <= value < 2 * rounded
+        assert rounded == 2.0 ** round(math.log2(rounded))
+
+    @given(st.floats(min_value=1e-6, max_value=1e12))
+    def test_round_up_is_power_of_two_and_above(self, value):
+        rounded = round_up_power_of_two(value)
+        assert rounded / 2 < value <= rounded
+        assert rounded == 2.0 ** round(math.log2(rounded))
+
+    def test_exact_next_to_powers_of_two(self):
+        # The neighbours of 2**k round past it, not onto it (a log2 rounds
+        # them to k and so returns 2**k on the wrong side of the input).
+        for k in range(-20, 60):
+            power = 2.0**k
+            assert round_down_power_of_two(math.nextafter(power, 0.0)) == 2.0 ** (k - 1), k
+            assert round_up_power_of_two(math.nextafter(power, math.inf)) == 2.0 ** (k + 1), k
+
+    def test_arrays_round_elementwise(self):
+        values = np.array([0.0, 0.3, 0.5, 0.75, 1.0, 1.5, 3.99, 4.0, 4.01, 0.0, 1e12])
+        for rounding in (round_down_power_of_two, round_up_power_of_two):
+            rounded = rounding(values)
+            assert isinstance(rounded, np.ndarray) and rounded.dtype == np.float64
+            assert rounded.tolist() == [rounding(float(v)) for v in values]
+            assert type(rounding(3.0)) is float
 
 
 class TestCeilDiv:
