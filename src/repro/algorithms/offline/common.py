@@ -87,7 +87,6 @@ def optimal_assignment(
     dp = np.full(1 << k, INF, dtype=np.float64)
     dp[0] = 0.0
     choice: List[Optional[Tuple[int, int]]] = [None] * (1 << k)  # mask -> (facility idx, prev mask)
-    order = sorted(range(1 << k), key=lambda m: dp[m]) if False else range(1 << k)
     # Plain forward DP over masks: since adding a facility only adds bits,
     # iterating masks in increasing numeric order is sufficient (the previous
     # mask is always numerically smaller than the new one).
@@ -107,24 +106,22 @@ def optimal_assignment(
         raise InfeasibleSolutionError(f"request {request.index} cannot be covered")
 
     # Reconstruct the chosen facilities and build the assignment.
-    chosen: List[Facility] = []
+    chosen: List[Tuple[Facility, int, float]] = []
     mask = full_mask
     while mask:
         entry = choice[mask]
         if entry is None:
             break
         idx, previous = entry
-        chosen.append(useful[idx][0])
+        chosen.append(useful[idx])
         mask = previous
     assignment = Assignment(request_index=request.index)
     for commodity in demanded:
         best_facility = None
         best_distance = INF
-        for facility in chosen:
-            if facility.offers(commodity):
-                distance = metric.distance(request.point, facility.point)
-                if distance < best_distance:
-                    best_facility, best_distance = facility, distance
+        for facility, _, distance in chosen:
+            if facility.offers(commodity) and distance < best_distance:
+                best_facility, best_distance = facility, distance
         if best_facility is None:  # pragma: no cover - defensive
             raise InfeasibleSolutionError(
                 f"request {request.index}: reconstruction lost commodity {commodity}"

@@ -4,8 +4,9 @@ Ravi and Sinha (2004) showed that the offline multi-commodity facility
 location problem inherits the Ω(log |S|) hardness of weighted set cover and,
 conversely, that greedy-set-cover ideas yield an O(log |S|) approximation.
 The offline greedy reference solver (:mod:`repro.algorithms.offline.greedy`)
-uses the classical greedy rule through this module; it is also exercised
-directly by unit tests as a substrate sanity check.
+follows the same greedy ratio rule on its own (point, configuration)
+candidates and does not call this module, which is a substrate checked
+directly by the unit tests.
 """
 
 from __future__ import annotations

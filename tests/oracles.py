@@ -19,38 +19,55 @@ order and tie-breaks:
 * :class:`ReferenceRandOMFLPAlgorithm` — RAND-OMFLP on
   :class:`~repro.costs.classes.CostClassIndex` scan providers.
 
+The offline greedy solver computes each round's ratio table over arrays; its
+oracle is the plain loop over every (point, configuration) candidate:
+
+* :class:`ReferenceGreedyOfflineSolver` — the greedy rounds rebuilding each
+  candidate's covered pairs and summing its connection cost in Python;
+* :func:`reference_optimal_assignment` — the assignment DP whose
+  reconstruction asks the metric again for every distance it already holds.
+
 No query here reads a tracker, class index or bid buffer (the inherited
 constructors still build them; nothing consults them).  Production code does
 not know this module: the reference classes override private hooks of the
 production ones, and :func:`reference_scans` patches the module globals
-production constructs its facility store and single-commodity helpers from.
+production constructs its facility store, single-commodity helpers, the
+local search's greedy start and the offline assignments from.
 The oracle has no snapshot support.
 
-``tests/test_accel_equivalence.py`` runs production against it with exact
-``==``; ``benchmarks/bench_algorithm_kernels.py`` times both.
+``tests/test_accel_equivalence.py`` and ``tests/test_offline_equivalence.py``
+run production against it with exact ``==``;
+``benchmarks/bench_algorithm_kernels.py`` times both.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+import repro.algorithms.offline.common as offline_common
+import repro.algorithms.offline.local_search as local_search
 import repro.algorithms.online.fotakis_ofl as fotakis_ofl
 import repro.algorithms.online.meyerson_ofl as meyerson_ofl
 import repro.algorithms.online.per_commodity as per_commodity
 import repro.core.state as state_module
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
+from repro.algorithms.offline.common import candidate_configurations
+from repro.algorithms.offline.greedy import GreedyOfflineSolver
 from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm, SingleCommodityPrimalDual
 from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCommodityMeyerson
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
+from repro.core.assignment import Assignment
 from repro.core.facility import Facility, FacilityStore
 from repro.core.instance import Instance
 from repro.core.requests import Request
+from repro.exceptions import AlgorithmError, InfeasibleSolutionError
+from repro.metric.base import MetricSpace
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +286,144 @@ class ReferenceRandOMFLPAlgorithm(RandOMFLPAlgorithm):
 
 
 # ---------------------------------------------------------------------------
+# Offline greedy and the assignment DP
+# ---------------------------------------------------------------------------
+class ReferenceGreedyOfflineSolver(GreedyOfflineSolver):
+    """The greedy rounds as a plain loop over every (point, configuration) candidate."""
+
+    def _choose(self, instance: Instance) -> List[Tuple[int, FrozenSet[int]]]:
+        requests = instance.requests
+        metric = instance.metric
+        cost_function = instance.cost_function
+
+        points = (
+            list(self._candidate_points)
+            if self._candidate_points is not None
+            else sorted({r.point for r in requests})
+        )
+        configurations = candidate_configurations(instance)
+
+        # Pre-compute distances from every request to every candidate point.
+        distance = np.vstack([metric.distances_between(r.point, points) for r in requests])
+
+        uncovered: Set[Tuple[int, int]] = {
+            (request.index, commodity)
+            for request in requests
+            for commodity in request.commodities
+        }
+        chosen: List[Tuple[int, FrozenSet[int]]] = []
+        # Requests already paying a connection to a chosen facility at a point
+        # do not pay again when another commodity is covered from the same
+        # point, mirroring the distinct-facility connection cost.
+        connected_points: Dict[int, Set[int]] = {request.index: set() for request in requests}
+
+        while uncovered:
+            best: Optional[Tuple[float, int, FrozenSet[int], Set[Tuple[int, int]]]] = None
+            for point_index, point in enumerate(points):
+                for config in configurations:
+                    covered_now = {
+                        (r_index, commodity)
+                        for (r_index, commodity) in uncovered
+                        if commodity in config
+                    }
+                    if not covered_now:
+                        continue
+                    opening = cost_function.cost(point, config)
+                    connection = 0.0
+                    for r_index in sorted({r for (r, _) in covered_now}):
+                        if point not in connected_points[r_index]:
+                            connection += float(distance[r_index, point_index])
+                    ratio = (opening + connection) / len(covered_now)
+                    if best is None or ratio < best[0] - 1e-15:
+                        best = (ratio, point, config, covered_now)
+            if best is None:
+                raise AlgorithmError("greedy solver could not cover all demands")
+            _, point, config, covered_now = best
+            chosen.append((point, config))
+            uncovered -= covered_now
+            for r_index in sorted({r for (r, _) in covered_now}):
+                connected_points[r_index].add(point)
+        return chosen
+
+
+def reference_optimal_assignment(
+    metric: MetricSpace, request: Request, facilities: Sequence[Facility]
+) -> Tuple[Assignment, float]:
+    """:func:`~repro.algorithms.offline.common.optimal_assignment`, asking the
+    metric again for each (commodity, chosen facility) distance."""
+    demanded = sorted(request.commodities)
+    k = len(demanded)
+    if k > offline_common._MAX_DEMAND_FOR_DP:
+        raise InfeasibleSolutionError(
+            f"request {request.index} demands {k} commodities; the exact assignment DP "
+            f"supports at most {offline_common._MAX_DEMAND_FOR_DP}"
+        )
+    index_of = {commodity: i for i, commodity in enumerate(demanded)}
+    full_mask = (1 << k) - 1
+
+    useful: List[Tuple[Facility, int, float]] = []
+    for facility in facilities:
+        mask = 0
+        for commodity in facility.configuration & request.commodities:
+            mask |= 1 << index_of[commodity]
+        if mask:
+            useful.append((facility, mask, metric.distance(request.point, facility.point)))
+    coverable = 0
+    for _, mask, _ in useful:
+        coverable |= mask
+    if coverable != full_mask:
+        missing = [demanded[i] for i in range(k) if not (coverable >> i) & 1]
+        raise InfeasibleSolutionError(
+            f"request {request.index}: commodities {missing} are offered by no open facility"
+        )
+
+    INF = float("inf")
+    dp = np.full(1 << k, INF, dtype=np.float64)
+    dp[0] = 0.0
+    choice: List[Optional[Tuple[int, int]]] = [None] * (1 << k)  # mask -> (facility idx, prev mask)
+    for mask in range(1 << k):
+        if dp[mask] == INF:
+            continue
+        for idx, (facility, fmask, distance) in enumerate(useful):
+            new_mask = mask | fmask
+            if new_mask == mask:
+                continue
+            new_cost = dp[mask] + distance
+            if new_cost < dp[new_mask] - 1e-15:
+                dp[new_mask] = new_cost
+                choice[new_mask] = (idx, mask)
+
+    if dp[full_mask] == INF:
+        raise InfeasibleSolutionError(f"request {request.index} cannot be covered")
+
+    # Reconstruct the chosen facilities and build the assignment.
+    chosen: List[Facility] = []
+    mask = full_mask
+    while mask:
+        entry = choice[mask]
+        if entry is None:
+            break
+        idx, previous = entry
+        chosen.append(useful[idx][0])
+        mask = previous
+    assignment = Assignment(request_index=request.index)
+    for commodity in demanded:
+        best_facility = None
+        best_distance = INF
+        for facility in chosen:
+            if facility.offers(commodity):
+                distance = metric.distance(request.point, facility.point)
+                if distance < best_distance:
+                    best_facility, best_distance = facility, distance
+        if best_facility is None:
+            raise InfeasibleSolutionError(
+                f"request {request.index}: reconstruction lost commodity {commodity}"
+            )
+        assignment.assign(commodity, best_facility.id)
+    return assignment, float(dp[full_mask])
+
+
+# ---------------------------------------------------------------------------
 # Running the oracle
 # ---------------------------------------------------------------------------
 #: (module, global name, reference substitute) patched by reference_scans().
@@ -278,12 +433,15 @@ _SUBSTITUTES = (
     (meyerson_ofl, "SingleCommodityMeyerson", ReferenceMeyerson),
     (per_commodity, "SingleCommodityPrimalDual", ReferencePrimalDual),
     (per_commodity, "SingleCommodityMeyerson", ReferenceMeyerson),
+    (local_search, "GreedyOfflineSolver", ReferenceGreedyOfflineSolver),
+    (offline_common, "optimal_assignment", reference_optimal_assignment),
 )
 
 
 @contextlib.contextmanager
 def reference_scans() -> Iterator[None]:
-    """Within the block, new online states and helpers use the reference scans."""
+    """Within the block, new online states and helpers, the local search's greedy
+    start and the offline assignments use the reference scans."""
     originals = [(module, name, getattr(module, name)) for module, name, _ in _SUBSTITUTES]
     try:
         for module, name, substitute in _SUBSTITUTES:
