@@ -52,6 +52,7 @@ from repro.api.record import RunRecord
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
+from repro.core.solution import CostBreakdown
 from repro.core.state import OnlineState
 from repro.core.trace import Trace
 from repro.costs.base import FacilityCostFunction
@@ -171,7 +172,11 @@ class OnlineSession:
     trace:
         Record structured trace events.
     validate:
-        Validate feasibility of the final solution in :meth:`finalize`.
+        In :meth:`finalize`, check the frozen request log in one vectorized
+        pass (:meth:`~repro.core.state.OnlineState.validate_log`): every
+        request point lies in the metric, and every logged facility exists
+        and offers the commodity it serves.  Each assignment was already
+        validated object by object when it was recorded.
     name:
         Instance name used in result rows.
     instance:
@@ -250,7 +255,7 @@ class OnlineSession:
                 seconds=wall_now() - build_start,
                 wall_start=build_start,
             )
-        self._requests: list[Request] = []
+        self._num_requests = 0
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
         # Served events waiting to be fanned out to the telemetry sink; see
@@ -295,7 +300,7 @@ class OnlineSession:
     @property
     def num_requests(self) -> int:
         """Requests served so far."""
-        return len(self._requests)
+        return self._num_requests
 
     @property
     def opening_cost(self) -> float:
@@ -369,7 +374,7 @@ class OnlineSession:
         if self._record is not None:
             raise AlgorithmError("cannot submit to a finalized session")
         request = Request(
-            index=len(self._requests),
+            index=self._num_requests,
             point=int(point),
             commodities=frozenset(int(e) for e in commodities),
         )
@@ -427,13 +432,13 @@ class OnlineSession:
             else:
                 tracer.record_phase("algorithm.process", elapsed)
         try:
-            assignment = self._state.assignment_of(request.index)
+            facility_ids = self._state.facility_ids_of(request.index)
         except KeyError as error:
             raise AlgorithmError(
                 f"{self._algorithm.name} finished processing request {request.index} "
                 "without recording an assignment"
             ) from error
-        self._requests.append(request)
+        self._num_requests += 1
 
         opening_after = self._state.current_opening_cost()
         connection_after = self._state.current_connection_cost()
@@ -441,7 +446,7 @@ class OnlineSession:
             request_index=request.index,
             point=request.point,
             commodities=request.commodities,
-            facility_ids=tuple(sorted(assignment.facility_ids())),
+            facility_ids=facility_ids,
             opening_cost_delta=opening_after - opening_before,
             connection_cost=connection_after - connection_before,
             opening_cost_so_far=opening_after,
@@ -517,7 +522,7 @@ class OnlineSession:
             validate=self._validate,
             instance_name=self._instance.name,
             runtime_seconds=self._runtime,
-            num_requests=len(self._requests),
+            num_requests=self._num_requests,
             spec=copy.deepcopy(spec) if spec is not None else None,
             scenario_state=copy.deepcopy(scenario_state)
             if scenario_state is not None
@@ -598,12 +603,11 @@ class OnlineSession:
         )
         session._state.load_state_dict(snapshot.state)
         session._algorithm.load_state_dict(snapshot.algorithm_state)
-        # The state's replay already built every Request; share them.
-        session._requests = session._state.processed_requests
-        if len(session._requests) != snapshot.num_requests:
+        session._num_requests = session._state.num_recorded
+        if session._num_requests != snapshot.num_requests:
             raise SnapshotError(
                 f"snapshot claims {snapshot.num_requests} requests but carries "
-                f"{len(session._requests)}"
+                f"{session._num_requests}"
             )
         session._rng = rng_from_state(snapshot.rng_state)
         session._seed = snapshot.seed
@@ -623,19 +627,27 @@ class OnlineSession:
     def finalize(self) -> RunRecord:
         """Freeze the session into a :class:`RunRecord` (idempotent).
 
-        The final costs are recomputed from the frozen solution exactly as the
-        batch runner does, so a streamed run and a batch run over the same
-        sequence and seed report bit-identical totals.
+        O(|F|), not O(n): each request's connection cost was fixed when it
+        was recorded, so the connection cost is the state's running total,
+        which equals ``Solution.connection_cost`` bit for bit.  The opening
+        cost is split into small and large facilities by
+        :meth:`~repro.core.solution.Solution.opening_split`, the same sums
+        ``Solution.cost_breakdown`` uses.  With ``validate`` the frozen log
+        gets one vectorized feasibility check.
         """
         if self._record is not None:
             return self._record
         finalize_start = wall_now()
         self._flush_telemetry()
-        requests = RequestSequence(self._requests)
         solution = self._state.to_solution()
         if self._validate:
-            solution.validate(requests)
-        breakdown = solution.cost_breakdown(requests)
+            self._state.validate_log()
+        opening_small, opening_large = solution.opening_split()
+        breakdown = CostBreakdown(
+            opening_small,
+            opening_large,
+            connection=self._state.current_connection_cost(),
+        )
         result = OnlineResult(
             algorithm=self._algorithm.name,
             instance_name=self._instance.name,
@@ -649,7 +661,7 @@ class OnlineSession:
         )
         self._record = RunRecord.from_online_result(
             result,
-            num_requests=len(requests),
+            num_requests=self._num_requests,
             seed=self._seed,
             rng_state=copy.deepcopy(self._initial_rng_state),
         )
@@ -657,11 +669,11 @@ class OnlineSession:
             self._tracer.add(
                 "session.finalize",
                 category="session",
-                ordinal=len(requests),
+                ordinal=self._num_requests,
                 seconds=wall_now() - finalize_start,
                 wall_start=finalize_start,
                 attributes={
-                    "num_requests": len(requests),
+                    "num_requests": self._num_requests,
                     "validated": bool(self._validate),
                 },
             )
@@ -670,5 +682,5 @@ class OnlineSession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"OnlineSession(algorithm={self._algorithm.name!r}, "
-            f"n={len(self._requests)}, total_cost={self.total_cost:.4f})"
+            f"n={self._num_requests}, total_cost={self.total_cost:.4f})"
         )

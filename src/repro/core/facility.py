@@ -18,6 +18,12 @@ from repro.accel.tracker import NearestSetTracker
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import InvalidInstanceError, SnapshotError
 from repro.metric.base import MetricSpace
+from repro.utils.validation import (
+    snapshot_commodities,
+    snapshot_field,
+    snapshot_int,
+    snapshot_list,
+)
 
 __all__ = ["Facility", "FacilityStore"]
 
@@ -138,14 +144,26 @@ class FacilityStore:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Rebuild the store by replaying ``open`` (requires a fresh store)."""
+        """Rebuild the store by replaying ``open`` (requires a fresh store).
+
+        Points must be JSON integers and configurations lists of distinct
+        ones (:class:`SnapshotError`); ``open`` range-checks them.
+        """
         if self._facilities:
             raise SnapshotError(
                 "FacilityStore.load_state_dict requires an empty store; "
                 f"this one already holds {len(self._facilities)} facilities"
             )
-        for point, configuration in state["facilities"]:
-            self.open(int(point), (int(e) for e in configuration))
+        rows = snapshot_list(
+            snapshot_field(state, "facilities", "snapshot store"), "snapshot store facilities"
+        )
+        for position, row in enumerate(rows):
+            where = f"snapshot store facilities[{position}]"
+            point, configuration = snapshot_list(row, where, 2)
+            self.open(
+                snapshot_int(point, f"{where} point"),
+                snapshot_commodities(configuration, f"{where} configuration"),
+            )
 
     # ------------------------------------------------------------------
     # Views

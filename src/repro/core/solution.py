@@ -8,12 +8,17 @@ cost of their assignment``
 exactly as in the ILP of Section 1.1.  :class:`Solution` performs this
 accounting, provides the small/large cost breakdown used in the analysis and
 validates feasibility.
+
+A solution frozen from an online run takes its assignments lazily: the
+online state logs them as arrays, and the ``Assignment`` objects are built
+on the first access that needs them.  Finalizing a session reads only the
+facilities (:meth:`Solution.opening_split`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.facility import Facility
@@ -48,7 +53,11 @@ class CostBreakdown:
 
 
 class Solution:
-    """A set of opened facilities plus one assignment per request."""
+    """A set of opened facilities plus one assignment per request.
+
+    ``assignments`` is iterated once, on the first access that needs the
+    assignments; facility-only queries never iterate it.
+    """
 
     def __init__(
         self,
@@ -60,7 +69,15 @@ class Solution:
         self._metric = metric
         self._num_commodities = int(num_commodities)
         self._facilities: Dict[int, Facility] = {f.id: f for f in facilities}
-        self._assignments: Dict[int, Assignment] = {a.request_index: a for a in assignments}
+        self._pending: Optional[Iterable[Assignment]] = assignments
+        self._by_request: Dict[int, Assignment] = {}
+
+    @property
+    def _assignments(self) -> Dict[int, Assignment]:
+        if self._pending is not None:
+            self._by_request = {a.request_index: a for a in self._pending}
+            self._pending = None
+        return self._by_request
 
     # ------------------------------------------------------------------
     @property
@@ -69,7 +86,8 @@ class Solution:
 
     @property
     def assignments(self) -> List[Assignment]:
-        return [self._assignments[i] for i in sorted(self._assignments)]
+        assignments = self._assignments
+        return [assignments[i] for i in sorted(assignments)]
 
     def facility(self, facility_id: int) -> Facility:
         return self._facilities[facility_id]
@@ -90,10 +108,25 @@ class Solution:
     def opening_cost(self) -> float:
         return sum(f.opening_cost for f in self._facilities.values())
 
+    def opening_split(self) -> Tuple[float, float]:
+        """``(small, large)`` opening cost, each summed in facility-id order.
+
+        Plain ``sum``, so an empty side is the integer ``0``.
+        """
+        full = frozenset(range(self._num_commodities))
+        opening_small = sum(
+            f.opening_cost for f in self._facilities.values() if f.configuration != full
+        )
+        opening_large = sum(
+            f.opening_cost for f in self._facilities.values() if f.configuration == full
+        )
+        return opening_small, opening_large
+
     def connection_cost(self, requests: RequestSequence) -> float:
+        assignments = self._assignments
         total = 0.0
         for request in requests:
-            assignment = self._assignments.get(request.index)
+            assignment = assignments.get(request.index)
             if assignment is None:
                 raise InfeasibleSolutionError(f"request {request.index} has no assignment")
             total += assignment.connection_cost(request, self._facilities, self._metric)
@@ -103,13 +136,7 @@ class Solution:
         return self.opening_cost() + self.connection_cost(requests)
 
     def cost_breakdown(self, requests: RequestSequence) -> CostBreakdown:
-        full = frozenset(range(self._num_commodities))
-        opening_small = sum(
-            f.opening_cost for f in self._facilities.values() if f.configuration != full
-        )
-        opening_large = sum(
-            f.opening_cost for f in self._facilities.values() if f.configuration == full
-        )
+        opening_small, opening_large = self.opening_split()
         return CostBreakdown(
             opening_small=opening_small,
             opening_large=opening_large,
@@ -119,8 +146,9 @@ class Solution:
     # ------------------------------------------------------------------
     def validate(self, requests: RequestSequence) -> None:
         """Raise :class:`InfeasibleSolutionError` unless the solution is feasible."""
+        assignments = self._assignments
         for request in requests:
-            assignment = self._assignments.get(request.index)
+            assignment = assignments.get(request.index)
             if assignment is None:
                 raise InfeasibleSolutionError(f"request {request.index} has no assignment")
             assignment.validate(request, self._facilities)

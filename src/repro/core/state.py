@@ -1,19 +1,44 @@
 """Mutable run-time state shared by all online algorithms.
 
-:class:`OnlineState` owns the facility store, the accumulated assignments and
-the event trace of one online run.  Algorithms interact with it through a
-small set of verbs — ``open_facility``, ``assign``, distance queries — and the
-runner converts the final state into an immutable
+:class:`OnlineState` owns the facility store, the log of recorded
+assignments and the event trace of one online run.  Algorithms interact with
+it through a small set of verbs — ``open_facility``, ``assign``, distance
+queries — and the runner converts the final state into an immutable
 :class:`~repro.core.solution.Solution`.
 
 Keeping this state in one place guarantees that every algorithm is charged
 costs in exactly the same way (the cost model lives here, not in each
 algorithm), which is essential for fair competitive-ratio comparisons.
+
+The log
+-------
+Assignments are irrevocable (Section 1.1), so a request's connection cost is
+fixed once it is recorded.  :meth:`OnlineState.record_assignment` validates
+the assignment against the open facilities, adds its cost to a running total
+and copies it into flat int64 arrays: per request its index and point, and
+its ``(commodity, facility)`` pairs in the order the algorithm assigned them,
+with offsets into the pair arrays: about 50 bytes per single-commodity
+request, against about 760 for ``Request`` and ``Assignment`` objects.
+Objects are built only on demand (:meth:`~OnlineState.assignment_of`,
+:attr:`~OnlineState.processed_requests`, :meth:`~OnlineState.to_solution`).
+
+:meth:`~OnlineState.load_state_dict` rebuilds the log from a snapshot in one
+array pass instead of re-recording every request.  It screens every row with
+vectorized checks; a row that fails gets the object-level checks again, so
+the error is the one re-recording it would raise.  It then reads one distance
+column per facility and folds the per-request costs in arrival order, which
+gives the running total bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from array import array
+from bisect import bisect_right
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.facility import Facility, FacilityStore
@@ -21,9 +46,75 @@ from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.solution import Solution
 from repro.core.trace import FacilityOpenedEvent, RequestAssignedEvent, Trace
-from repro.exceptions import AlgorithmError, SnapshotError
+from repro.exceptions import AlgorithmError, InfeasibleSolutionError, SnapshotError
+from repro.utils.validation import (
+    snapshot_commodities,
+    snapshot_field,
+    snapshot_int,
+    snapshot_list,
+)
 
 __all__ = ["OnlineState"]
+
+
+class _Log:
+    """Recorded requests as flat int64 arrays, one row per request.
+
+    Row ``k`` holds ``indices[k]``, ``points[k]`` and the request's
+    ``(commodity, facility)`` pairs at ``offsets[k]:offsets[k + 1]`` of
+    ``commodities`` / ``facilities``, in ``assign`` order.  Rows are only
+    ever appended.
+    """
+
+    __slots__ = ("indices", "points", "offsets", "commodities", "facilities")
+
+    def __init__(self) -> None:
+        self.indices = array("q")
+        self.points = array("q")
+        self.offsets = array("q", [0])
+        self.commodities = array("q")
+        self.facilities = array("q")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def append(self, index: int, point: int, pairs: Mapping[int, int]) -> None:
+        self.indices.append(index)
+        self.points.append(point)
+        self.commodities.extend(pairs)
+        facilities = self.facilities
+        facilities.extend(pairs.values())
+        self.offsets.append(len(facilities))
+
+    def assignment(self, row: int) -> Assignment:
+        start, stop = self.offsets[row], self.offsets[row + 1]
+        return Assignment(
+            self.indices[row],
+            dict(zip(self.commodities[start:stop], self.facilities[start:stop])),
+        )
+
+    def request(self, row: int) -> Request:
+        start, stop = self.offsets[row], self.offsets[row + 1]
+        return Request(
+            index=self.indices[row],
+            point=self.points[row],
+            commodities=frozenset(sorted(self.commodities[start:stop])),
+        )
+
+
+class _LoggedAssignments:
+    """The first ``count`` rows of a log, as ``Assignment`` objects when iterated.
+
+    Rows are only appended, so the view stays fixed while the run goes on;
+    it pickles with its log.
+    """
+
+    def __init__(self, log: _Log, count: int) -> None:
+        self._log = log
+        self._count = count
+
+    def __iter__(self) -> Iterator[Assignment]:
+        return map(self._log.assignment, range(self._count))
 
 
 class OnlineState:
@@ -37,16 +128,21 @@ class OnlineState:
     def __init__(self, instance: Instance, *, trace: Optional[Trace] = None) -> None:
         self._instance = instance
         self._store = FacilityStore(instance.metric, instance.cost_function)
-        self._assignments: Dict[int, Assignment] = {}
         self._trace = trace if trace is not None else Trace(enabled=False)
         self._full_set = instance.cost_function.full_set
-        self._processed_requests: List[Request] = []
+        self._log = _Log()
+        # Request index -> log row, built only once a request is recorded
+        # out of arrival order; until then row k is request k.
+        self._rows: Optional[Dict[int, int]] = None
+        # The sorted facility ids of the last recorded request, for the
+        # session's event (see facility_ids_of).
+        self._last_index = -1
+        self._last_facility_ids: Tuple[int, ...] = ()
         # Connection cost accumulated assignment by assignment.  Assignments
         # are irrevocable, so each request's connection cost is fixed the
-        # moment it is recorded; summing incrementally (in arrival order, the
-        # same order Solution.connection_cost uses) makes streaming sessions
-        # O(1) per request instead of O(n) end-of-run recomputation while
-        # staying bit-identical to the batch total.
+        # moment it is recorded; summing incrementally in arrival order (the
+        # order Solution.connection_cost uses) gives the batch total bit for
+        # bit without an end-of-run recomputation.
         self._connection_cost = 0.0
 
     # ------------------------------------------------------------------
@@ -65,12 +161,36 @@ class OnlineState:
         return self._trace
 
     @property
+    def num_recorded(self) -> int:
+        """Number of requests recorded so far."""
+        return len(self._log)
+
+    @property
     def processed_requests(self) -> List[Request]:
-        """Requests processed so far, in arrival order (the paper's current ``R``)."""
-        return list(self._processed_requests)
+        """Requests processed so far, in arrival order (the paper's current ``R``).
+
+        Rebuilt from the log; each request's commodity set is the set its
+        assignment serves, which recording checked equals its demand.
+        """
+        return [self._log.request(row) for row in range(len(self._log))]
 
     def assignment_of(self, request_index: int) -> Assignment:
-        return self._assignments[request_index]
+        """The recorded assignment of a request (a new object on every call)."""
+        return self._log.assignment(self._row(request_index))
+
+    def facility_ids_of(self, request_index: int) -> Tuple[int, ...]:
+        """Sorted ids of the distinct facilities a recorded request is connected to."""
+        if request_index == self._last_index:
+            return self._last_facility_ids
+        return tuple(sorted(self.assignment_of(request_index).facility_ids()))
+
+    def _row(self, request_index: int) -> int:
+        """The log row of a recorded request; ``KeyError`` if it has none."""
+        if self._rows is None:
+            if 0 <= request_index < len(self._log):
+                return request_index
+            raise KeyError(request_index)
+        return self._rows[request_index]
 
     # ------------------------------------------------------------------
     # Distance queries (the paper's d(F(e), r) and d(F̂, r))
@@ -111,24 +231,38 @@ class OnlineState:
         return self.open_facility(request, point, self._full_set)
 
     def record_assignment(self, request: Request, assignment: Assignment) -> None:
-        """Finalize the (irrevocable) assignment of ``request``."""
-        if request.index in self._assignments:
-            raise AlgorithmError(f"request {request.index} was assigned twice")
+        """Finalize the (irrevocable) assignment of ``request``.
+
+        The assignment is validated, charged and copied into the log, so
+        later changes to the ``Assignment`` object do not reach the log.
+        """
+        index = request.index
+        log = self._log
+        row = len(log.points)
+        rows = self._rows
+        if rows is None and index != row:
+            # Out of arrival order (rare): index the rows by request from now on.
+            rows = self._rows = dict(zip(log.indices, range(row)))
+        if rows is not None and index in rows:
+            raise AlgorithmError(f"request {index} was assigned twice")
         facilities = self._store.facility_map()
         assignment.validate(request, facilities)
-        self._assignments[request.index] = assignment
-        self._processed_requests.append(request)
         connection = assignment.connection_cost(request, facilities, self._instance.metric)
         self._connection_cost += connection
+        if rows is not None:
+            rows[index] = row
+        log.append(index, request.point, assignment.facility_of_commodity)
+        facility_ids = tuple(sorted(assignment.facility_ids()))
+        self._last_index = index
+        self._last_facility_ids = facility_ids
         if self._trace.enabled:
             self._trace.record(
                 RequestAssignedEvent(
-                    request_index=request.index,
-                    facility_ids=tuple(sorted(assignment.facility_ids())),
+                    request_index=index,
+                    facility_ids=facility_ids,
                     connection_cost=connection,
-                    via_large=assignment.uses_single_facility()
-                    and facilities[next(iter(assignment.facility_ids()))].configuration
-                    == self._full_set,
+                    via_large=len(facility_ids) == 1
+                    and facilities[facility_ids[0]].configuration == self._full_set,
                 )
             )
 
@@ -157,82 +291,308 @@ class OnlineState:
     def current_total_cost(self) -> float:
         return self.current_opening_cost() + self.current_connection_cost()
 
+    def _request_costs(self) -> np.ndarray:
+        """Each logged request's connection cost, recomputed from the log.
+
+        One ``distances_to`` column per used facility, read at the request
+        points: ``distance(p, q) == distances_to(q)[p]`` bit for bit.  A
+        request served by one facility costs ``0.0 + d``; by two, ``0.0 + d1
+        + d2`` in either order (addition is commutative).  By three or more
+        (rare), the order matters: the row's ``Assignment`` is rebuilt from
+        its pairs in ``assign`` order and charged by
+        :meth:`Assignment.connection_cost`, the loop that charged it live,
+        which sums in the order of its facility-id frozenset.
+        """
+        log = self._log
+        num_rows = len(log)
+        if not num_rows:
+            return np.zeros(0, dtype=np.float64)
+        points = np.array(log.points, dtype=np.int64)
+        facilities = np.array(log.facilities, dtype=np.int64)
+        rows = np.repeat(np.arange(num_rows), np.diff(np.array(log.offsets, dtype=np.int64)))
+        distance = np.empty(len(facilities), dtype=np.float64)
+        by_facility = np.argsort(facilities, kind="stable")
+        used, starts = np.unique(facilities[by_facility], return_index=True)
+        stops = np.append(starts[1:], len(facilities))
+        for facility_id, start, stop in zip(used.tolist(), starts.tolist(), stops.tolist()):
+            pairs = by_facility[start:stop]
+            column = self._instance.metric.distances_to(self._store[facility_id].point)
+            distance[pairs] = column[points[rows[pairs]]]
+        # One pair per distinct (request, facility), grouped by request.
+        grouped = np.lexsort((facilities, rows))
+        grouped_rows, grouped_facilities = rows[grouped], facilities[grouped]
+        first = np.ones(len(grouped), dtype=bool)
+        first[1:] = (grouped_rows[1:] != grouped_rows[:-1]) | (
+            grouped_facilities[1:] != grouped_facilities[:-1]
+        )
+        distinct = grouped[first]
+        counts = np.bincount(rows[distinct], minlength=num_rows)
+        heads = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        costs = np.zeros(num_rows, dtype=np.float64)
+        served = counts >= 1
+        costs[served] += distance[distinct[heads[served]]]
+        two = counts == 2
+        costs[two] += distance[distinct[heads[two] + 1]]
+        facility_map = self._store.facility_map()
+        for row in np.flatnonzero(counts >= 3).tolist():
+            costs[row] = log.assignment(row).connection_cost(
+                log.request(row), facility_map, self._instance.metric
+            )
+        return costs
+
+    # ------------------------------------------------------------------
+    # Feasibility
+    # ------------------------------------------------------------------
+    def _unserved(self, facilities: np.ndarray, commodities: np.ndarray) -> np.ndarray:
+        """Mask of pairs whose facility is not open or does not offer the commodity."""
+        offers = np.zeros((len(self._store), self._instance.num_commodities), dtype=bool)
+        for facility in self._store.facilities:
+            offers[facility.id, sorted(facility.configuration)] = True
+        known = (
+            (facilities >= 0)
+            & (facilities < offers.shape[0])
+            & (commodities >= 0)
+            & (commodities < offers.shape[1])
+        )
+        served = np.zeros(len(facilities), dtype=bool)
+        served[known] = offers[facilities[known], commodities[known]]
+        return ~served
+
+    def validate_log(self) -> None:
+        """Raise :class:`InfeasibleSolutionError` unless the log is feasible.
+
+        One vectorized pass: every request sits at a point of the metric,
+        and every logged facility exists and offers the commodity it serves.
+        """
+        log = self._log
+        points = np.array(log.points, dtype=np.int64)
+        outside = np.flatnonzero((points < 0) | (points >= self._instance.num_points))
+        if outside.size:
+            row = int(outside[0])
+            raise InfeasibleSolutionError(
+                f"request {log.indices[row]} is located at unknown point {log.points[row]}"
+            )
+        unserved = np.flatnonzero(
+            self._unserved(
+                np.array(log.facilities, dtype=np.int64),
+                np.array(log.commodities, dtype=np.int64),
+            )
+        )
+        if unserved.size:
+            pair = int(unserved[0])
+            index = log.indices[bisect_right(log.offsets, pair) - 1]
+            facility_id, commodity = log.facilities[pair], log.commodities[pair]
+            if not 0 <= facility_id < len(self._store):
+                raise InfeasibleSolutionError(
+                    f"request {index}: facility {facility_id} does not exist"
+                )
+            raise InfeasibleSolutionError(
+                f"request {index}: facility {facility_id} does not offer commodity {commodity}"
+            )
+
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """JSON-compatible snapshot of facilities, assignments and trace.
 
-        Assignment entries are stored in their original dict insertion order
-        (the order the algorithm called ``assign``), which
-        :meth:`load_state_dict` preserves so that rebuilt frozensets iterate
-        — and hence connection-cost sums accumulate — in exactly the original
-        float order.
+        Per logged request, ``requests`` holds ``[point, sorted commodities]``
+        and ``assignments`` its ``[commodity, facility]`` pairs in the order
+        the algorithm called ``assign``.  :meth:`load_state_dict` keeps that
+        order, so the frozensets summed over iterate — and the connection
+        costs round — exactly as in the original run.
         """
+        log = self._log
+        points = log.points.tolist()
+        offsets = log.offsets.tolist()
+        commodities = log.commodities.tolist()
+        facilities = log.facilities.tolist()
+        requests = []
+        assignments = []
+        for row, point in enumerate(points):
+            start, stop = offsets[row], offsets[row + 1]
+            served = commodities[start:stop]
+            requests.append([point, sorted(served)])
+            assignments.append(list(map(list, zip(served, facilities[start:stop]))))
         return {
             "store": self._store.state_dict(),
-            "requests": [
-                [r.point, sorted(r.commodities)] for r in self._processed_requests
-            ],
-            "assignments": [
-                [
-                    [int(e), int(fid)]
-                    for e, fid in self._assignments[
-                        r.index
-                    ].facility_of_commodity.items()
-                ]
-                for r in self._processed_requests
-            ],
+            "requests": requests,
+            "assignments": assignments,
             "trace": self._trace.state_dict(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Deterministically rebuild the state by replaying its mutation log.
+        """Rebuild the state from a snapshot in one array pass.
 
         Facilities are re-opened in id order (recharging identical opening
-        costs and refolding the accel trackers in the original sequence) and
-        assignments are re-recorded in arrival order (re-accumulating the
-        identical connection-cost sum).  Requires a fresh state; the trace is
-        restored verbatim from the snapshot rather than re-recorded.
+        costs and refolding the accel trackers in the original sequence).
+        The log is parsed into arrays and screened; values that are not JSON
+        integers or lists, and repeated commodities, raise
+        :class:`SnapshotError` naming the row and field, and out-of-range
+        values raise what re-recording the row would.  The connection cost
+        is re-accumulated in arrival order.  Requires a fresh state; the
+        trace is restored verbatim from the snapshot.
         """
-        if self._processed_requests or len(self._store):
+        if len(self._log) or len(self._store):
             raise SnapshotError(
                 "OnlineState.load_state_dict requires a fresh state; this one "
-                f"already processed {len(self._processed_requests)} requests"
+                f"already processed {len(self._log)} requests"
             )
-        requests, assignments = state["requests"], state["assignments"]
+        requests = snapshot_list(
+            snapshot_field(state, "requests", "snapshot state"), "snapshot requests"
+        )
+        assignments = snapshot_list(
+            snapshot_field(state, "assignments", "snapshot state"), "snapshot assignments"
+        )
         if len(requests) != len(assignments):
             raise SnapshotError(
                 f"OnlineState snapshot has {len(requests)} requests but "
                 f"{len(assignments)} assignments"
             )
-        self._store.load_state_dict(state["store"])
-        enabled = self._trace.enabled
-        self._trace.enabled = False
+        self._store.load_state_dict(snapshot_field(state, "store", "snapshot state"))
+        trace = snapshot_field(state, "trace", "snapshot state")
+        columns = _columns(requests, assignments)
+        failing = None if columns is None else self._first_failing_row(*columns)
+        if columns is None or failing is not None:
+            for row in range(failing or 0, len(requests)):
+                self._check_row(row, requests[row], assignments[row])
+            raise SnapshotError(
+                "snapshot log failed the vectorized screen but passed every row check"
+            )
+        points, _, _, pair_counts, pair_commodities, pair_facilities = columns
+        log = self._log
+        log.indices = array("q", range(len(points)))
+        log.points = array("q", points)
+        log.offsets.extend(np.cumsum(pair_counts, dtype=np.int64).tolist())
+        log.commodities = array("q", pair_commodities)
+        log.facilities = array("q", pair_facilities)
+        # A 1-D cumsum adds in order, like the live `+=`; a pairwise sum
+        # would round differently.
+        costs = self._request_costs()
+        if len(costs):
+            self._connection_cost = float(np.cumsum(costs)[-1])
+        self._trace.load_state_dict(trace)
+
+    def _first_failing_row(
+        self,
+        points: List[int],
+        demand_counts: List[int],
+        demanded: List[int],
+        pair_counts: List[int],
+        pair_commodities: List[int],
+        pair_facilities: List[int],
+    ) -> Optional[int]:
+        """The first row the object-level checks would reject, or ``None``."""
         try:
-            for index, ((point, commodities), items) in enumerate(
-                zip(requests, assignments)
-            ):
-                request = Request(
-                    index=index,
-                    point=int(point),
-                    commodities=frozenset(int(e) for e in commodities),
-                )
-                self._instance.validate_request(request)
-                assignment = Assignment(request_index=index)
-                for commodity, facility_id in items:
-                    assignment.assign(int(commodity), int(facility_id))
-                self.record_assignment(request, assignment)
-        finally:
-            self._trace.enabled = enabled
-        self._trace.load_state_dict(state["trace"])
+            point = np.array(points, dtype=np.int64)
+            demand = np.array(demanded, dtype=np.int64)
+            commodity = np.array(pair_commodities, dtype=np.int64)
+            facility = np.array(pair_facilities, dtype=np.int64)
+        except OverflowError:
+            return 0
+        num_rows = len(points)
+        num_commodities = self._instance.num_commodities
+        demand_count = np.array(demand_counts, dtype=np.int64)
+        pair_count = np.array(pair_counts, dtype=np.int64)
+        demand_rows = np.repeat(np.arange(num_rows), demand_count)
+        pair_rows = np.repeat(np.arange(num_rows), pair_count)
+        bad = (
+            (point < 0)
+            | (point >= self._instance.num_points)
+            | (demand_count == 0)
+            | (demand_count != pair_count)
+        )
+        demand_known = (demand >= 0) & (demand < num_commodities)
+        bad[demand_rows[~demand_known]] = True
+        bad[_repeated_rows(demand_rows, demand)] = True
+        bad[_repeated_rows(pair_rows, commodity)] = True
+        # With no repeats and equal counts, the served set equals the
+        # demanded set when every served commodity is demanded.
+        demanded_keys = (demand_rows * num_commodities + demand)[demand_known]
+        served_keys = pair_rows * num_commodities + commodity
+        bad[pair_rows[~np.isin(served_keys, demanded_keys)]] = True
+        bad[pair_rows[self._unserved(facility, commodity)]] = True
+        failing = np.flatnonzero(bad)
+        return int(failing[0]) if failing.size else None
+
+    def _check_row(self, row: int, entry: Any, items: Any) -> None:
+        """The checks re-recording one snapshot row runs, on objects; raises if it is bad."""
+        where = f"snapshot requests[{row}]"
+        point, demand = snapshot_list(entry, where, 2)
+        request = Request(
+            index=row,
+            point=snapshot_int(point, f"{where} point"),
+            commodities=frozenset(snapshot_commodities(demand, f"{where} commodities")),
+        )
+        self._instance.validate_request(request)
+        where = f"snapshot assignments[{row}]"
+        assignment = Assignment(request_index=row)
+        for position, pair in enumerate(snapshot_list(items, where)):
+            commodity, facility_id = snapshot_list(pair, f"{where}[{position}]", 2)
+            commodity = snapshot_int(commodity, f"{where}[{position}] commodity")
+            if commodity in assignment.facility_of_commodity:
+                raise SnapshotError(f"{where} repeats commodity {commodity}")
+            assignment.assign(
+                commodity, snapshot_int(facility_id, f"{where}[{position}] facility id")
+            )
+        assignment.validate(request, self._store.facility_map())
 
     # ------------------------------------------------------------------
     def to_solution(self) -> Solution:
-        """Freeze the state into an immutable solution."""
+        """Freeze the state into an immutable solution.
+
+        Its assignments are the requests recorded so far, built as objects
+        only when the solution is asked for them.
+        """
         return Solution(
             self._instance.metric,
             self._instance.num_commodities,
             self._store.facilities,
-            self._assignments.values(),
+            _LoggedAssignments(self._log, len(self._log)),
         )
+
+
+def _is_all(values: Iterable[Any], kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _columns(
+    requests: List[Any], assignments: List[Any]
+) -> Optional[Tuple[List[int], List[int], List[int], List[int], List[int], List[int]]]:
+    """The snapshot log as flat columns, or ``None`` if any value has the wrong JSON type.
+
+    ``(points, demand counts, demanded commodities, pair counts, pair
+    commodities, pair facilities)``, each flat list in row order.
+    """
+    if not (_is_all(requests, list) and set(map(len, requests)) <= {2}):
+        return None
+    points = list(map(itemgetter(0), requests))
+    demands = list(map(itemgetter(1), requests))
+    if not (_is_all(points, int) and _is_all(demands, list)):
+        return None
+    demanded = list(chain.from_iterable(demands))
+    if not (_is_all(demanded, int) and _is_all(assignments, list)):
+        return None
+    pairs = list(chain.from_iterable(assignments))
+    if not (_is_all(pairs, list) and set(map(len, pairs)) <= {2}):
+        return None
+    pair_commodities = list(map(itemgetter(0), pairs))
+    pair_facilities = list(map(itemgetter(1), pairs))
+    if not (_is_all(pair_commodities, int) and _is_all(pair_facilities, int)):
+        return None
+    return (
+        points,
+        list(map(len, demands)),
+        demanded,
+        list(map(len, assignments)),
+        pair_commodities,
+        pair_facilities,
+    )
+
+
+def _repeated_rows(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows (with repeats) in which some value occurs twice."""
+    order = np.lexsort((values, rows))
+    rows, values = rows[order], values[order]
+    twice = (rows[1:] == rows[:-1]) & (values[1:] == values[:-1])
+    return rows[1:][twice]

@@ -12,13 +12,17 @@ run **bit-identically** in a fresh process —
 * the exact NumPy bit-generator state (initial and current), and
 * session metadata (seed, validation flag, instance name).
 
-What is deliberately *not* stored: opening costs and accel caches
-(:class:`~repro.accel.tracker.NearestSetTracker`,
+What is deliberately *not* stored: opening and connection costs and accel
+caches (:class:`~repro.accel.tracker.NearestSetTracker`,
 :class:`~repro.accel.classes.ClassDistanceIndex`,
 :class:`~repro.accel.history.BidHistoryBuffer` rows).  They are deterministic
 folds/functions of static instance data and the stored mutation log, so
-restore rebuilds them bit-for-bit by replay — which also keeps snapshots
-small: O(requests + facilities) instead of O(requests x points).
+restore rebuilds them bit-for-bit — which also keeps snapshots small:
+O(requests + facilities) instead of O(requests x points).  Facilities are
+replayed one ``open`` at a time; the request log is rebuilt in one array
+pass, its connection costs re-summed in arrival order.  A log value that is
+not a JSON integer or list, or a repeated commodity, raises
+:class:`~repro.exceptions.SnapshotError` naming the row and the field.
 
 Snapshots serialize to *strict* JSON (``inf`` distances are string-encoded,
 see :mod:`repro.utils.encoding`; NaN is refused) and carry a format name plus

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, List, Mapping, Optional
+
+from repro.exceptions import SnapshotError
 
 __all__ = [
     "check_nonnegative",
@@ -11,6 +13,10 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_finite",
+    "snapshot_field",
+    "snapshot_list",
+    "snapshot_int",
+    "snapshot_commodities",
 ]
 
 
@@ -66,3 +72,43 @@ def check_in_range(
         if not high_inclusive and value >= high:
             raise ValueError(f"{name} must be < {high}, got {value}")
     return float(value)
+
+
+# ----------------------------------------------------------------------
+# Snapshot fields: decoded JSON, checked before anything is rebuilt from it.
+# ``where`` names the position and the field in the error message.
+# ----------------------------------------------------------------------
+def snapshot_field(mapping: Any, key: str, where: str) -> Any:
+    """``mapping[key]``; a :class:`SnapshotError` unless it is an object with ``key``."""
+    if not isinstance(mapping, Mapping):
+        raise SnapshotError(f"{where} must be a JSON object, got {type(mapping).__name__}")
+    if key not in mapping:
+        raise SnapshotError(f"{where} has no {key!r} field")
+    return mapping[key]
+
+
+def snapshot_list(value: Any, where: str, length: Optional[int] = None) -> List[Any]:
+    """``value`` if it is a JSON list (of ``length`` items, when given)."""
+    if type(value) is not list:
+        raise SnapshotError(f"{where} must be a JSON list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise SnapshotError(f"{where} must have {length} items, got {len(value)}")
+    return value
+
+
+def snapshot_int(value: Any, where: str) -> int:
+    """``value`` if it is a JSON integer; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise SnapshotError(f"{where} must be a JSON integer, got {value!r}")
+    return value
+
+
+def snapshot_commodities(value: Any, where: str) -> List[int]:
+    """A JSON list of distinct integers (a commodity set)."""
+    commodities = snapshot_list(value, where)
+    for position, commodity in enumerate(commodities):
+        snapshot_int(commodity, f"{where}[{position}]")
+    if len(set(commodities)) != len(commodities):
+        repeated = next(e for i, e in enumerate(commodities) if e in commodities[:i])
+        raise SnapshotError(f"{where} repeats commodity {repeated}")
+    return commodities

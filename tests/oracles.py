@@ -33,18 +33,29 @@ not know this module: the reference classes override private hooks of the
 production ones, and :func:`reference_scans` patches the module globals
 production constructs its facility store, single-commodity helpers, the
 local search's greedy start and the offline assignments from.
-The oracle has no snapshot support.
+The reference scans have no snapshot support.
 
-``tests/test_accel_equivalence.py`` and ``tests/test_offline_equivalence.py``
-run production against it with exact ``==``;
-``benchmarks/bench_algorithm_kernels.py`` times both.
+:class:`~repro.core.state.OnlineState` logs recorded assignments as flat
+arrays, finalizes from its running totals and restores a snapshot in one
+array pass.  Its oracle is the object log those replaced:
+
+* :class:`ObjectLogState` — the log as ``Request`` and ``Assignment``
+  objects, a snapshot replay that re-records every request, and connection
+  costs from :func:`reference_connection_cost`, the plain loop over the
+  facility-id frozenset; :func:`object_log` makes new sessions use it;
+* :func:`reference_finalize` — the finalize that validates every request's
+  assignment and recomputes every cost from the frozen solution.
+
+``tests/test_accel_equivalence.py``, ``tests/test_offline_equivalence.py``
+and ``tests/test_state_log_equivalence.py`` run production against it with
+exact ``==``; ``benchmarks/bench_algorithm_kernels.py`` times the scans.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +64,7 @@ import repro.algorithms.offline.local_search as local_search
 import repro.algorithms.online.fotakis_ofl as fotakis_ofl
 import repro.algorithms.online.meyerson_ofl as meyerson_ofl
 import repro.algorithms.online.per_commodity as per_commodity
+import repro.api.session as session_module
 import repro.core.state as state_module
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
 from repro.algorithms.offline.common import candidate_configurations
@@ -65,8 +77,11 @@ from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.core.assignment import Assignment
 from repro.core.facility import Facility, FacilityStore
 from repro.core.instance import Instance
-from repro.core.requests import Request
-from repro.exceptions import AlgorithmError, InfeasibleSolutionError
+from repro.core.requests import Request, RequestSequence
+from repro.core.solution import CostBreakdown, Solution
+from repro.core.state import OnlineState
+from repro.core.trace import RequestAssignedEvent
+from repro.exceptions import AlgorithmError, InfeasibleSolutionError, SnapshotError
 from repro.metric.base import MetricSpace
 
 
@@ -421,6 +436,165 @@ def reference_optimal_assignment(
             )
         assignment.assign(commodity, best_facility.id)
     return assignment, float(dp[full_mask])
+
+
+# ---------------------------------------------------------------------------
+# The object request log and the recomputing finalize
+# ---------------------------------------------------------------------------
+def reference_connection_cost(
+    assignment: Assignment, request: Request, facilities: Mapping[int, Facility], metric: MetricSpace
+) -> float:
+    """:meth:`Assignment.connection_cost` as a plain loop over the frozenset."""
+    total = 0.0
+    for facility_id in assignment.facility_ids():
+        facility = facilities[facility_id]
+        total += metric.distance(request.point, facility.point)
+    return total
+
+
+class ObjectLogState(OnlineState):
+    """An online state keeping its log as ``Request`` and ``Assignment`` objects."""
+
+    def __init__(self, instance: Instance, *, trace=None) -> None:
+        super().__init__(instance, trace=trace)
+        self._assignments: Dict[int, Assignment] = {}
+        self._processed_requests: List[Request] = []
+
+    @property
+    def num_recorded(self) -> int:
+        return len(self._processed_requests)
+
+    @property
+    def processed_requests(self) -> List[Request]:
+        return list(self._processed_requests)
+
+    def assignment_of(self, request_index: int) -> Assignment:
+        return self._assignments[request_index]
+
+    def facility_ids_of(self, request_index: int) -> Tuple[int, ...]:
+        return tuple(sorted(self._assignments[request_index].facility_ids()))
+
+    def record_assignment(self, request: Request, assignment: Assignment) -> None:
+        if request.index in self._assignments:
+            raise AlgorithmError(f"request {request.index} was assigned twice")
+        facilities = self._store.facility_map()
+        assignment.validate(request, facilities)
+        self._assignments[request.index] = assignment
+        self._processed_requests.append(request)
+        connection = reference_connection_cost(
+            assignment, request, facilities, self._instance.metric
+        )
+        self._connection_cost += connection
+        if self._trace.enabled:
+            self._trace.record(
+                RequestAssignedEvent(
+                    request_index=request.index,
+                    facility_ids=tuple(sorted(assignment.facility_ids())),
+                    connection_cost=connection,
+                    via_large=assignment.uses_single_facility()
+                    and facilities[next(iter(assignment.facility_ids()))].configuration
+                    == self._full_set,
+                )
+            )
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            "store": self._store.state_dict(),
+            "requests": [
+                [r.point, sorted(r.commodities)] for r in self._processed_requests
+            ],
+            "assignments": [
+                [
+                    [int(e), int(fid)]
+                    for e, fid in self._assignments[
+                        r.index
+                    ].facility_of_commodity.items()
+                ]
+                for r in self._processed_requests
+            ],
+            "trace": self._trace.state_dict(),
+        }
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Replay the snapshot by re-recording every request."""
+        if self._processed_requests or len(self._store):
+            raise SnapshotError(
+                "OnlineState.load_state_dict requires a fresh state; this one "
+                f"already processed {len(self._processed_requests)} requests"
+            )
+        requests, assignments = state["requests"], state["assignments"]
+        if len(requests) != len(assignments):
+            raise SnapshotError(
+                f"OnlineState snapshot has {len(requests)} requests but "
+                f"{len(assignments)} assignments"
+            )
+        self._store.load_state_dict(state["store"])
+        enabled = self._trace.enabled
+        self._trace.enabled = False
+        try:
+            for index, ((point, commodities), items) in enumerate(
+                zip(requests, assignments)
+            ):
+                request = Request(
+                    index=index,
+                    point=int(point),
+                    commodities=frozenset(int(e) for e in commodities),
+                )
+                self._instance.validate_request(request)
+                assignment = Assignment(request_index=index)
+                for commodity, facility_id in items:
+                    assignment.assign(int(commodity), int(facility_id))
+                self.record_assignment(request, assignment)
+        finally:
+            self._trace.enabled = enabled
+        self._trace.load_state_dict(state["trace"])
+
+    def to_solution(self) -> Solution:
+        return Solution(
+            self._instance.metric,
+            self._instance.num_commodities,
+            self._store.facilities,
+            self._assignments.values(),
+        )
+
+
+def reference_finalize(state: OnlineState, *, validate: bool = True) -> CostBreakdown:
+    """The cost breakdown recomputed from the frozen solution, request by request.
+
+    With ``validate``, every request's assignment is validated first
+    (:meth:`Solution.validate`).
+    """
+    requests = RequestSequence(state.processed_requests)
+    solution = state.to_solution()
+    if validate:
+        solution.validate(requests)
+    facilities = {f.id: f for f in solution.facilities}
+    full = frozenset(range(state.instance.num_commodities))
+    opening_small = sum(
+        f.opening_cost for f in facilities.values() if f.configuration != full
+    )
+    opening_large = sum(
+        f.opening_cost for f in facilities.values() if f.configuration == full
+    )
+    connection = 0.0
+    for request in requests:
+        connection += reference_connection_cost(
+            solution.assignment_for(request.index), request, facilities, state.instance.metric
+        )
+    return CostBreakdown(
+        opening_small=opening_small, opening_large=opening_large, connection=connection
+    )
+
+
+@contextlib.contextmanager
+def object_log() -> Iterator[None]:
+    """Within the block, new sessions keep their log in an :class:`ObjectLogState`."""
+    original = session_module.OnlineState
+    session_module.OnlineState = ObjectLogState
+    try:
+        yield
+    finally:
+        session_module.OnlineState = original
 
 
 # ---------------------------------------------------------------------------

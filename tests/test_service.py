@@ -264,6 +264,29 @@ def test_protocol_reports_damaged_snapshot_file_as_snapshot_error(tmp_path, dama
         assert str(path) in response["error"]
 
 
+def test_protocol_reports_damaged_request_log_as_snapshot_error(tmp_path):
+    """An eviction file whose request log holds a non-integer point is
+    refused on reload, not restored at the truncated point."""
+    protocol = ServiceProtocol(SessionManager(snapshot_dir=tmp_path, max_live_sessions=1))
+    line = json.dumps({"op": "create", "name": "a", "spec": _explicit_spec()})
+    assert json.loads(protocol.handle_line(line))["ok"]
+    for point, commodities in STREAM_A[:2]:
+        line = json.dumps({"op": "submit", "name": "a", "point": point, "commodities": commodities})
+        assert json.loads(protocol.handle_line(line))["ok"]
+    line = json.dumps({"op": "create", "name": "b", "spec": _explicit_spec()})
+    assert json.loads(protocol.handle_line(line))["ok"]
+    path = tmp_path / "a.session.json"  # creating "b" evicted "a"
+    data = json.loads(path.read_text())
+    data["state"]["requests"][0][0] = 1.5
+    path.write_text(json.dumps(data))
+
+    line = json.dumps({"op": "submit", "name": "a", "point": 1, "commodities": [0]})
+    response = json.loads(protocol.handle_line(line))
+    assert response["ok"] is False
+    assert response["error_type"] == "SnapshotError"
+    assert "requests[0] point must be a JSON integer, got 1.5" in response["error"]
+
+
 def test_protocol_registry_typo_gets_suggestion():
     protocol = ServiceProtocol(SessionManager())
     response = protocol.handle(

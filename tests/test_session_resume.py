@@ -42,7 +42,7 @@ from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost
-from repro.exceptions import SnapshotError
+from repro.exceptions import InfeasibleSolutionError, InvalidInstanceError, SnapshotError
 from repro.metric.factories import random_euclidean_metric, random_line_metric
 from repro.metric.grid import GridMetric
 from repro.service.snapshot import SessionSnapshot
@@ -433,6 +433,87 @@ def test_restore_rejects_truncated_assignment_log():
     data = session.snapshot().to_dict()
     data["state"]["assignments"] = data["state"]["assignments"][:2]
     with pytest.raises(SnapshotError, match="3 requests but 2 assignments"):
+        OnlineSession.restore(
+            data,
+            algorithm=PDOMFLPAlgorithm(),
+            metric=instance.metric,
+            cost=instance.cost_function,
+            commodities=instance.commodities,
+        )
+
+
+def _put(*path_and_value):
+    """A damage setting the snapshot state entry at ``path`` to ``value``."""
+    *path, value = path_and_value
+
+    def damage(state):
+        target = state
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return damage
+
+
+#: (damage, error type, message) against the state after 3 grid-l1 requests:
+#: store facilities [[13, S], [19, S], [21, S]] (S = all four commodities),
+#: requests [[19, [1, 3]], [24, [2, 3]], [21, [1, 2, 3]]], and each request
+#: served by the facility of its own index.
+DAMAGED_STATES = [
+    # Values the replay used to coerce with int() or silently de-duplicate.
+    pytest.param(_put("requests", 0, 0, 1.5), SnapshotError,
+                 r"requests\[0\] point must be a JSON integer, got 1\.5", id="point-float"),
+    pytest.param(_put("requests", 0, 0, True), SnapshotError,
+                 r"requests\[0\] point must be a JSON integer, got True", id="point-bool"),
+    pytest.param(_put("requests", 0, 0, "19"), SnapshotError,
+                 r"requests\[0\] point must be a JSON integer, got '19'", id="point-string"),
+    pytest.param(_put("assignments", 0, 0, 1, 0.9), SnapshotError,
+                 r"assignments\[0\]\[0\] facility id must be a JSON integer, got 0\.9",
+                 id="facility-id-float"),
+    pytest.param(_put("store", "facilities", 0, 0, 13.5), SnapshotError,
+                 r"store facilities\[0\] point must be a JSON integer, got 13\.5",
+                 id="facility-point-float"),
+    pytest.param(_put("assignments", 0, [[1, 0], [3, 0], [1, 0]]), SnapshotError,
+                 r"assignments\[0\] repeats commodity 1", id="assignment-repeats-commodity"),
+    pytest.param(_put("requests", 0, 1, [1, 3, 3]), SnapshotError,
+                 r"requests\[0\] commodities repeats commodity 3", id="request-repeats-commodity"),
+    pytest.param(lambda state: state.pop("store"), SnapshotError,
+                 r"snapshot state has no 'store' field", id="no-store"),
+    pytest.param(_put("requests", 3), SnapshotError,
+                 r"snapshot requests must be a JSON list, got int", id="requests-not-a-list"),
+    # Out-of-range values keep the errors re-recording the row raised.
+    pytest.param(_put("requests", 1, 0, 25), InvalidInstanceError,
+                 r"^request 1 is located at unknown point 25$", id="point-out-of-range"),
+    pytest.param(_put("requests", 1, 1, [2, 7]), InvalidInstanceError,
+                 r"^commodity 7 out of range \[0, 4\)$", id="commodity-out-of-range"),
+    pytest.param(_put("assignments", 2, 1, 1, 5), InfeasibleSolutionError,
+                 r"^request 2: facility 5 does not exist$", id="unknown-facility"),
+    pytest.param(_put("store", "facilities", 0, 0, 99), InvalidInstanceError,
+                 r"^facility point 99 out of range \[0, 25\)$", id="facility-point-out-of-range"),
+    pytest.param(_put("store", "facilities", 1, 1, [0]), InfeasibleSolutionError,
+                 r"^request 1: facility 1 does not offer commodity 2$", id="not-offered"),
+    pytest.param(_put("assignments", 1, [[2, 1]]), InfeasibleSolutionError,
+                 r"^request 1: commodities \[3\] are not served$", id="not-served"),
+    pytest.param(lambda state: (_put("assignments", 2, 1, 1, 5)(state),
+                                _put("requests", 1, 0, 25)(state)),
+                 InvalidInstanceError, r"^request 1 is located", id="first-bad-row-wins"),
+]
+
+
+@pytest.mark.parametrize("damage,error,message", DAMAGED_STATES)
+def test_restore_rejects_damaged_request_log(damage, error, message):
+    """A damaged log is refused with an error naming the row and field,
+    never restored with coerced or de-duplicated values."""
+    session, instance = _session_for("pd-omflp", "grid-l1", 0)
+    for request in instance.requests[:3]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    assert data["state"]["store"]["facilities"] == [
+        [13, [0, 1, 2, 3]], [19, [0, 1, 2, 3]], [21, [0, 1, 2, 3]]
+    ]
+    assert data["state"]["requests"] == [[19, [1, 3]], [24, [2, 3]], [21, [1, 2, 3]]]
+    damage(data["state"])
+    with pytest.raises(error, match=message):
         OnlineSession.restore(
             data,
             algorithm=PDOMFLPAlgorithm(),

@@ -1,5 +1,7 @@
 """Tests for OnlineState and execution traces."""
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.trace import (
     RequestAssignedEvent,
 )
 from repro.exceptions import AlgorithmError
+from repro.scenarios import ScenarioSession
 from repro.workloads import uniform_workload
 
 
@@ -82,6 +85,35 @@ class TestOnlineState:
         request = small_instance.requests[0]
         state.open_large_facility(request, 0)
         assert len(state.trace) == 0
+
+    def test_log_memory_per_request_is_bounded(self):
+        """A streamed session retains a fixed, small number of bytes per
+        request: the log is arrays (~50 bytes per single-commodity request),
+        not Request and Assignment objects (~760)."""
+        session = ScenarioSession(
+            {
+                "algorithm": "meyerson-ofl",
+                "scenario": {
+                    "kind": "uniform",
+                    "num_commodities": 1,
+                    "num_points": 1024,
+                    "num_requests": 25000,
+                },
+                "seed": 0,
+            }
+        )
+        tracemalloc.start()
+        try:
+            retained = []
+            for served in (5000, 25000):
+                while session.position < served:
+                    session.step()
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        per_request = (retained[1] - retained[0]) / 20000
+        assert per_request < 200, f"{per_request:.0f} bytes retained per request"
 
 
 class TestTraceEvents:
