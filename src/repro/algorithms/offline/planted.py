@@ -1,11 +1,12 @@
 """Evaluate a planted facility set.
 
-The clustered workload generator (:mod:`repro.workloads.clustered`) draws
-requests around a known set of "optimal centers" (the paper's term in the
-RAND-OMFLP analysis, Section 4.2) and reports the facilities a clairvoyant
-provider would open.  Evaluating that planted facility set — with optimal
-assignments — yields a natural upper bound on OPT that is tight enough for
-the scaling experiments while remaining cheap to compute at any size.
+The clustered generator (the ``clustered`` scenario, or eagerly
+:func:`~repro.workloads.clustered.clustered_workload`) draws requests around a
+known set of "optimal centers" (the paper's term in the RAND-OMFLP analysis,
+Section 4.2) and reports the facilities a clairvoyant provider would open.
+Evaluating that planted facility set — with optimal assignments — yields a
+natural upper bound on OPT that is tight enough for the scaling experiments
+while remaining cheap to compute at any size.
 """
 
 from __future__ import annotations

@@ -92,9 +92,12 @@ COSTS.add("per-point-scaled", PerPointScaledCost)
 # ----------------------------------------------------------------------
 # Workload generators (each returns a GeneratedWorkload)
 # ----------------------------------------------------------------------
-# Strict parameters: a typo'd keyword in a declarative workload spec raises
-# ReproError naming the offending key (instead of a generator-internal
-# TypeError); the scenario registry (repro.scenarios) does the same.
+# Each is the eager form of the scenario of the same kind: it draws the
+# environment and then the requests from the one generator the spec passes
+# as ``rng``, which then goes on to the run.  Strict parameters: a typo'd
+# keyword in a declarative workload spec raises ReproError naming the
+# offending key (instead of a generator-internal TypeError); the scenario
+# registry (repro.scenarios) does the same.
 WORKLOADS = Registry("workload", strict_params=True)
 WORKLOADS.add("uniform", uniform_workload)
 WORKLOADS.add("clustered", clustered_workload)

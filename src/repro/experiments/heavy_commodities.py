@@ -37,13 +37,10 @@ from repro.analysis.competitive import reference_cost
 from repro.analysis.runner import ExperimentResult
 from repro.costs.general import WeightedConcaveCost
 from repro.costs.heavy import detect_heavy_commodities, heavy_aware_pd
-from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
 from repro.engine import ExperimentPlan, ResultStore, engine_task, run_plan
-from repro.metric.factories import random_euclidean_metric
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState
 from repro.workloads.base import GeneratedWorkload
+from repro.workloads.uniform import uniform_workload
 
 __all__ = ["run", "build_plan", "EXPERIMENT_ID"]
 
@@ -59,26 +56,18 @@ def _skewed_workload(
     seed: int,
 ) -> GeneratedWorkload:
     """Uniform requests under a weighted-concave cost with one heavy commodity."""
-    generator = ensure_rng(seed)
-    metric = random_euclidean_metric(num_points, rng=generator)
     weights = np.ones(num_commodities)
     weights[-1] = heavy_weight  # the last commodity is the heavy one
-    cost = WeightedConcaveCost(weights, name=f"skew={heavy_weight:g}")
-    universe = CommodityUniverse(num_commodities)
-    requests: List[Request] = []
-    for index in range(num_requests):
-        point = int(generator.integers(0, num_points))
-        size = int(generator.integers(1, min(num_commodities, 4) + 1))
-        demand = universe.sample_subset(size, rng=generator)
-        requests.append(Request(index=index, point=point, commodities=demand))
-    instance = Instance(
-        metric,
-        cost,
-        RequestSequence(requests),
-        commodities=universe,
-        name=f"heavy(w={heavy_weight:g},n={num_requests})",
+    workload = uniform_workload(
+        num_requests=num_requests,
+        num_commodities=num_commodities,
+        num_points=num_points,
+        cost_function=WeightedConcaveCost(weights, name=f"skew={heavy_weight:g}"),
+        rng=seed,
     )
-    return GeneratedWorkload(instance=instance, metadata={"heavy_weight": heavy_weight})
+    workload.instance.name = f"heavy(w={heavy_weight:g},n={num_requests})"
+    workload.metadata = {"heavy_weight": heavy_weight}
+    return workload
 
 
 @engine_task("heavy-commodities/workload")

@@ -8,7 +8,8 @@ the contracts).  Importing this package registers every stock kind on
 
 ==================  =========================================================
 primitive           ``uniform``, ``clustered``, ``zipf``, ``service-network``
-                    (streaming-native ports of the eager workloads),
+                    (the only generators of these families; the eager
+                    ``repro.workloads`` builders draw from them),
                     ``burst``, ``drift``
 adversarial         ``single-point`` (Theorem 2), ``fotakis-line``
                     (Corollary 3 stress family), ``adaptive`` (feedback)

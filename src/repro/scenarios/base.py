@@ -60,8 +60,6 @@ import numpy as np
 
 from repro.api.registry import Registry
 from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import RequestSequence
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import ScenarioError
 from repro.metric.base import MetricSpace
@@ -204,8 +202,9 @@ class ScenarioEnvironment:
     This is exactly what the paper's online model reveals in advance (Section
     1.1): the metric space, the facility cost function and the commodity
     universe — never the requests.  ``planted_specs`` optionally carries the
-    generator's known-good offline facilities (same convention as
-    :class:`~repro.workloads.base.GeneratedWorkload`).
+    generator's known-good offline facilities; :meth:`Scenario.realize` and
+    the eager workloads hand them on as
+    :attr:`~repro.workloads.base.GeneratedWorkload.planted_specs`.
     """
 
     metric: MetricSpace
@@ -449,13 +448,14 @@ class Scenario:
     ) -> "GeneratedWorkload":
         """Materialize the scenario eagerly (bit-identical to streaming it).
 
-        Drains a fresh :meth:`open` stream into a
+        Drains a fresh :meth:`open` stream, with its split child seeds, into a
         :class:`~repro.workloads.base.GeneratedWorkload`; unbounded scenarios
-        need an explicit ``limit``.
+        need an explicit ``limit``.  The eager ``repro.workloads`` builders
+        take the same last step, but draw the environment and the requests
+        from the caller's one generator.
         """
         from repro.workloads.base import GeneratedWorkload
 
-        stream = self.open(seed)
         target = limit if limit is not None else self.length
         if target is None:
             raise ScenarioError(
@@ -464,21 +464,8 @@ class Scenario:
             )
         if target < 1:
             raise ScenarioError(f"realize() limit must be positive, got {target}")
-        items = stream.take(int(target))
-        if not items:
-            raise ScenarioError(f"scenario {self.kind!r} emitted no requests")
-        env = stream.environment
-        instance = Instance(
-            env.metric,
-            env.cost,
-            RequestSequence.from_tuples(items),
-            commodities=env.commodities,
-            name=env.name,
-        )
-        return GeneratedWorkload(
-            instance=instance,
-            planted_specs=env.planted_specs,
-            metadata={"scenario": self.kind, "streamed": False},
+        return GeneratedWorkload.from_stream(
+            self.open(seed), int(target), {"scenario": self.kind, "streamed": False}
         )
 
     def describe(self) -> Dict[str, Any]:

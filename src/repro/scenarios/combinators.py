@@ -52,6 +52,7 @@ from repro.scenarios.base import (
     scenario_from_dict,
 )
 from repro.utils.rng import RandomState, ensure_rng, spawn_child_seeds
+from repro.workloads.orders import sparse_first_order
 
 __all__ = [
     "MixtureScenario",
@@ -444,10 +445,11 @@ class PermuteScenario(_BufferedTransformScenario):
 class ArrivalOrderScenario(_BufferedTransformScenario):
     """Deterministic arrival-order transforms of a finite child scenario.
 
-    ``order`` mirrors :mod:`repro.workloads.orders`: ``"sparse-first"`` is
-    the heuristic adversarial order (small demands first, far-from-modal
-    points first), ``"dense-first"`` its inverse, ``"reversed"`` flips the
-    child, ``"random"`` is a uniformly random permutation.
+    ``"sparse-first"`` is the heuristic adversarial order of
+    :func:`repro.workloads.orders.adversarial_order` (small demands first,
+    far-from-modal points first), ``"dense-first"`` its reverse,
+    ``"reversed"`` flips the child, ``"random"`` is a uniformly random
+    permutation.
     """
 
     ORDERS = ("sparse-first", "dense-first", "reversed", "random")
@@ -467,17 +469,9 @@ class ArrivalOrderScenario(_BufferedTransformScenario):
         elif self.order == "reversed":
             order = list(range(len(buffer) - 1, -1, -1))
         else:
-            # Distance of each request from the modal request location, as in
-            # repro.workloads.orders.adversarial_order.
-            points = np.asarray([point for point, _ in buffer], dtype=np.intp)
-            counts = np.bincount(points, minlength=environment.num_points)
-            modal = int(np.argmax(counts))
-            row = environment.metric.distances_from(modal)
-            keys = []
-            for index, (point, commodities) in enumerate(buffer):
-                keys.append((len(commodities), -float(row[point]), index))
-            ordered = sorted(keys, reverse=(self.order == "dense-first"))
-            order = [index for _, _, index in ordered]
+            order = sparse_first_order(environment.metric, buffer)
+            if self.order == "dense-first":
+                order.reverse()
         return _BufferedStream(self, environment, rng, [buffer[int(i)] for i in order])
 
 

@@ -1,12 +1,15 @@
 """Primitive streaming scenario generators.
 
-The four legacy workload families (``uniform``, ``clustered``, ``zipf``,
-``service-network``) are re-expressed here as *streaming-native* scenarios:
-the environment (metric, cost, cluster geometry, service profiles) is built
-up front from the environment child seed, and requests are then drawn one at
-a time — a 10^6-request run never materializes a request array.  Each mirrors
-the parameter surface of its eager counterpart in :mod:`repro.workloads`, so
-the old workload spec dicts double as scenario specs.
+The four workload families (``uniform``, ``clustered``, ``zipf``,
+``service-network``) are generated here and nowhere else: the environment
+(metric, cost, cluster geometry, service profiles) is built up front from the
+environment child seed, and requests are then drawn one at a time — a
+10^6-request run never materializes a request array.  The eager builders of
+:mod:`repro.workloads` are thin adapters over these classes that draw the
+environment and then the requests from the caller's one generator.  Their
+keywords are these scenarios' keywords (less ``extra_service_probability``)
+plus ``rng`` and, for ``uniform`` and ``clustered``, ``cost_function``; so
+workload spec dicts double as scenario specs.
 
 Two new arrival processes exercise regimes the eager generators cannot:
 

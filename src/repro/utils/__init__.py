@@ -12,13 +12,11 @@ Contents
 ``repro.utils.maths``
     Small numeric helpers used throughout the paper's analysis: harmonic
     numbers, ``log n / log log n``, power-of-two rounding, positive part.
-``repro.utils.timing``
-    Lightweight wall-clock timers and a counting profiler used by the
-    experiment harness.
 ``repro.utils.validation``
     Argument-validation helpers with consistent error messages.
-``repro.utils.logging``
-    Library logger configuration.
+``repro.utils.encoding``
+    Strict-JSON-safe encoding of non-finite floats (``inf``, ``nan``) for
+    snapshot state.
 """
 
 from repro.utils.maths import (
@@ -30,7 +28,6 @@ from repro.utils.maths import (
     safe_log,
 )
 from repro.utils.rng import child_rngs, ensure_rng, spawn_child_seeds, spawn_seeds
-from repro.utils.timing import Stopwatch, TimingRecord
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
@@ -49,8 +46,6 @@ __all__ = [
     "child_rngs",
     "spawn_child_seeds",
     "spawn_seeds",
-    "Stopwatch",
-    "TimingRecord",
     "check_nonnegative",
     "check_positive",
     "check_probability",

@@ -1,8 +1,11 @@
-"""Synthetic workload generators.
+"""Synthetic workloads, drawn eagerly from one generator.
 
 The paper has no experimental section, so the reproduction evaluates the
 algorithms on synthetic instance families chosen to exercise the regimes the
-theory distinguishes:
+theory distinguishes.  Each family is generated only by its scenario class in
+:mod:`repro.scenarios.generators`; the builders here are thin adapters that
+draw the environment and then the requests from the caller's one generator
+(:func:`~repro.workloads.base.draw_workload`):
 
 * :mod:`repro.workloads.uniform` — requests at uniformly random points with
   uniformly random demand sets (the unstructured baseline workload);

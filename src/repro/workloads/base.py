@@ -1,14 +1,21 @@
-"""Common container for generated workloads."""
+"""Common container for generated workloads, and the eager draw of a scenario."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algorithms.offline.planted import PlantedSolver
 from repro.core.instance import Instance
+from repro.core.requests import RequestSequence
+from repro.costs.base import FacilityCostFunction
+from repro.exceptions import InvalidInstanceError, ScenarioError
+from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = ["GeneratedWorkload"]
+if TYPE_CHECKING:
+    from repro.scenarios.base import ScenarioStream
+
+__all__ = ["GeneratedWorkload", "draw_workload"]
 
 
 @dataclass
@@ -32,6 +39,24 @@ class GeneratedWorkload:
     planted_specs: Optional[List[Tuple[int, FrozenSet[int]]]] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def from_stream(
+        cls, stream: "ScenarioStream", count: int, metadata: Dict[str, object]
+    ) -> "GeneratedWorkload":
+        """Take ``count`` requests from ``stream`` into an instance over its environment."""
+        items = stream.take(count)
+        if not items:
+            raise ScenarioError(f"scenario {stream.scenario.kind!r} emitted no requests")
+        env = stream.environment
+        instance = Instance(
+            env.metric,
+            env.cost,
+            RequestSequence.from_tuples(items),
+            commodities=env.commodities,
+            name=env.name,
+        )
+        return cls(instance=instance, planted_specs=env.planted_specs, metadata=metadata)
+
     def planted_solver(self) -> Optional[PlantedSolver]:
         """Offline reference solver evaluating the planted facilities, if any."""
         if not self.planted_specs:
@@ -43,3 +68,42 @@ class GeneratedWorkload:
         info.update(self.metadata)
         info["has_planted_solution"] = bool(self.planted_specs)
         return info
+
+
+def draw_workload(
+    kind: str,
+    *,
+    rng: RandomState,
+    cost_function: Optional[FacilityCostFunction] = None,
+    **params: Any,
+) -> GeneratedWorkload:
+    """Realize the scenario ``kind(**params)`` eagerly, drawing everything from ``rng``.
+
+    The environment is drawn first and the ``num_requests`` arrivals follow
+    from the same generator, so a caller's generator ends exactly where the
+    draws end and can be handed on.  (:meth:`Scenario.open` instead gives the
+    environment and the arrivals separate child seeds.)  ``cost_function``
+    replaces the environment's cost and draws nothing.  Invalid parameters
+    raise :class:`~repro.exceptions.InvalidInstanceError`.
+    """
+    # Imported here: repro.scenarios imports the API layer, which imports
+    # this package.
+    from repro.scenarios import SCENARIOS
+
+    try:
+        scenario = SCENARIOS.build(kind, **params)
+    except ScenarioError as exc:
+        raise InvalidInstanceError(str(exc)) from exc
+    generator = ensure_rng(rng)
+    environment, aux = scenario._build_environment(generator)
+    if cost_function is not None:
+        if cost_function.num_commodities != environment.num_commodities:
+            raise InvalidInstanceError(
+                "cost_function.num_commodities must equal num_commodities"
+            )
+        environment.cost = cost_function
+    return GeneratedWorkload.from_stream(
+        scenario._stream(environment, aux, generator),
+        scenario.length,
+        {"workload": kind, **scenario.params()},
+    )

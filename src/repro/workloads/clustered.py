@@ -12,20 +12,11 @@ clusters).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
 from repro.costs.base import FacilityCostFunction
-from repro.costs.count_based import PowerCost
-from repro.exceptions import InvalidInstanceError
-from repro.metric.base import MetricSpace
-from repro.metric.euclidean import EuclideanMetric
-from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
+from repro.utils.rng import RandomState
+from repro.workloads.base import GeneratedWorkload, draw_workload
 
 __all__ = ["clustered_workload"]
 
@@ -47,91 +38,32 @@ def clustered_workload(
 ) -> GeneratedWorkload:
     """Requests clustered around planted centers with per-center commodity bundles.
 
-    The metric is Euclidean (the plane): each cluster has a center drawn
-    uniformly from ``[0, side]^2`` and ``points_per_cluster`` candidate points
-    within ``cluster_radius`` of it.  Each cluster owns a commodity *bundle*
-    of size ``bundle_size`` (default ``min(|S|, max(2, |S| // num_clusters))``)
-    and every request located in the cluster demands a random subset of the
-    bundle of size ``demand_size`` (default: between 1 and the bundle size).
+    The eager form of the ``clustered`` scenario
+    (:class:`~repro.scenarios.generators.ClusteredScenario`), drawn from
+    ``rng`` alone.  The metric is Euclidean (the plane): each cluster has a
+    center drawn uniformly from ``[0, side]^2`` and ``points_per_cluster``
+    candidate points within ``cluster_radius`` of it.  Each cluster owns a
+    commodity *bundle* of size ``bundle_size`` (default
+    ``min(|S|, max(2, |S| // num_clusters))``) and every request located in
+    the cluster demands a random subset of the bundle of size ``demand_size``
+    (default: between 1 and the bundle size).  ``cost_function`` replaces the
+    default :class:`~repro.costs.count_based.PowerCost`.
 
     The planted solution opens one facility per cluster at the center point
     offering the full bundle.
     """
-    if num_requests < 1 or num_commodities < 1 or num_clusters < 1:
-        raise InvalidInstanceError("num_requests, num_commodities, num_clusters must be positive")
-    if points_per_cluster < 1:
-        raise InvalidInstanceError("points_per_cluster must be positive")
-    if cluster_radius < 0 or side <= 0:
-        raise InvalidInstanceError("cluster_radius must be >= 0 and side > 0")
-    generator = ensure_rng(rng)
-
-    universe = CommodityUniverse(num_commodities)
-    default_bundle = min(num_commodities, max(2, num_commodities // num_clusters))
-    bundle = bundle_size if bundle_size is not None else default_bundle
-    if not 1 <= bundle <= num_commodities:
-        raise InvalidInstanceError(f"bundle_size must lie in [1, {num_commodities}], got {bundle}")
-
-    # Build the point set: the first point of each cluster is its center.
-    coordinates: List[Tuple[float, float]] = []
-    cluster_center_point: List[int] = []
-    cluster_points: List[List[int]] = []
-    for _ in range(num_clusters):
-        cx, cy = generator.uniform(0.0, side, size=2)
-        center_index = len(coordinates)
-        coordinates.append((float(cx), float(cy)))
-        members = [center_index]
-        for _ in range(points_per_cluster - 1):
-            angle = generator.uniform(0.0, 2.0 * np.pi)
-            radius = generator.uniform(0.0, cluster_radius)
-            coordinates.append((float(cx + radius * np.cos(angle)), float(cy + radius * np.sin(angle))))
-            members.append(len(coordinates) - 1)
-        cluster_center_point.append(center_index)
-        cluster_points.append(members)
-    metric: MetricSpace = EuclideanMetric(np.asarray(coordinates, dtype=np.float64))
-
-    if cost_function is None:
-        cost_function = PowerCost(num_commodities, cost_exponent_x, scale=cost_scale)
-    if cost_function.num_commodities != num_commodities:
-        raise InvalidInstanceError("cost_function.num_commodities must equal num_commodities")
-
-    # Assign a commodity bundle to each cluster (bundles may overlap).
-    bundles: List[FrozenSet[int]] = [
-        universe.sample_subset(bundle, rng=generator) for _ in range(num_clusters)
-    ]
-
-    requests = []
-    for index in range(num_requests):
-        cluster = int(generator.integers(0, num_clusters))
-        point = int(cluster_points[cluster][int(generator.integers(0, len(cluster_points[cluster])))])
-        members = sorted(bundles[cluster])
-        if demand_size is not None:
-            size = min(demand_size, len(members))
-        else:
-            size = int(generator.integers(1, len(members) + 1))
-        chosen = generator.choice(len(members), size=size, replace=False)
-        demand = frozenset(members[i] for i in chosen)
-        requests.append(Request(index=index, point=point, commodities=demand))
-
-    instance = Instance(
-        metric,
-        cost_function,
-        RequestSequence(requests),
-        commodities=universe,
-        name=(
-            f"clustered(n={num_requests},S={num_commodities},"
-            f"k={num_clusters},r={cluster_radius:g})"
-        ),
-    )
-    planted = [
-        (cluster_center_point[c], bundles[c]) for c in range(num_clusters)
-    ]
-    return GeneratedWorkload(
-        instance=instance,
-        planted_specs=planted,
-        metadata={
-            "workload": "clustered",
-            "num_clusters": num_clusters,
-            "cluster_radius": cluster_radius,
-            "bundle_size": bundle,
-        },
+    return draw_workload(
+        "clustered",
+        rng=rng,
+        cost_function=cost_function,
+        num_requests=num_requests,
+        num_commodities=num_commodities,
+        num_clusters=num_clusters,
+        points_per_cluster=points_per_cluster,
+        cluster_radius=cluster_radius,
+        side=side,
+        bundle_size=bundle_size,
+        demand_size=demand_size,
+        cost_exponent_x=cost_exponent_x,
+        cost_scale=cost_scale,
     )

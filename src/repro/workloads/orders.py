@@ -10,13 +10,15 @@ requests.
 
 from __future__ import annotations
 
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.instance import Instance
+from repro.metric.base import MetricSpace
 from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = ["random_order", "adversarial_order"]
+__all__ = ["random_order", "adversarial_order", "sparse_first_order"]
 
 
 def random_order(instance: Instance, *, rng: RandomState = None) -> Instance:
@@ -26,23 +28,32 @@ def random_order(instance: Instance, *, rng: RandomState = None) -> Instance:
     return instance.reordered([int(i) for i in order])
 
 
+def sparse_first_order(
+    metric: MetricSpace, requests: Sequence[Tuple[int, FrozenSet[int]]]
+) -> List[int]:
+    """Positions of ``(point, commodities)`` requests, sparse demands first.
+
+    Sorts by (ascending demand size, descending distance from the most
+    frequent request point, position).  The position makes every key unique,
+    so the reversed list is the dense-first order.
+    """
+    points = np.asarray([point for point, _ in requests], dtype=np.intp)
+    modal = int(np.argmax(np.bincount(points, minlength=metric.num_points)))
+    row = metric.distances_from(modal)
+    keys = sorted(
+        (len(commodities), -float(row[point]), index)
+        for index, (point, commodities) in enumerate(requests)
+    )
+    return [index for _, _, index in keys]
+
+
 def adversarial_order(instance: Instance) -> Instance:
     """A heuristic adversarial order: sparse demands first, far points first.
 
     The classical hard sequences reveal little information early (isolated,
-    small demands) and concentrate mass late; this reordering sorts requests
-    by (ascending demand size, descending distance from the request-location
-    centroid), which empirically degrades the online algorithms relative to
-    random order without requiring adaptivity.
+    small demands) and concentrate mass late; this reordering
+    (:func:`sparse_first_order`) empirically degrades the online algorithms
+    relative to random order without requiring adaptivity.
     """
-    metric = instance.metric
-    points = [r.point for r in instance.requests]
-    # Distance of each request from the most central request location.
-    counts = np.bincount(points, minlength=metric.num_points).astype(np.float64)
-    centroid = int(np.argmax(counts))
-    row = metric.distances_from(centroid)
-    keys = []
-    for request in instance.requests:
-        keys.append((len(request.commodities), -float(row[request.point]), request.index))
-    order = [index for _, _, index in sorted(keys)]
-    return instance.reordered(order)
+    requests = [(r.point, r.commodities) for r in instance.requests]
+    return instance.reordered(sparse_first_order(instance.metric, requests))

@@ -21,18 +21,8 @@ This generator realizes that story end to end:
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
-from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
-from repro.costs.general import WeightedConcaveCost
-from repro.exceptions import InvalidInstanceError
-from repro.metric.factories import random_graph_metric
-from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
+from repro.utils.rng import RandomState
+from repro.workloads.base import GeneratedWorkload, draw_workload
 
 __all__ = ["service_network_workload"]
 
@@ -52,11 +42,16 @@ def service_network_workload(
 ) -> GeneratedWorkload:
     """Clients requesting service bundles on a random network.
 
+    The eager form of the ``service-network`` scenario
+    (:class:`~repro.scenarios.generators.ServiceNetworkScenario`), drawn from
+    ``rng`` alone.
+
     Parameters
     ----------
     num_profiles, profile_size:
         Number of distinct bundle profiles and their size; each client
-        requests one profile (plus occasionally an extra popular service).
+        requests one profile (plus, with probability 1/4, an extra popular
+        service).
     node_cost_spread:
         Relative spread of per-node provisioning cost multipliers.
     service_weight_spread:
@@ -64,51 +59,16 @@ def service_network_workload(
         which guarantees Condition 1 (heavier spreads model the "heavy
         commodity" regime of the closing remarks).
     """
-    if num_requests < 1 or num_services < 1 or num_nodes < 2:
-        raise InvalidInstanceError("num_requests, num_services must be >= 1 and num_nodes >= 2")
-    if num_profiles < 1 or not 1 <= profile_size <= num_services:
-        raise InvalidInstanceError("num_profiles >= 1 and 1 <= profile_size <= num_services required")
-    generator = ensure_rng(rng)
-
-    metric = random_graph_metric(num_nodes, edge_probability=edge_probability, rng=generator)
-    weights = 1.0 + service_weight_spread * generator.uniform(0.0, 1.0, size=num_services)
-    node_scales = 1.0 + node_cost_spread * generator.uniform(0.0, 1.0, size=num_nodes)
-    cost = WeightedConcaveCost(weights, point_scales=node_scales, name="service-vm-cost")
-
-    universe = CommodityUniverse(
-        num_services, names=[f"service-{i}" for i in range(num_services)]
-    )
-    ranks = np.arange(1, num_services + 1, dtype=np.float64)
-    popularity = 1.0 / np.power(ranks, zipf_alpha)
-    profiles: List[frozenset] = [
-        universe.sample_subset(profile_size, rng=generator, weights=popularity)
-        for _ in range(num_profiles)
-    ]
-
-    requests = []
-    for index in range(num_requests):
-        node = int(generator.integers(0, num_nodes))
-        profile = profiles[int(generator.integers(0, num_profiles))]
-        demand = set(profile)
-        if generator.uniform() < 0.25:
-            demand |= universe.sample_subset(1, rng=generator, weights=popularity)
-        requests.append(Request(index=index, point=node, commodities=frozenset(demand)))
-
-    instance = Instance(
-        metric,
-        cost,
-        RequestSequence(requests),
-        commodities=universe,
-        name=f"service-network(n={num_requests},S={num_services},nodes={num_nodes})",
-    )
-    return GeneratedWorkload(
-        instance=instance,
-        metadata={
-            "workload": "service-network",
-            "num_profiles": num_profiles,
-            "profile_size": profile_size,
-            "zipf_alpha": zipf_alpha,
-            "node_cost_spread": node_cost_spread,
-            "service_weight_spread": service_weight_spread,
-        },
+    return draw_workload(
+        "service-network",
+        rng=rng,
+        num_requests=num_requests,
+        num_services=num_services,
+        num_nodes=num_nodes,
+        num_profiles=num_profiles,
+        profile_size=profile_size,
+        edge_probability=edge_probability,
+        zipf_alpha=zipf_alpha,
+        node_cost_spread=node_cost_spread,
+        service_weight_spread=service_weight_spread,
     )

@@ -4,17 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-
-from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
 from repro.costs.base import FacilityCostFunction
-from repro.costs.count_based import PowerCost
-from repro.exceptions import InvalidInstanceError
-from repro.metric.base import MetricSpace
-from repro.metric.factories import random_euclidean_metric, random_line_metric
-from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
+from repro.utils.rng import RandomState
+from repro.workloads.base import GeneratedWorkload, draw_workload
 
 __all__ = ["uniform_workload"]
 
@@ -24,7 +16,6 @@ def uniform_workload(
     num_requests: int,
     num_commodities: int,
     num_points: int = 64,
-    metric: Optional[MetricSpace] = None,
     metric_kind: str = "euclidean",
     cost_function: Optional[FacilityCostFunction] = None,
     cost_exponent_x: float = 1.0,
@@ -35,13 +26,16 @@ def uniform_workload(
 ) -> GeneratedWorkload:
     """Requests at uniformly random points with uniformly random demand sets.
 
+    The eager form of the ``uniform`` scenario
+    (:class:`~repro.scenarios.generators.UniformScenario`), drawn from ``rng``
+    alone.
+
     Parameters
     ----------
     num_requests, num_commodities, num_points:
         Instance dimensions ``n``, ``|S|``, ``|M|``.
-    metric / metric_kind:
-        Either an explicit metric space or ``"euclidean"`` / ``"line"`` to
-        generate one.
+    metric_kind:
+        ``"euclidean"`` (random points in the unit square) or ``"line"``.
     cost_function / cost_exponent_x / cost_scale:
         Either an explicit cost function or a
         :class:`~repro.costs.count_based.PowerCost` with the given class-``C``
@@ -50,49 +44,16 @@ def uniform_workload(
         Each request demands a uniformly random number of commodities in
         ``[min_demand, max_demand]`` (default upper bound: ``min(|S|, 4)``).
     """
-    if num_requests < 1 or num_commodities < 1 or num_points < 1:
-        raise InvalidInstanceError("num_requests, num_commodities, num_points must be positive")
-    generator = ensure_rng(rng)
-    if metric is None:
-        if metric_kind == "euclidean":
-            metric = random_euclidean_metric(num_points, rng=generator)
-        elif metric_kind == "line":
-            metric = random_line_metric(num_points, rng=generator)
-        else:
-            raise InvalidInstanceError(f"unknown metric_kind {metric_kind!r}")
-    if cost_function is None:
-        cost_function = PowerCost(num_commodities, cost_exponent_x, scale=cost_scale)
-    if cost_function.num_commodities != num_commodities:
-        raise InvalidInstanceError("cost_function.num_commodities must equal num_commodities")
-
-    upper = max_demand if max_demand is not None else min(num_commodities, 4)
-    if not 1 <= min_demand <= upper <= num_commodities:
-        raise InvalidInstanceError(
-            f"demand bounds must satisfy 1 <= min_demand <= max_demand <= |S| "
-            f"(got {min_demand}, {upper}, {num_commodities})"
-        )
-
-    universe = CommodityUniverse(num_commodities)
-    requests = []
-    for index in range(num_requests):
-        point = int(generator.integers(0, metric.num_points))
-        size = int(generator.integers(min_demand, upper + 1))
-        demand = universe.sample_subset(size, rng=generator)
-        requests.append(Request(index=index, point=point, commodities=demand))
-    instance = Instance(
-        metric,
-        cost_function,
-        RequestSequence(requests),
-        commodities=universe,
-        name=f"uniform(n={num_requests},S={num_commodities},M={metric.num_points})",
-    )
-    return GeneratedWorkload(
-        instance=instance,
-        planted_specs=None,
-        metadata={
-            "workload": "uniform",
-            "metric_kind": type(metric).__name__,
-            "min_demand": min_demand,
-            "max_demand": upper,
-        },
+    return draw_workload(
+        "uniform",
+        rng=rng,
+        cost_function=cost_function,
+        num_requests=num_requests,
+        num_commodities=num_commodities,
+        num_points=num_points,
+        metric_kind=metric_kind,
+        cost_exponent_x=cost_exponent_x,
+        cost_scale=cost_scale,
+        min_demand=min_demand,
+        max_demand=max_demand,
     )

@@ -11,18 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.core.commodities import CommodityUniverse
-from repro.core.instance import Instance
-from repro.core.requests import Request, RequestSequence
-from repro.costs.base import FacilityCostFunction
-from repro.costs.count_based import PowerCost
-from repro.exceptions import InvalidInstanceError
-from repro.metric.base import MetricSpace
-from repro.metric.factories import random_euclidean_metric
-from repro.utils.rng import RandomState, ensure_rng
-from repro.workloads.base import GeneratedWorkload
+from repro.utils.rng import RandomState
+from repro.workloads.base import GeneratedWorkload, draw_workload
 
 __all__ = ["zipf_workload"]
 
@@ -35,49 +25,23 @@ def zipf_workload(
     zipf_alpha: float = 1.2,
     min_demand: int = 1,
     max_demand: Optional[int] = None,
-    metric: Optional[MetricSpace] = None,
-    cost_function: Optional[FacilityCostFunction] = None,
     cost_exponent_x: float = 1.0,
     rng: RandomState = None,
 ) -> GeneratedWorkload:
-    """Uniform request locations, Zipf-skewed commodity demand."""
-    if zipf_alpha < 0:
-        raise InvalidInstanceError("zipf_alpha must be non-negative")
-    if num_requests < 1 or num_commodities < 1 or num_points < 1:
-        raise InvalidInstanceError("num_requests, num_commodities, num_points must be positive")
-    generator = ensure_rng(rng)
-    if metric is None:
-        metric = random_euclidean_metric(num_points, rng=generator)
-    if cost_function is None:
-        cost_function = PowerCost(num_commodities, cost_exponent_x)
-    if cost_function.num_commodities != num_commodities:
-        raise InvalidInstanceError("cost_function.num_commodities must equal num_commodities")
+    """Uniform request locations, Zipf-skewed commodity demand.
 
-    upper = max_demand if max_demand is not None else min(num_commodities, 4)
-    if not 1 <= min_demand <= upper <= num_commodities:
-        raise InvalidInstanceError(
-            f"demand bounds must satisfy 1 <= min_demand <= max_demand <= |S| "
-            f"(got {min_demand}, {upper}, {num_commodities})"
-        )
-
-    universe = CommodityUniverse(num_commodities)
-    ranks = np.arange(1, num_commodities + 1, dtype=np.float64)
-    weights = 1.0 / np.power(ranks, zipf_alpha)
-
-    requests = []
-    for index in range(num_requests):
-        point = int(generator.integers(0, metric.num_points))
-        size = int(generator.integers(min_demand, upper + 1))
-        demand = universe.sample_subset(size, rng=generator, weights=weights)
-        requests.append(Request(index=index, point=point, commodities=demand))
-    instance = Instance(
-        metric,
-        cost_function,
-        RequestSequence(requests),
-        commodities=universe,
-        name=f"zipf(n={num_requests},S={num_commodities},alpha={zipf_alpha:g})",
-    )
-    return GeneratedWorkload(
-        instance=instance,
-        metadata={"workload": "zipf", "zipf_alpha": zipf_alpha, "max_demand": upper},
+    The eager form of the ``zipf`` scenario
+    (:class:`~repro.scenarios.generators.ZipfScenario`), drawn from ``rng``
+    alone.
+    """
+    return draw_workload(
+        "zipf",
+        rng=rng,
+        num_requests=num_requests,
+        num_commodities=num_commodities,
+        num_points=num_points,
+        zipf_alpha=zipf_alpha,
+        min_demand=min_demand,
+        max_demand=max_demand,
+        cost_exponent_x=cost_exponent_x,
     )

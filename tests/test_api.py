@@ -37,7 +37,7 @@ from repro.exceptions import (
     ReproError,
     UnknownComponentError,
 )
-from repro.experiments.cli import main
+from repro.cli import main
 from repro.metric.factories import uniform_line_metric
 from repro.workloads.uniform import uniform_workload
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments import get_experiment, list_experiments, run_experiment
-from repro.experiments.cli import build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestRegistry:
@@ -251,7 +251,7 @@ class TestCLI:
         assert "6 case(s) reused" in second
 
     def test_repro_workers_env_default(self, monkeypatch):
-        from repro.experiments.cli import _default_workers
+        from repro.cli import _default_workers
 
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert _default_workers() == 1

@@ -385,15 +385,6 @@ def test_repro_help_lists_every_subcommand():
         assert name in help_text
 
 
-def test_experiments_cli_shim_reexports_the_same_objects():
-    import repro.cli
-    import repro.experiments.cli
-
-    assert repro.experiments.cli.main is repro.cli.main
-    assert repro.experiments.cli.build_parser is repro.cli.build_parser
-    assert repro.experiments.cli.SUBCOMMANDS is repro.cli.SUBCOMMANDS
-
-
 # ----------------------------------------------------------------------
 # External tool gates (run only where the tools exist, e.g. CI)
 # ----------------------------------------------------------------------

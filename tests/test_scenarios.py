@@ -466,7 +466,7 @@ def test_seedless_scenario_session_refuses_to_snapshot():
 
 
 def test_cli_sample_typo_gets_did_you_mean():
-    from repro.experiments.cli import _load_scenario_argument
+    from repro.cli import _load_scenario_argument
     from repro.exceptions import UnknownComponentError
 
     with pytest.raises(UnknownComponentError, match="zipf"):

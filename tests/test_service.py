@@ -525,7 +525,7 @@ def test_cli_serve_in_process(tmp_path, monkeypatch, capsys):
     """The argparse `serve` branch wired to real streams (in-process)."""
     import io
 
-    from repro.experiments.cli import main
+    from repro.cli import main
 
     lines = [
         json.dumps({"op": "create", "name": "s", "spec": _explicit_spec()}),
@@ -564,7 +564,7 @@ def test_repro_serve_end_to_end(tmp_path):
         [
             sys.executable,
             "-m",
-            "repro.experiments.cli",
+            "repro.cli",
             "serve",
             "--snapshot-dir",
             str(state_dir),

@@ -1,10 +1,7 @@
-"""Unit tests for repro.utils.timing and repro.utils.validation."""
-
-import time
+"""Unit tests for repro.utils.validation."""
 
 import pytest
 
-from repro.utils.timing import Stopwatch, TimingRecord
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -12,38 +9,6 @@ from repro.utils.validation import (
     check_positive,
     check_probability,
 )
-
-
-class TestStopwatch:
-    def test_measure_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure("phase"):
-            time.sleep(0.001)
-        with watch.measure("phase"):
-            pass
-        record = watch.record("phase")
-        assert record.calls == 2
-        assert record.total_seconds > 0
-        assert record.mean_seconds == pytest.approx(record.total_seconds / 2)
-
-    def test_total_and_summary(self):
-        watch = Stopwatch()
-        with watch.measure("a"):
-            pass
-        with watch.measure("b"):
-            pass
-        assert watch.total_seconds() >= 0
-        summary = watch.summary()
-        assert "a:" in summary and "b:" in summary
-        assert set(watch.records().keys()) == {"a", "b"}
-
-    def test_timing_record_rejects_negative(self):
-        record = TimingRecord("x")
-        with pytest.raises(ValueError):
-            record.add(-1.0)
-
-    def test_empty_record_mean(self):
-        assert TimingRecord("x").mean_seconds == 0.0
 
 
 class TestValidation:
