@@ -5,8 +5,9 @@ families of distance queries per arriving request:
 
 * ``d(r, F)`` against a *growing* facility set (and per-commodity /
   large-facility subsets of it) — answered by
-  :class:`~repro.accel.tracker.NearestSetTracker`: O(n) fold per facility
-  opening, O(1) per query, instead of a fresh O(|F|)-point scan per query;
+  :class:`~repro.accel.tracker.NearestSetTracker`: O(n) fold of the opened
+  facility's distance column, read once for all the trackers it joins, and
+  O(1) per query, instead of a fresh O(|F|)-point scan per query;
 * ``d(C_i, r)`` against the *static* facility cost classes — answered by
   :class:`~repro.accel.classes.ClassDistanceIndex`: one memoized column per
   query point, O(1) per query, instead of an O(n) scan per class per request.

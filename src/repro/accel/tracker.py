@@ -3,17 +3,20 @@
 :class:`NearestSetTracker` maintains the running minimum distance from every
 metric point to a *growing* set of tagged points (open facility locations):
 
-* ``add(point, tag)`` folds one new point in with a single vectorized
-  ``minimum`` over the metric column — O(n);
+* ``add(column, tag)`` folds one new member in with a single vectorized
+  ``minimum`` over its ``distances_to`` column — O(n).  The caller reads the
+  column, so one read serves every tracker the member joins (a facility
+  joins one per offered commodity, plus the large-facility tracker);
 * ``distance(q)`` / ``nearest(q)`` answer ``d(q, F)`` and "which member is
   closest" in O(1), replacing the reference implementation's per-query scan
   over the whole member list.
 
 Bit-identicality with the reference scan is guaranteed by two invariants:
 
-1. Updates use :meth:`repro.metric.base.MetricSpace.distances_to`, whose
-   contract is ``distances_to(p)[q] == distances_from(q)[p]`` bit-for-bit, so
-   the tracked minima are minima over exactly the floats the reference reads.
+1. Columns come from :meth:`repro.metric.base.MetricSpace.distances_to`,
+   whose contract is ``distances_to(p)[q] == distances_from(q)[p]``
+   bit-for-bit, so the tracked minima are minima over exactly the floats the
+   reference reads.
 2. Ties are broken towards the earliest-added member (strict ``<`` update),
    which is what ``np.argmin`` over members in insertion order returns.
 
@@ -29,40 +32,36 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.metric.base import MetricSpace
-
 __all__ = ["NearestSetTracker"]
 
 
 class NearestSetTracker:
     """Running ``d(·, F)`` over a growing tagged point set.
 
-    Parameters
-    ----------
-    metric:
-        The underlying metric space.  Arrays are allocated lazily on the
-        first :meth:`add`, so constructing trackers for point sets that stay
-        empty is free.
+    The tracker holds no metric: each member arrives as its
+    ``distances_to`` column, whose length gives the number of points.
+    Arrays are allocated on the first :meth:`add`, so constructing trackers
+    for point sets that stay empty is free.
     """
 
-    def __init__(self, metric: MetricSpace) -> None:
-        self._metric = metric
+    def __init__(self) -> None:
         self._dmin: Optional[np.ndarray] = None
         self._tags: Optional[np.ndarray] = None
         self._num_added = 0
 
     # ------------------------------------------------------------------
-    def add(self, point: int, tag: Optional[int] = None) -> None:
-        """Fold ``point`` into the tracked set under ``tag`` (O(n)).
+    def add(self, column: np.ndarray, tag: Optional[int] = None) -> None:
+        """Fold in the member whose ``distances_to`` column is ``column`` (O(n)).
 
         ``tag`` defaults to the insertion index; it is what :meth:`nearest`
-        reports for queries whose closest member this point becomes.
+        reports for queries whose closest member this one becomes.  The
+        column is only read: the first fold copies it, so callers may share
+        one column (or a metric's internal buffer) between trackers.
         """
-        column = self._metric.distances_to(point)
         tag_value = self._num_added if tag is None else int(tag)
         if self._dmin is None:
             self._dmin = np.array(column, dtype=np.float64)
-            self._tags = np.full(self._metric.num_points, tag_value, dtype=np.int64)
+            self._tags = np.full(len(column), tag_value, dtype=np.int64)
         else:
             closer = column < self._dmin
             self._tags[closer] = tag_value

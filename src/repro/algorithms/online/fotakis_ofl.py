@@ -68,7 +68,7 @@ class SingleCommodityPrimalDual:
         self._facility_points: List[int] = []
         self._row_cache: Dict[int, np.ndarray] = {}
         self._buffer = BidHistoryBuffer(metric)
-        self._tracker = NearestSetTracker(metric)
+        self._tracker = NearestSetTracker()
 
     # ------------------------------------------------------------------
     @property
@@ -102,7 +102,9 @@ class SingleCommodityPrimalDual:
     def _append_facility(self, point: int) -> None:
         self._facility_points.append(int(point))
         # Tag = slot index, so _nearest_own_facility reports the slot.
-        self._tracker.add(int(point), tag=len(self._facility_points) - 1)
+        self._tracker.add(
+            self._metric.distances_to(int(point)), tag=len(self._facility_points) - 1
+        )
 
     def _bid_base(self) -> np.ndarray:
         """Bid sum of earlier demands towards every point (constraint (3))."""

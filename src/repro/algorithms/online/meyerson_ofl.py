@@ -71,7 +71,7 @@ class SingleCommodityMeyerson:
         # The cumulative sets are handed over in ascending point order, so
         # lazy nearest-point scans break ties towards the lowest point index.
         self._class_index = ClassDistanceIndex(metric, values, exact, self._class_points)
-        self._tracker = NearestSetTracker(metric)
+        self._tracker = NearestSetTracker()
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +117,9 @@ class SingleCommodityMeyerson:
     def _append_facility(self, point: int) -> None:
         self._facility_points.append(int(point))
         # Tag = slot index, so nearest_own_facility reports the slot.
-        self._tracker.add(int(point), tag=len(self._facility_points) - 1)
+        self._tracker.add(
+            self._metric.distances_to(int(point)), tag=len(self._facility_points) - 1
+        )
 
     # ------------------------------------------------------------------
     # Snapshot support

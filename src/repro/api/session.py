@@ -548,7 +548,9 @@ class OnlineSession:
         Two ways to supply the fixed problem environment:
 
         * pass nothing extra — the snapshot must carry an embedded declarative
-          ``spec``, from which algorithm and instance are rebuilt (the
+          ``spec``, from which the algorithm and the environment (metric,
+          cost, commodities) are rebuilt; a stock workload spec draws its
+          environment only, never its requests (the
           :class:`~repro.service.SessionManager` path);
         * pass a freshly built ``algorithm`` plus ``metric`` and ``cost`` (or a
           whole ``instance``) equivalent to the originals — the "fresh
@@ -557,7 +559,7 @@ class OnlineSession:
         The restored session then continues the stream bit-identically: same
         costs, same facility openings, same coin flips.
         """
-        from repro.service.snapshot import SessionSnapshot, components_from_spec
+        from repro.service.snapshot import SessionSnapshot, _restore_components
 
         snapshot = SessionSnapshot.coerce(snapshot)
         if algorithm is not None:
@@ -580,10 +582,7 @@ class OnlineSession:
                     "snapshot has no embedded spec; pass algorithm, metric and "
                     "cost (or instance) explicitly"
                 )
-            algorithm, built, _ = components_from_spec(snapshot.spec)
-            metric = built.metric
-            cost = built.cost_function
-            commodities = built.commodities
+            algorithm, metric, cost, commodities = _restore_components(snapshot.spec)
         if algorithm.name != snapshot.algorithm:
             raise SnapshotError(
                 f"snapshot was taken from algorithm {snapshot.algorithm!r} but "

@@ -78,7 +78,8 @@ class FacilityStore:
     The store answers the three distance queries the algorithms need —
     ``d(F(e), r)``, ``d(F̂, r)`` and nearest-facility lookups.  Each is O(1)
     against incremental :class:`~repro.accel.tracker.NearestSetTracker`
-    minima folded in at opening time (see :mod:`repro.accel`);
+    minima folded in at opening time, one ``distances_to`` column read per
+    opened facility (see :mod:`repro.accel`);
     :meth:`nearest_covering`, needed only for restricted large
     configurations, scans the open facilities.
     """
@@ -116,15 +117,17 @@ class FacilityStore:
         if config == self._full_set:
             self._large.append(facility.id)
         self._total_opening_cost += cost
+        # One column read serves every tracker the facility joins.
+        column = self._metric.distances_to(facility.point)
         for commodity in config:
             tracker = self._trackers.get(commodity)
             if tracker is None:
-                tracker = self._trackers[commodity] = NearestSetTracker(self._metric)
-            tracker.add(facility.point, tag=facility.id)
+                tracker = self._trackers[commodity] = NearestSetTracker()
+            tracker.add(column, tag=facility.id)
         if config == self._full_set:
             if self._large_tracker is None:
-                self._large_tracker = NearestSetTracker(self._metric)
-            self._large_tracker.add(facility.point, tag=facility.id)
+                self._large_tracker = NearestSetTracker()
+            self._large_tracker.add(column, tag=facility.id)
         return facility
 
     # ------------------------------------------------------------------

@@ -19,10 +19,15 @@ caches (:class:`~repro.accel.tracker.NearestSetTracker`,
 folds/functions of static instance data and the stored mutation log, so
 restore rebuilds them bit-for-bit — which also keeps snapshots small:
 O(requests + facilities) instead of O(requests x points).  Facilities are
-replayed one ``open`` at a time; the request log is rebuilt in one array
-pass, its connection costs re-summed in arrival order.  A log value that is
-not a JSON integer or list, or a repeated commodity, raises
+replayed one ``open`` at a time, each reading one distance column for all
+its trackers; the request log is rebuilt in one array pass, its connection
+costs re-summed in arrival order.  A log value that is not a JSON integer
+or list, or a repeated commodity, raises
 :class:`~repro.exceptions.SnapshotError` naming the row and the field.
+
+An embedded spec is rebuilt only as far as restore needs it: a stock
+``workload`` spec draws its environment (metric, cost, commodities) and
+none of its requests (:func:`_restore_components`).
 
 Snapshots serialize to *strict* JSON (``inf`` distances are string-encoded,
 see :mod:`repro.utils.encoding`; NaN is refused) and carry a format name plus
@@ -44,10 +49,21 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.algorithms.base import OnlineAlgorithm
+from repro.api.components import WORKLOADS
 from repro.api.spec import RunSpec
+from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
+from repro.costs.base import FacilityCostFunction
 from repro.exceptions import SnapshotError
+from repro.metric.base import MetricSpace
 from repro.utils.rng import ensure_rng
+from repro.workloads import (
+    clustered_workload,
+    service_network_workload,
+    uniform_workload,
+    zipf_workload,
+)
+from repro.workloads.base import _draw_environment
 
 __all__ = ["SessionSnapshot", "components_from_spec"]
 
@@ -204,26 +220,32 @@ class SessionSnapshot:
         )
 
 
-def components_from_spec(
-    spec_data: Mapping[str, Any]
-) -> Tuple[OnlineAlgorithm, Instance, Any]:
-    """Rebuild ``(algorithm, instance, generator)`` from a RunSpec dict.
-
-    Used both by :class:`~repro.service.manager.SessionManager` (session
-    creation) and by snapshot restore: the instance is rebuilt with a
-    generator seeded exactly as at creation time, so metric/cost components
-    that draw randomness come back bit-identical.  The returned generator has
-    consumed exactly the instance-building draws — threading it into a new
-    session mirrors the :func:`repro.api.run.run` convention (restore ignores
-    it and installs the snapshot's RNG state instead).  Only online-algorithm
-    specs are accepted — a service session is a request stream.
-    """
+def _online_spec(spec_data: Mapping[str, Any]) -> RunSpec:
+    """Parse a session's RunSpec dict; only online-algorithm specs are accepted."""
     spec = RunSpec.from_dict(dict(spec_data))
     if spec.mode() != "online":
         raise SnapshotError(
             f"service sessions require an online algorithm spec, got the "
             f"offline solver {spec.algorithm.get('kind')!r}"
         )
+    return spec
+
+
+def components_from_spec(
+    spec_data: Mapping[str, Any]
+) -> Tuple[OnlineAlgorithm, Instance, Any]:
+    """Rebuild ``(algorithm, instance, generator)`` from a RunSpec dict.
+
+    Used by :class:`~repro.service.manager.SessionManager` to create a
+    session and by ``repro trace record``.  Everything is drawn, requests
+    included, from a generator seeded with the spec's seed; the returned
+    generator has consumed exactly those draws, and threading it into the new
+    session mirrors the :func:`repro.api.run.run` convention.  Snapshot
+    restore rebuilds less (:func:`_restore_components`).  Only
+    online-algorithm specs are accepted — a service session is a request
+    stream.
+    """
+    spec = _online_spec(spec_data)
     if spec.scenario is not None:
         # Scenario-backed sessions: the environment comes from the scenario's
         # deterministic environment child seed (never consuming arrival
@@ -236,3 +258,47 @@ def components_from_spec(
     instance = spec.build_instance(generator)
     algorithm = spec.build_algorithm()
     return algorithm, instance, generator
+
+
+#: ``(builder, scenario kind)`` of the stock workload builders, each the eager
+#: form of its scenario (:func:`repro.workloads.base.draw_workload`).
+_SCENARIO_ADAPTERS = (
+    (uniform_workload, "uniform"),
+    (clustered_workload, "clustered"),
+    (zipf_workload, "zipf"),
+    (service_network_workload, "service-network"),
+)
+
+
+def _restore_components(
+    spec_data: Mapping[str, Any]
+) -> Tuple[OnlineAlgorithm, MetricSpace, FacilityCostFunction, CommodityUniverse]:
+    """The algorithm and the environment a restore rebuilds from a RunSpec dict.
+
+    A restored session needs the metric, the cost and the commodities, which
+    the paper's online model fixes in advance, but no request: the snapshot
+    carries the request log and the RNG state.  So a workload spec whose
+    registered builder is a stock adapter draws its environment from the
+    generator :func:`components_from_spec` seeds, with the same parameter
+    check, and stops before the first request.  Every other spec goes
+    through :func:`components_from_spec`: a scenario already builds only its
+    environment, explicit components draw nothing for their requests, and a
+    custom workload builder runs in full.
+    """
+    spec = _online_spec(spec_data)
+    workload = spec.workload
+    builder = WORKLOADS.get(workload["kind"]) if isinstance(workload, dict) else None
+    scenario_kind = next(
+        (kind for adapter, kind in _SCENARIO_ADAPTERS if adapter is builder), None
+    )
+    if scenario_kind is None:
+        algorithm, instance, _ = components_from_spec(spec_data)
+        return algorithm, instance.metric, instance.cost_function, instance.commodities
+    params = {key: value for key, value in workload.items() if key != "kind"}
+    WORKLOADS.check_params(workload["kind"], params)
+    # A spec's own "rng" wins over the seeded generator, as in RunSpec's
+    # component builds.  The builders' defaults are their scenarios'.
+    rng = params.pop("rng") if "rng" in params else ensure_rng(spec.seed)
+    cost_function = params.pop("cost_function", None)
+    _, environment, _, _ = _draw_environment(scenario_kind, rng, cost_function, params)
+    return spec.build_algorithm(), environment.metric, environment.cost, environment.commodities

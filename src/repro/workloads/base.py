@@ -13,7 +13,9 @@ from repro.exceptions import InvalidInstanceError, ScenarioError
 from repro.utils.rng import RandomState, ensure_rng
 
 if TYPE_CHECKING:
-    from repro.scenarios.base import ScenarioStream
+    import numpy as np
+
+    from repro.scenarios.base import Scenario, ScenarioEnvironment, ScenarioStream
 
 __all__ = ["GeneratedWorkload", "draw_workload"]
 
@@ -70,21 +72,18 @@ class GeneratedWorkload:
         return info
 
 
-def draw_workload(
+def _draw_environment(
     kind: str,
-    *,
     rng: RandomState,
-    cost_function: Optional[FacilityCostFunction] = None,
-    **params: Any,
-) -> GeneratedWorkload:
-    """Realize the scenario ``kind(**params)`` eagerly, drawing everything from ``rng``.
+    cost_function: Optional[FacilityCostFunction],
+    params: Dict[str, Any],
+) -> Tuple["Scenario", "ScenarioEnvironment", Dict[str, Any], "np.random.Generator"]:
+    """The first step of :func:`draw_workload`: the environment, drawn from ``rng``.
 
-    The environment is drawn first and the ``num_requests`` arrivals follow
-    from the same generator, so a caller's generator ends exactly where the
-    draws end and can be handed on.  (:meth:`Scenario.open` instead gives the
-    environment and the arrivals separate child seeds.)  ``cost_function``
-    replaces the environment's cost and draws nothing.  Invalid parameters
-    raise :class:`~repro.exceptions.InvalidInstanceError`.
+    Returns ``(scenario, environment, aux, generator)``, the generator
+    standing just after the environment's draws.  Snapshot restore stops
+    here: a reloaded session needs the metric, the cost and the commodities,
+    never the requests.
     """
     # Imported here: repro.scenarios imports the API layer, which imports
     # this package.
@@ -102,6 +101,28 @@ def draw_workload(
                 "cost_function.num_commodities must equal num_commodities"
             )
         environment.cost = cost_function
+    return scenario, environment, aux, generator
+
+
+def draw_workload(
+    kind: str,
+    *,
+    rng: RandomState,
+    cost_function: Optional[FacilityCostFunction] = None,
+    **params: Any,
+) -> GeneratedWorkload:
+    """Realize the scenario ``kind(**params)`` eagerly, drawing everything from ``rng``.
+
+    The environment is drawn first and the ``num_requests`` arrivals follow
+    from the same generator, so a caller's generator ends exactly where the
+    draws end and can be handed on.  (:meth:`Scenario.open` instead gives the
+    environment and the arrivals separate child seeds.)  ``cost_function``
+    replaces the environment's cost and draws nothing.  Invalid parameters
+    raise :class:`~repro.exceptions.InvalidInstanceError`.
+    """
+    scenario, environment, aux, generator = _draw_environment(
+        kind, rng, cost_function, params
+    )
     return GeneratedWorkload.from_stream(
         scenario._stream(environment, aux, generator),
         scenario.length,
