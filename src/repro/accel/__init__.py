@@ -10,7 +10,8 @@ families of distance queries per arriving request:
   O(1) per query, instead of a fresh O(|F|)-point scan per query;
 * ``d(C_i, r)`` against the *static* facility cost classes — answered by
   :class:`~repro.accel.classes.ClassDistanceIndex`: one memoized column per
-  query point, O(1) per query, instead of an O(n) scan per class per request.
+  query point, kept as a tuple of floats for the scalar per-request loops,
+  O(1) per query, instead of an O(n) scan per class per request.
 
 The primal–dual algorithms additionally need O(h x n) bid sums over their
 request history each arrival;

@@ -8,14 +8,17 @@ helpers rescan the class point sets per class per request — O(classes x n)
 per request, with one metric-row gather per class.
 
 :class:`ClassDistanceIndex` computes, on the *first* query from a point, the
-whole distance column ``[d(C_1, r), ..., d(C_k, r)]`` from a single metric
+whole distance column ``(d(C_1, r), ..., d(C_k, r))`` from a single metric
 row: the row is gathered once in class-major point order, reduced to
 per-class minima with one ``np.minimum.reduceat`` pass, and turned into the
 cumulative-class convention with ``np.minimum.accumulate``.  The column is
-memoized (facility costs are static, so it never changes), making repeat
-queries O(1) and the total work O(n) per distinct query point — instead of
-O(classes x n) per request.  No O(n^2) precomputation and no pairwise matrix
-are ever needed.
+memoized as an immutable tuple of the floats that pass produced (facility
+costs are static, so it never changes).  Repeat queries are O(1) and the
+total work is O(n) per distinct query point, instead of O(classes x n) per
+request.  The per-request consumers (Meyerson's coin loop, the
+opening-option scan) walk columns of one to a few classes, where plain float
+arithmetic beats a NumPy call.  No O(n^2) precomputation and no pairwise
+matrix are ever needed.
 
 The *nearest point* of a class is needed only when a coin flip succeeds or a
 feasibility fallback fires — a handful of times per run — so it is resolved
@@ -28,8 +31,10 @@ and ``np.argmin`` resolves equal distances by that order.
 
 Bit-identicality of the columns holds because every entry is a minimum over
 exactly the floats the reference reads (entries of ``distances_from(r)``),
-and a minimum is order-independent; ``cheapest_open_option`` keeps the first
-class attaining its minimum — the reference's strict ``<`` scan order.
+and a minimum is order-independent.  ``cheapest_open_option`` scans the
+``(C_i, d(C_i, r))`` pairs in ascending class order and moves only on a
+strict ``<``, so it keeps the first class attaining the minimum, as the
+reference's scan does.
 
 The index holds no run-dependent state — columns and nearest-point entries
 are memoized pure functions of the static metric and cost classes — so the
@@ -44,7 +49,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.costs.classes import CostClassIndex
+from repro.costs.classes import CostClassIndex, class_position
 from repro.exceptions import AlgorithmError
 from repro.metric.base import MetricSpace
 
@@ -53,6 +58,11 @@ __all__ = ["ClassDistanceIndex"]
 
 class ClassDistanceIndex:
     """Memoized ``d(·, C_i)`` columns under the cumulative class convention.
+
+    Each column is a tuple of floats, filled on the first query from its
+    point.  Class indexes are 1-based; an index outside ``[1, k]`` raises
+    :class:`~repro.exceptions.InvalidCostFunctionError`, as
+    :class:`~repro.costs.classes.CostClassIndex` does.
 
     Parameters
     ----------
@@ -85,7 +95,7 @@ class ClassDistanceIndex:
                 "equally long and non-empty"
             )
         self._metric = metric
-        self._values = np.asarray(class_values, dtype=np.float64)
+        self._values: Tuple[float, ...] = tuple(float(value) for value in class_values)
         self._cumulative: List[np.ndarray] = [
             np.asarray(points, dtype=np.intp) for points in cumulative_point_sets
         ]
@@ -97,7 +107,7 @@ class ClassDistanceIndex:
         self._offsets = np.concatenate(
             ([0], np.cumsum([points.size for points in sets])[:-1])
         )
-        self._columns: Dict[int, np.ndarray] = {}
+        self._columns: Dict[int, Tuple[float, ...]] = {}
         self._nearest_cache: Dict[Tuple[int, int], Tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
@@ -112,32 +122,28 @@ class ClassDistanceIndex:
         )
 
     # ------------------------------------------------------------------
-    def _column(self, point: int) -> np.ndarray:
-        """``[d(C_1, point), ..., d(C_k, point)]`` — computed once per point."""
+    def distances(self, point: int) -> Tuple[float, ...]:
+        """``(d(C_1, point), ..., d(C_k, point))`` — computed once per point."""
         column = self._columns.get(point)
         if column is None:
             row = np.asarray(self._metric.distances_from(point), dtype=np.float64)
             per_class = np.minimum.reduceat(row[self._order], self._offsets)
-            column = np.minimum.accumulate(per_class)
+            column = tuple(np.minimum.accumulate(per_class).tolist())
             self._columns[point] = column
         return column
 
     # ------------------------------------------------------------------
     @property
     def num_classes(self) -> int:
-        return int(self._values.size)
+        return len(self._values)
 
     def class_value(self, index: int) -> float:
         """``C_i`` for the 1-based class index."""
-        return float(self._values[index - 1])
-
-    def class_distances(self, point: int) -> np.ndarray:
-        """Vector ``[d(C_1, point), ..., d(C_k, point)]`` (a fresh copy)."""
-        return self._column(point).copy()
+        return self._values[class_position(index, len(self._values))]
 
     def distance_to_class(self, index: int, point: int) -> float:
         """``d(C_i, point)`` for the 1-based class index (O(1) after first query)."""
-        return float(self._column(point)[index - 1])
+        return self.distances(point)[class_position(index, len(self._values))]
 
     def nearest_point_of_class(self, index: int, point: int) -> Tuple[int, float]:
         """Closest point of rounded cost at most ``C_i`` and its distance.
@@ -148,7 +154,8 @@ class ClassDistanceIndex:
         key = (index, point)
         cached = self._nearest_cache.get(key)
         if cached is None:
-            nearest, distance = self._metric.nearest(point, self._cumulative[index - 1])
+            points = self._cumulative[class_position(index, len(self._values))]
+            nearest, distance = self._metric.nearest(point, points)
             cached = (int(nearest), float(distance))
             self._nearest_cache[key] = cached
         return cached
@@ -156,12 +163,17 @@ class ClassDistanceIndex:
     def cheapest_open_option(self, point: int) -> Tuple[int, float]:
         """``(argmin_i, min_i { C_i + d(C_i, point) })`` with 1-based index.
 
-        ``np.argmin`` keeps the first class attaining the minimum, matching
-        the reference's strict ``<`` scan over ascending class indices.
+        Scans the classes in ascending order and moves only on a strict
+        ``<``, so the first class attaining the minimum wins.
         """
-        options = self._values + self._column(point)
-        best = int(np.argmin(options))
-        return best + 1, float(options[best])
+        best_index, best_value = 1, float("inf")
+        for index, (value, distance) in enumerate(
+            zip(self._values, self.distances(point)), start=1
+        ):
+            option = value + distance
+            if option < best_value:
+                best_index, best_value = index, option
+        return best_index, best_value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

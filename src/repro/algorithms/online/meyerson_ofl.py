@@ -17,9 +17,11 @@ The helper memoizes the per-class distance columns
 (:class:`~repro.accel.classes.ClassDistanceIndex`) and tracks its own facility
 set incrementally (:class:`~repro.accel.tracker.NearestSetTracker`), so a
 demand costs O(classes) plus O(n) per opened facility or unseen point.  The
-per-class coin probabilities are computed in one vectorized pass; the coins
-themselves are flipped one class at a time, one uniform draw per class with a
-positive probability.
+coins are flipped in one scalar loop over the class values and the memoized
+class distances: each class's probability is a float expression of two
+neighbouring distances, and a class with a positive probability takes one
+``random()`` draw.  A column holds one to a few classes, so plain float
+arithmetic is cheaper here than NumPy calls on tiny arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.assignment import Assignment
 from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
+from repro.costs.classes import class_position
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
 from repro.utils.maths import round_down_power_of_two
@@ -60,7 +63,6 @@ class SingleCommodityMeyerson:
         self._rounded = rounded
         values = np.unique(rounded).tolist()
         self._class_values: List[float] = values
-        self._values_array = np.asarray(values, dtype=np.float64)
         # cumulative point sets: points whose rounded cost is <= class value
         # (kept as intp arrays so distances_between never re-converts them).
         self._class_points: List[np.ndarray] = [
@@ -89,7 +91,7 @@ class SingleCommodityMeyerson:
 
     def class_value(self, index: int) -> float:
         """``C_i`` for the 1-based class index."""
-        return self._class_values[index - 1]
+        return self._class_values[class_position(index, len(self._class_values))]
 
     def distance_to_class(self, index: int, point: int) -> float:
         """Distance to the nearest point of rounded cost at most ``C_i``."""
@@ -137,28 +139,6 @@ class SingleCommodityMeyerson:
         for point in state["facility_points"]:
             self._append_facility(int(point))
 
-    def _class_probabilities(self, point: int, effective_budget: float) -> np.ndarray:
-        """Per-class opening probabilities, ``d(C_0, r) := effective_budget``.
-
-        Class ``i`` opens with probability
-        ``min(max((d(C_{i-1}, r) - d(C_i, r)) / C_i, 0), 1)`` (a zero-cost
-        class opens exactly when that difference is positive).
-        """
-        distances = self._class_index.class_distances(point)
-        previous = np.empty_like(distances)
-        previous[0] = effective_budget
-        previous[1:] = distances[:-1]
-        increments = previous - distances
-        values = self._values_array
-        probabilities = np.zeros_like(distances)
-        free = values <= 0.0
-        probabilities[free] = (increments[free] > 0.0).astype(np.float64)
-        paid = ~free
-        probabilities[paid] = np.minimum(
-            np.maximum(increments[paid] / values[paid], 0.0), 1.0
-        )
-        return probabilities
-
     # ------------------------------------------------------------------
     def decide(self, point: int, rng, *, budget: Optional[float] = None) -> Tuple[List[int], int, float]:
         """Process a demand at ``point``.
@@ -167,18 +147,28 @@ class SingleCommodityMeyerson:
         passes ``min{X(r), Z(r)} * X(r, e) / X(r)`` here); the default is the
         demand's own connection budget ``X(r)``.
 
+        Class ``i`` opens with probability
+        ``min(max((d(C_{i-1}, r) - d(C_i, r)) / C_i, 0), 1)``, with
+        ``d(C_0, r)`` the budget; a zero-cost class opens exactly when that
+        difference is positive.
+
         Returns ``(opened_points, facility_slot, connection_distance)`` where
         ``opened_points`` are the points this call appended to the helper's
         facility list, in slot order, and ``facility_slot`` indexes that
         list for the facility the demand connects to.
         """
-        effective_budget = self.connection_budget(point) if budget is None else float(budget)
+        previous = self.connection_budget(point) if budget is None else float(budget)
         opened: List[int] = []
-        probabilities = self._class_probabilities(point, effective_budget)
-        for i in range(1, self.num_classes + 1):
-            probability = float(probabilities[i - 1])
-            if probability > 0 and rng.uniform() < probability:
-                opened.append(self.nearest_point_of_class(i, point))
+        classes = zip(self._class_values, self._class_index.distances(point))
+        for index, (value, distance) in enumerate(classes, start=1):
+            increment = previous - distance
+            previous = distance
+            if value <= 0:
+                probability = 1.0 if increment > 0 else 0.0
+            else:
+                probability = min(max(increment / value, 0.0), 1.0)
+            if probability > 0 and rng.random() < probability:
+                opened.append(self.nearest_point_of_class(index, point))
         for new_point in opened:
             self._append_facility(int(new_point))
         if not self._facility_points:

@@ -171,7 +171,7 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
                     probability = 1.0 if increment > 0 else 0.0
                 else:
                     probability = min(max(increment / cls.value, 0.0), 1.0) * share
-                success = probability > 0 and rng.uniform() < probability
+                success = probability > 0 and rng.random() < probability
                 if state.trace.enabled:
                     state.trace.record(
                         CoinFlipEvent(
@@ -198,7 +198,7 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
                 probability = 1.0 if increment > 0 else 0.0
             else:
                 probability = min(max(increment / cls.value, 0.0), 1.0)
-            success = probability > 0 and rng.uniform() < probability
+            success = probability > 0 and rng.random() < probability
             if state.trace.enabled:
                 state.trace.record(
                     CoinFlipEvent(

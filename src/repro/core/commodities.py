@@ -12,7 +12,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import InvalidInstanceError
-from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.rng import RandomState, choose_distinct, ensure_rng
 
 __all__ = ["CommodityUniverse"]
 
@@ -94,9 +94,12 @@ class CommodityUniverse:
     ) -> FrozenSet[int]:
         """Sample a subset of exactly ``size`` distinct commodities.
 
-        ``weights`` gives an (unnormalized) popularity per commodity; sampling
-        is then without replacement proportional to the weights, which is how
-        the Zipf workload generates skewed demands.
+        Unweighted subsets come from :func:`~repro.utils.rng.choose_distinct`,
+        so a one-commodity demand costs one ``integers`` draw and leaves the
+        generator where ``choice(replace=False)`` would.  ``weights`` gives an
+        (unnormalized) popularity per commodity; sampling is then without
+        replacement proportional to the weights, which is how the Zipf
+        workload generates skewed demands.
         """
         if not 1 <= size <= self._size:
             raise InvalidInstanceError(
@@ -104,17 +107,16 @@ class CommodityUniverse:
             )
         generator = ensure_rng(rng)
         if weights is None:
-            members = generator.choice(self._size, size=size, replace=False)
-        else:
-            weight_array = np.asarray(weights, dtype=np.float64)
-            if weight_array.shape != (self._size,):
-                raise InvalidInstanceError(
-                    f"weights must have length {self._size}, got {weight_array.shape}"
-                )
-            if np.any(weight_array < 0) or weight_array.sum() <= 0:
-                raise InvalidInstanceError("weights must be non-negative and not all zero")
-            probabilities = weight_array / weight_array.sum()
-            members = generator.choice(self._size, size=size, replace=False, p=probabilities)
+            return frozenset(choose_distinct(generator, self._size, size))
+        weight_array = np.asarray(weights, dtype=np.float64)
+        if weight_array.shape != (self._size,):
+            raise InvalidInstanceError(
+                f"weights must have length {self._size}, got {weight_array.shape}"
+            )
+        if np.any(weight_array < 0) or weight_array.sum() <= 0:
+            raise InvalidInstanceError("weights must be non-negative and not all zero")
+        probabilities = weight_array / weight_array.sum()
+        members = generator.choice(self._size, size=size, replace=False, p=probabilities)
         return frozenset(int(e) for e in members)
 
     def __len__(self) -> int:

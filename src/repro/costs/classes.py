@@ -26,7 +26,20 @@ from repro.exceptions import InvalidCostFunctionError
 from repro.metric.base import MetricSpace
 from repro.utils.maths import round_down_power_of_two
 
-__all__ = ["CostClass", "CostClassIndex"]
+__all__ = ["CostClass", "CostClassIndex", "class_position"]
+
+
+def class_position(index: int, num_classes: int) -> int:
+    """0-based position of the 1-based class ``index`` among ``num_classes``.
+
+    Raises :class:`InvalidCostFunctionError` outside ``[1, num_classes]``, so
+    index 0 or -1 never wraps around to the last class.
+    """
+    if not 1 <= index <= num_classes:
+        raise InvalidCostFunctionError(
+            f"class index {index} out of range [1, {num_classes}]"
+        )
+    return index - 1
 
 
 @dataclass(frozen=True)
@@ -152,8 +165,4 @@ class CostClassIndex:
         )
 
     def _class_at(self, index: int) -> CostClass:
-        if not 1 <= index <= len(self._classes):
-            raise InvalidCostFunctionError(
-                f"class index {index} out of range [1, {len(self._classes)}]"
-            )
-        return self._classes[index - 1]
+        return self._classes[class_position(index, len(self._classes))]

@@ -48,7 +48,7 @@ from repro.scenarios.base import (
     param_error,
     register_scenario,
 )
-from repro.scenarios.generators import _demand_bounds
+from repro.scenarios.generators import _demand_bounds, _demand_size
 
 __all__ = ["SinglePointScenario", "FotakisLineScenario", "AdaptiveScenario"]
 
@@ -226,7 +226,7 @@ class _FotakisLineStream(ScenarioStream):
         self._emitted_in_phase += 1
         # Once the phase batch is full, descend into a uniformly random half.
         if self._emitted_in_phase >= scenario._growth**self._phase:
-            if self._rng.uniform() < 0.5:
+            if self._rng.random() < 0.5:
                 self._hi = centre
             else:
                 self._lo = centre
@@ -343,7 +343,7 @@ class _AdaptiveStream(ScenarioStream):
 
     def _next(self) -> Optional[ScenarioRequest]:
         scenario: AdaptiveScenario = self._scenario
-        explore = self._rng.uniform() < scenario.exploration
+        explore = self._rng.random() < scenario.exploration
         if explore or not np.any(self._count > 0):
             point = int(self._rng.integers(0, self._env.num_points))
         else:
@@ -351,7 +351,7 @@ class _AdaptiveStream(ScenarioStream):
                 self._count > 0, self._cost_sum / np.maximum(self._count, 1), -np.inf
             )
             point = int(np.argmax(averages))
-        size = int(self._rng.integers(scenario.min_demand, scenario.max_demand + 1))
+        size = _demand_size(self._rng, scenario.min_demand, scenario.max_demand)
         demand = self._env.commodities.sample_subset(size, rng=self._rng)
         return point, demand
 

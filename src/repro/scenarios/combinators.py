@@ -554,6 +554,6 @@ class _OverlayStream(_CombinatorStream):
         if scenario.remap:
             commodities = frozenset(scenario.remap.get(e, e) for e in commodities)
         if scenario.add:
-            if self._rng.uniform() < scenario.add_probability:
+            if self._rng.random() < scenario.add_probability:
                 commodities = commodities | frozenset(scenario.add)
         return point, commodities

@@ -52,6 +52,7 @@ from repro.scenarios.base import (
     param_error,
     register_scenario,
 )
+from repro.utils.rng import choose_distinct
 
 __all__ = [
     "UniformScenario",
@@ -76,6 +77,17 @@ def _demand_bounds(
             f"(got {min_demand}, {upper}, {num_commodities})",
         )
     return int(min_demand), int(upper)
+
+
+def _demand_size(rng, min_demand: int, max_demand: int) -> int:
+    """One ``integers(min_demand, max_demand + 1)`` draw; none when the bounds agree.
+
+    numpy returns the one value of a one-value range without touching the
+    generator, so skipping the call leaves the stream bit-identical.
+    """
+    if min_demand == max_demand:
+        return min_demand
+    return int(rng.integers(min_demand, max_demand + 1))
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +167,7 @@ class _UniformStream(ScenarioStream):
     def _next(self) -> Optional[ScenarioRequest]:
         scenario: UniformScenario = self._scenario
         point = int(self._rng.integers(0, self._env.num_points))
-        size = int(self._rng.integers(scenario.min_demand, scenario.max_demand + 1))
+        size = _demand_size(self._rng, scenario.min_demand, scenario.max_demand)
         demand = self._env.commodities.sample_subset(size, rng=self._rng)
         return point, demand
 
@@ -291,7 +303,7 @@ class _ClusteredStream(ScenarioStream):
             size = min(scenario.demand_size, len(bundle))
         else:
             size = int(self._rng.integers(1, len(bundle) + 1))
-        chosen = self._rng.choice(len(bundle), size=size, replace=False)
+        chosen = choose_distinct(self._rng, len(bundle), size)
         return point, frozenset(bundle[i] for i in chosen)
 
 
@@ -372,7 +384,7 @@ class _ZipfStream(ScenarioStream):
     def _next(self) -> Optional[ScenarioRequest]:
         scenario: ZipfScenario = self._scenario
         point = int(self._rng.integers(0, self._env.num_points))
-        size = int(self._rng.integers(scenario.min_demand, scenario.max_demand + 1))
+        size = _demand_size(self._rng, scenario.min_demand, scenario.max_demand)
         demand = self._env.commodities.sample_subset(
             size, rng=self._rng, weights=self._weights
         )
@@ -490,7 +502,7 @@ class _ServiceNetworkStream(ScenarioStream):
         node = int(self._rng.integers(0, scenario.num_nodes))
         profile = self._profiles[int(self._rng.integers(0, len(self._profiles)))]
         demand = set(profile)
-        if self._rng.uniform() < scenario.extra_service_probability:
+        if self._rng.random() < scenario.extra_service_probability:
             demand |= self._env.commodities.sample_subset(
                 1, rng=self._rng, weights=self._popularity
             )
@@ -626,14 +638,14 @@ class _BurstStream(ScenarioStream):
                 self._rng.geometric(1.0 / scenario.burst_size_mean)
             )
         self._burst_remaining -= 1
-        if self._rng.uniform() < scenario.background_probability:
+        if self._rng.random() < scenario.background_probability:
             point = int(self._rng.integers(0, self._env.num_points))
             size = int(self._rng.integers(1, min(scenario.num_commodities, 4) + 1))
             return point, self._env.commodities.sample_subset(size, rng=self._rng)
         neighborhood = self._neighborhoods[self._burst_hotspot]
         point = int(neighborhood[int(self._rng.integers(0, len(neighborhood)))])
         size = int(self._rng.integers(1, len(self._burst_bundle) + 1))
-        chosen = self._rng.choice(len(self._burst_bundle), size=size, replace=False)
+        chosen = choose_distinct(self._rng, len(self._burst_bundle), size)
         return point, frozenset(self._burst_bundle[i] for i in chosen)
 
     def _extra_state(self) -> Dict[str, Any]:
@@ -766,7 +778,7 @@ class _DriftStream(ScenarioStream):
             for i in range(scenario.window)
         ]
         size = int(self._rng.integers(1, scenario.window + 1))
-        chosen = self._rng.choice(scenario.window, size=size, replace=False)
+        chosen = choose_distinct(self._rng, scenario.window, size)
         return point, frozenset(members[i] for i in chosen)
 
     def _extra_state(self) -> Dict[str, Any]:

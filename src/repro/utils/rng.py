@@ -11,7 +11,7 @@ produce bit-identical results (a requirement of the sweep-executor tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "child_rngs",
     "rng_state",
     "rng_from_state",
+    "choose_distinct",
     "RandomState",
 ]
 
@@ -96,6 +97,21 @@ def rng_from_state(state: Dict[str, Any]) -> np.random.Generator:
     bit_generator = bit_generator_cls()
     bit_generator.state = decoded
     return np.random.Generator(bit_generator)
+
+
+def choose_distinct(generator: np.random.Generator, n: int, size: int) -> List[int]:
+    """``size`` distinct integers of ``[0, n)``, drawn as ``generator.choice`` does.
+
+    Equal in values and in the generator's end state to
+    ``generator.choice(n, size=size, replace=False).tolist()``.  For one
+    element it is a single ``integers(0, n)`` call: numpy's Floyd sampler
+    makes exactly that one bounded draw, and its one-element shuffle draws
+    nothing, so the result matches at a fraction of ``choice``'s cost.
+    ``tests/test_utils_rng.py`` pins the equivalence.
+    """
+    if size == 1:
+        return [int(generator.integers(0, n))]
+    return generator.choice(n, size=size, replace=False).tolist()
 
 
 def spawn_child_seeds(seed: RandomState, count: int) -> list[int]:

@@ -286,6 +286,26 @@ class ReferenceMeyerson(SingleCommodityMeyerson):
             probabilities.append(probability)
         return probabilities
 
+    def decide(self, point: int, rng, *, budget: Optional[float] = None) -> Tuple[List[int], int, float]:
+        """The helper's decide before its scalar coin loop: the probabilities of
+        :meth:`_class_probabilities`, then one ``uniform()`` per positive coin."""
+        effective_budget = self.connection_budget(point) if budget is None else float(budget)
+        opened: List[int] = []
+        probabilities = self._class_probabilities(point, effective_budget)
+        for i in range(1, self.num_classes + 1):
+            probability = float(probabilities[i - 1])
+            if probability > 0 and rng.uniform() < probability:
+                opened.append(self.nearest_point_of_class(i, point))
+        for new_point in opened:
+            self._append_facility(int(new_point))
+        if not self._facility_points:
+            best_i, _ = self.cheapest_open_option(point)
+            fallback = self.nearest_point_of_class(best_i, point)
+            self._append_facility(int(fallback))
+            opened.append(int(fallback))
+        slot, distance = self.nearest_own_facility(point)
+        return opened, int(slot), float(distance)
+
 
 # ---------------------------------------------------------------------------
 # RAND-OMFLP (Algorithm 2)

@@ -1,12 +1,15 @@
 """Unit and property-based tests for the facility cost functions."""
 
 import math
+import re
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.accel.classes import ClassDistanceIndex
+from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
 from repro.costs import (
     AdversaryCost,
     ConstantCost,
@@ -26,6 +29,7 @@ from repro.costs import (
 from repro.costs.general import random_weighted_concave_cost
 from repro.exceptions import InvalidCostFunctionError
 from repro.metric.factories import uniform_line_metric
+from repro.metric.line import LineMetric
 
 
 class TestCountBasedCost:
@@ -249,6 +253,19 @@ class TestOrderedLinearCost:
             cost.cost(3, {0})
 
 
+CLASS_PROVIDERS = ["CostClassIndex", "ClassDistanceIndex", "SingleCommodityMeyerson"]
+
+
+def _class_provider(name, metric, scales):
+    """A provider of 1-based class queries over one commodity costing ``scales``."""
+    if name == "SingleCommodityMeyerson":
+        return SingleCommodityMeyerson(metric, scales)
+    classes = CostClassIndex(metric, ConstantCost(1, point_scales=scales), {0})
+    if name == "ClassDistanceIndex":
+        return ClassDistanceIndex.from_cost_index(metric, classes)
+    return classes
+
+
 class TestCostClassIndex:
     @pytest.mark.parametrize(
         "scales,values,points",
@@ -313,6 +330,33 @@ class TestCostClassIndex:
             index.class_value(0)
         with pytest.raises(InvalidCostFunctionError):
             index.distance_to_class(99, 0)
+
+    @pytest.mark.parametrize("provider", CLASS_PROVIDERS)
+    @pytest.mark.parametrize("index", [0, -1, 6])
+    def test_out_of_range_class_index_never_wraps(self, provider, index):
+        """Every provider of 1-based class queries refuses 0, -1 and k + 1 with
+        one error, instead of answering for the last class or a bare IndexError."""
+        scales = [1.0, 2.0, 4.0, 8.0, 16.0]  # one point per class
+        target = _class_provider(provider, uniform_line_metric(len(scales)), scales)
+        message = re.escape(f"class index {index} out of range [1, 5]")
+        queries = [
+            lambda: target.class_value(index),
+            lambda: target.distance_to_class(index, 0),
+            lambda: target.nearest_point_of_class(index, 0),
+        ]
+        for query in queries + queries:  # twice: a refused query memoizes nothing
+            with pytest.raises(InvalidCostFunctionError, match=message):
+                query()
+        assert target.class_value(5) == 16.0
+        assert target.distance_to_class(5, 0) == 0.0
+
+    @pytest.mark.parametrize("provider", CLASS_PROVIDERS)
+    def test_cheapest_open_option_keeps_the_first_tied_class(self, provider):
+        # From point 0: class 1 (cost 1, 5 away) and class 2 (cost 2, 4 away)
+        # both offer 6.0; class 3 (point 0 itself, cost 8) offers 8.0.
+        metric = LineMetric([0.0, 4.0, 5.0])
+        target = _class_provider(provider, metric, [8.0, 2.0, 1.0])
+        assert target.cheapest_open_option(0) == (1, 6.0)
 
 
 class TestPropertyCheckers:

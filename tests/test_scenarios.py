@@ -18,7 +18,9 @@ RunSpec/run()/engine/service wiring, and the ``advance`` wire op.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
@@ -166,6 +168,91 @@ def test_property_nested_mixture_determinism(seed, batch_size, split):
     resumed = scenario.open(seed)
     resumed.load_state_dict(state)
     assert head + _drain(resumed) == reference
+
+
+# ---------------------------------------------------------------------------
+# Golden stream digests
+# ---------------------------------------------------------------------------
+#: Every registered kind's example, plus streams with a fixed demand size (one
+#: commodity, ``min_demand == max_demand``, ``demand_size``), which draw no size.
+DIGEST_CASES = {
+    **{kind: EXAMPLE_SPECS[kind] for kind in ALL_KINDS},
+    "uniform-one-commodity": {
+        "kind": "uniform", "num_requests": 48, "num_commodities": 1, "num_points": 24,
+    },
+    "zipf-fixed-size": {
+        "kind": "zipf", "num_requests": 48, "num_commodities": 8, "num_points": 24,
+        "min_demand": 2, "max_demand": 2,
+    },
+    "adaptive-fixed-size": {
+        "kind": "adaptive", "num_requests": 48, "num_commodities": 6, "num_points": 24,
+        "min_demand": 1, "max_demand": 1,
+    },
+    "clustered-demand-size": {
+        "kind": "clustered", "num_requests": 48, "num_commodities": 6,
+        "num_clusters": 3, "points_per_cluster": 6, "demand_size": 1,
+    },
+}
+
+#: Produced by ``_stream_digest`` with the draws that preceded
+#: ``choose_distinct``, ``random()`` for ``uniform()`` and the skipped one-value
+#: size draws.  A change here changes every request a scenario streams from a
+#: seed.
+GOLDEN_STREAM_DIGESTS = {
+    "adaptive": "bf0d5aaced68ee9f3433f5612409dddc77f82b1844fc4d0e3c37331af4418f10",
+    "adaptive-fixed-size": "3401b79a48f0e4882e5d35e45c95878d875b45f117facf5ca38158c271a552bb",
+    "arrival-order": "8cf1e2d12bcb106b5ed44d8448a7c4fe7c3af50f53b95fd9490397f7f1bd75f8",
+    "burst": "e3feeaf11898e48de23063d1763c43fb0fed77bb9ec97307d975253c0774b99c",
+    "clustered": "42fa44223cc4dddcd4d90bfcf40ecea158e1e5a4ea4ebf317e1d1b430b8bb0d6",
+    "clustered-demand-size": "e0599c16f859118aa50271b849a1125e45bf40b69e55e4222ca58ce187ec5b22",
+    "commodity-overlay": "7f117abb16786195711e99644633a0bdda4c8111999b2bb3ae5794ede9f77e5b",
+    "concat": "13379467a1b1f77cc2eadcac6db28aa7ce2f7b59313f05ca398319b0a6b90336",
+    "drift": "8f4c1e64f2d7ea3bbe87c785008f43d1424147e28a5590c78ce21eaeb3f3a3c2",
+    "fotakis-line": "9cfb1f1f8336ab5d15319da3f305a6afa17fccabe7198563a31648c82930c578",
+    "interleave": "e226f473ab675fb535f03665788d3adca08cb54764851e71ef73bd3b4fabbe49",
+    "mixture": "512750959cdbff88436c0f61d8e624941bc4f8e14e6784901e592bbcaf386030",
+    "permute": "863d28daf2aa36739e58b4bcc962a0a3f59f1997cafe58de8494808071dae82d",
+    "replay": "195559370d7705bdd6fc1d78f23ea2bf1bac9eae5873a4c4a62889ea728c779c",
+    "service-network": "7e5061f545a26669034868bec195474d927a047f658e750c0d0645c94d48c83f",
+    "single-point": "62b97385aac7aca0bc73e902fc05654e4721fc9d7c909ddc71176d7f63edea9e",
+    "uniform": "b01f27eeb99485ae530bfefccc3348e63ec0ad55c9e0a3dcdef2a3d2df50d5ba",
+    "uniform-one-commodity": "db9ab31b9748836682fdc29c19eba262d59511b3a060b6703763211504ca7f4d",
+    "zipf": "56766b8ac98dd4ca81c30dcd9629e650b7ea274addf5a5d79cbba050778670bd",
+    "zipf-fixed-size": "b5bc5437238ee538017d1f89f31b819bea5b7993277d7b9024b9c9557cb78808",
+}
+
+
+def _feed(digest, value):
+    digest.update(repr(value).encode())
+    digest.update(b"\x00")
+
+
+def _stream_digest(spec) -> str:
+    """SHA-256 over seeds 0–7: every request, the planted specs and the end state.
+
+    Each request is fed back through ``observe`` with a made-up connection
+    cost, so the adaptive adversary's cost-seeking branch runs too.  The final
+    ``state_dict()`` carries the generator state.
+    """
+    digest = hashlib.sha256()
+    scenario = scenario_from_dict(spec)
+    for seed in range(8):
+        stream = scenario.open(seed)
+        while True:
+            batch = stream.take(1)
+            if not batch:
+                break
+            point, commodities = batch[0]
+            _feed(digest, (point, sorted(commodities)))
+            stream.observe(SimpleNamespace(point=point, connection_cost=float(point % 7)))
+        _feed(digest, [(p, sorted(c)) for p, c in stream.environment.planted_specs or []])
+        _feed(digest, json.dumps(stream.state_dict(), sort_keys=True))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_stream_matches_golden_digest(case):
+    assert _stream_digest(DIGEST_CASES[case]) == GOLDEN_STREAM_DIGESTS[case]
 
 
 def test_unbounded_scenario_streams_and_refuses_blind_realize():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import child_rngs, ensure_rng, spawn_child_seeds, spawn_seeds
+from repro.utils.rng import (
+    child_rngs,
+    choose_distinct,
+    ensure_rng,
+    spawn_child_seeds,
+    spawn_seeds,
+)
 
 
 class TestEnsureRng:
@@ -69,3 +75,47 @@ class TestSpawnSeeds:
         rngs = child_rngs(9, 3)
         values = [r.uniform() for r in rngs]
         assert len(set(values)) == 3
+
+
+class TestNumpyDrawEquivalences:
+    """The numpy behaviours the scalar stream draws rely on.
+
+    Every scenario stream and Meyerson-family coin is bit-identical to the
+    array draws it replaced only while these hold; a numpy upgrade that
+    breaks one fails here by name instead of silently moving every stream.
+    """
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 8, 10_000, 10_001, 2**32 - 1, 2**32, 2**40]
+    )
+    def test_choose_one_is_choice_without_replacement(self, n):
+        for seed in range(50):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                expected = theirs.choice(n, size=1, replace=False).tolist()
+                assert choose_distinct(ours, n, 1) == expected
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n,size", [(2, 2), (6, 3), (8, 8), (10_001, 5)])
+    def test_larger_sizes_are_choice_without_replacement(self, n, size):
+        for seed in range(10):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = choose_distinct(ours, n, size)
+            assert drawn == theirs.choice(n, size=size, replace=False).tolist()
+            assert all(type(value) is int for value in drawn)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_random_is_uniform(self):
+        ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+        assert [ours.random() for _ in range(10**5)] == [
+            theirs.uniform() for _ in range(10**5)
+        ]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 2**40])
+    def test_one_value_integers_leaves_the_state(self, k):
+        generator = np.random.default_rng(7)
+        generator.integers(0, 10)  # leaves half of a 64-bit draw buffered
+        state = generator.bit_generator.state
+        assert generator.integers(k, k + 1) == k
+        assert generator.bit_generator.state == state
