@@ -9,17 +9,18 @@ label into their tables (see DESIGN.md, substitution notes).
 
 For *streaming* sessions, where re-solving an offline reference per arrival is
 out of the question, :class:`IncrementalOfflineBound` maintains an LP-free
-**lower** bound on the offline optimum of the request prefix in O(1) amortized
-work per arrival; :func:`streaming_lower_bound` is the batch entry point, a
-thin shim that feeds a whole instance through the incremental update (pinned
-exactly equal by ``tests/test_telemetry.py``).  The telemetry layer's rolling
-competitive-ratio probe (:mod:`repro.telemetry`) is built on this class.
+**lower** bound on the offline optimum of the request prefix at one mask bit
+per arrival plus one distance column per anchor; :func:`streaming_lower_bound`
+is the batch entry point, a thin shim that feeds a whole instance through the
+incremental update (pinned exactly equal by ``tests/test_telemetry.py``).
+The telemetry layer's rolling competitive-ratio probe (:mod:`repro.telemetry`)
+is built on this class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -150,6 +151,14 @@ def reference_cost(
     return ReferenceCost(value=best.total_cost, kind="upper-bound", solver=best.solver)
 
 
+class _Arrival(NamedTuple):
+    """A raw ``(point, commodities)`` pair, as :meth:`IncrementalOfflineBound.update_many`
+    reads it."""
+
+    point: int
+    commodities: Iterable[int]
+
+
 BOUND_STATE_FORMAT = "repro.analysis.offline-bound"
 BOUND_STATE_VERSION = 1
 
@@ -170,17 +179,24 @@ class IncrementalOfflineBound:
     bound is ``max_e k_e·f_e`` with ``k_e`` the anchor count: a *max*, not a
     sum, because one facility opening can be charged by several commodities.
 
-    Updates are O(1) amortized: the accept/reject decision for a
-    ``(commodity, point)`` pair is *time-invariant* (anchors only grow, so a
-    rejected point stays rejected; an accepted point becomes an anchor and
-    rejects its own repeats), which lets a per-commodity memo of already-seen
-    points short-circuit repeat arrivals to one set lookup.  The memo is a
-    pure cache — bounded by the metric's point count, not the stream length,
-    and deliberately excluded from :meth:`state_dict` (a resumed bound
-    re-derives the same rejections).  This is what makes the telemetry
-    layer's rolling competitive-ratio probe affordable per arrival.  The
-    bound is monotone non-decreasing in the prefix and deterministic
-    (commodities are processed in sorted order; no RNG involved).
+    An arrival costs one bit read per demanded commodity, and an accepted
+    anchor one distance column.  The accept/reject decision for a
+    ``(commodity, point)`` pair is *time-invariant*: anchors only grow, so a
+    rejected point stays rejected, and an accepted point becomes an anchor
+    and rejects its own repeats.  So each commodity keeps a *coverage mask*,
+    one byte per metric point, set where an arrival demanding ``e`` would be
+    rejected: points within ``2·f_e`` of an anchor (accepting anchor ``a``
+    ORs in the column ``metric.distances_to(a) <= 2·f_e``) and points already
+    decided.  ``distances_to(a)[p]`` is bit-equal to ``distances_from(p)[a]``
+    by the metric contract, and ``min(d) <= x`` exactly when
+    ``any(d <= x)``, so the mask decides exactly as the per-arrival minimum
+    over the anchors would; ``tests/oracles.py`` keeps that minimum as the
+    reference bound, pinned with ``==``.  The mask is derived data: it is
+    never serialized, and after :meth:`load_state_dict` each commodity's mask
+    is rebuilt from its anchors (one column each) on its first arrival.
+    This is what makes the telemetry layer's rolling competitive-ratio probe
+    affordable per arrival.  The bound is monotone non-decreasing in the
+    prefix and deterministic (no RNG involved).
 
     State round-trips losslessly through :meth:`state_dict` /
     :meth:`load_state_dict` (strict JSON), so snapshots carry it
@@ -201,9 +217,9 @@ class IncrementalOfflineBound:
         self._anchor_cap = int(anchor_cap)
         self._singleton_costs: Dict[int, float] = {}
         self._anchors: Dict[int, List[int]] = {}
-        # Pure cache of points already decided per commodity (see class
-        # docstring); never serialized, rebuilt implicitly after a restore.
-        self._seen_points: Dict[int, set] = {}
+        # Per-commodity coverage masks (see class docstring); derived from
+        # the anchors, never serialized.
+        self._covered: Dict[int, bytearray] = {}
         self._num_requests = 0
         self._bound = 0.0
 
@@ -235,44 +251,72 @@ class IncrementalOfflineBound:
             self._anchors[commodity] = []
         return cached
 
+    def _coverage(self, commodity: int) -> bytearray:
+        """The coverage mask of ``commodity``, built on its first arrival
+        (or first after a load) from one column per anchor."""
+        f_e = self._singleton_cost(commodity)
+        covered = bytearray(self._metric.num_points)
+        anchors = self._anchors[commodity]
+        if anchors:
+            mask = np.frombuffer(covered, dtype=np.bool_)
+            for anchor in anchors:
+                mask |= self._metric.distances_to(anchor) <= 2.0 * f_e
+        self._covered[commodity] = covered
+        return covered
+
     def update(self, request: Request) -> float:
         """Fold one arrival into the bound and return the new bound value."""
-        return self.update_arrival(request.point, request.commodities)
+        return self.update_many((request,))
 
     def update_arrival(self, point: int, commodities: Iterable[int]) -> float:
-        """:meth:`update` on a raw ``(point, commodities)`` pair.
+        """:meth:`update` on a raw ``(point, commodities)`` pair."""
+        return self.update_many((_Arrival(point, commodities),))
 
-        The telemetry hot path: skips :class:`Request` construction (and its
-        validation) for arrivals that already exist as events.
+    def update_many(self, arrivals: Iterable[Any]) -> float:
+        """Fold a run of arrivals, in order, and return the bound after the last.
+
+        An arrival is anything with ``point`` and ``commodities``
+        attributes: a :class:`~repro.core.requests.Request`, or an
+        :class:`~repro.api.session.AssignmentEvent` of a session.  The result
+        and the state equal :meth:`update` per arrival; the telemetry probe
+        folds a whole flush of session events through one call.  A point
+        outside the metric raises :class:`ExperimentError`, after the
+        arrivals before it have been folded.
         """
-        self._num_requests += 1
-        # Each commodity owns its own anchor set and singleton cost, so the
-        # per-commodity decisions are independent and processing order cannot
-        # change the bound (state dicts sort on the way out regardless).
-        seen_map = self._seen_points
-        for commodity in commodities:
-            seen = seen_map.get(commodity)
-            if seen is None:
-                seen = seen_map[commodity] = set()
-            elif point in seen:
-                continue  # time-invariant decision, already made for this pair
-            seen.add(point)
-            f_e = self._singleton_cost(commodity)
-            if f_e <= 0.0:
-                continue  # zero-cost openings make the ball argument vacuous
-            anchors = self._anchors[commodity]
-            if len(anchors) >= self._anchor_cap:
-                continue
-            if anchors:
-                separation = float(
-                    np.min(self._metric.distances_between(point, anchors))
+        num_points = self._metric.num_points
+        masks = self._covered
+        anchor_cap = self._anchor_cap
+        for arrival in arrivals:
+            point = arrival.point
+            if not 0 <= point < num_points:
+                raise ExperimentError(
+                    f"arrival point {point} out of range [0, {num_points})"
                 )
-                if separation <= 2.0 * f_e:
+            self._num_requests += 1
+            # Each commodity owns its own anchor set, singleton cost and
+            # mask, so the per-commodity decisions are independent and
+            # processing order cannot change the bound (state dicts sort on
+            # the way out regardless).
+            for commodity in arrival.commodities:
+                try:
+                    covered = masks[commodity]
+                except KeyError:
+                    covered = self._coverage(commodity)
+                if covered[point]:
+                    continue  # time-invariant decision: rejected
+                covered[point] = True
+                f_e = self._singleton_costs[commodity]
+                if f_e <= 0.0:
+                    continue  # zero-cost openings make the ball argument vacuous
+                anchors = self._anchors[commodity]
+                if len(anchors) >= anchor_cap:
                     continue
-            anchors.append(int(point))
-            candidate = len(anchors) * f_e
-            if candidate > self._bound:
-                self._bound = candidate
+                anchors.append(int(point))
+                mask = np.frombuffer(covered, dtype=np.bool_)
+                mask |= self._metric.distances_to(point) <= 2.0 * f_e
+                candidate = len(anchors) * f_e
+                if candidate > self._bound:
+                    self._bound = candidate
         return self._bound
 
     # ------------------------------------------------------------------
@@ -311,7 +355,7 @@ class IncrementalOfflineBound:
         self._anchors = {
             int(e): [int(p) for p in points] for e, points in state["anchors"].items()
         }
-        self._seen_points = {}
+        self._covered = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -39,6 +39,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    List,
     Mapping,
     Optional,
     Tuple,
@@ -237,9 +238,15 @@ class OnlineSession:
         else:
             # Imported lazily for the same cycle reason as the telemetry
             # sink below (the tracer pulls in repro.telemetry's reservoir).
-            from repro.trace.tracer import Tracer
+            from repro.trace.tracer import _FOLD_FLUSH_EVERY, Tracer
 
             self._tracer = Tracer.coerce(tracer)
+            # Per-request tracer state kept on the session (see submit): the
+            # first index at or after _num_requests in the detail sample, and
+            # the fold buffer of algorithm.process with the tracer's bound.
+            self._next_detail = self._tracer.next_detail(0)
+            self._process_folds = self._tracer.phase_buffer("algorithm.process")
+            self._fold_limit = _FOLD_FLUSH_EVERY
         if instance is None:
             instance = Instance(
                 metric, cost, RequestSequence([]), commodities=commodities, name=name
@@ -258,9 +265,11 @@ class OnlineSession:
         self._num_requests = 0
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
-        # Served events waiting to be fanned out to the telemetry sink; see
-        # _flush_telemetry for why delivery is micro-batched.
-        self._telemetry_pending: list[Tuple["AssignmentEvent", float]] = []
+        # Served events (and their elapsed times) waiting to be fanned out to
+        # the telemetry sink; see _flush_telemetry for why delivery is
+        # micro-batched.  Two lists, not a list of pairs: no tuple per request.
+        self._pending_events: List["AssignmentEvent"] = []
+        self._pending_elapsed: List[float] = []
         if telemetry is None or telemetry is False:
             self._telemetry = None
         else:
@@ -343,23 +352,26 @@ class OnlineSession:
         return self._telemetry.summary()
 
     def _flush_telemetry(self) -> None:
-        """Fan the pending events out to every probe, in arrival order.
+        """Hand the pending events to the sink as one batch, in arrival order.
 
         Delivery is micro-batched (every ``_TELEMETRY_FLUSH_EVERY`` submits,
         plus before any read of the sink): between two requests the algorithm
         churns through enough metric/NumPy state to evict the probes'
         accumulators from cache, so per-event fan-out pays a cache miss per
-        counter while a short batch pays it once.  Probes still see every
-        event exactly once, in order — only the *when* changes, and every
-        externally observable read point flushes first.
+        counter, while a batch pays it once and each probe folds the whole
+        batch in one pass
+        (:meth:`~repro.telemetry.sink.TelemetrySink.record_batch`).  Probes
+        still see every event exactly once, in order — only the *when*
+        changes, and every externally observable read point flushes first.
         """
-        pending = self._telemetry_pending
-        if not pending:
+        events = self._pending_events
+        if not events:
             return
         sink = self._telemetry
         if sink is not None:
-            sink.record_batch(pending)
-        pending.clear()
+            sink.record_batch(events, self._pending_elapsed)
+        events.clear()
+        self._pending_elapsed.clear()
 
     # ------------------------------------------------------------------
     # Streaming
@@ -391,7 +403,9 @@ class OnlineSession:
         tracer = self._tracer
         detail = False
         if tracer is not None:
-            detail = tracer.should_detail(request.index)
+            # One compare decides: the tracer is asked for the next sampled
+            # index only after a sampled request (see the end of submit).
+            detail = request.index == self._next_detail
             if detail:
                 submit_span = tracer.begin(
                     "session.submit",
@@ -430,7 +444,11 @@ class OnlineSession:
                 )
                 event_start = wall_now()
             else:
-                tracer.record_phase("algorithm.process", elapsed)
+                # tracer.record_phase("algorithm.process", elapsed), inlined.
+                folds = self._process_folds
+                folds.append(elapsed)
+                if len(folds) >= self._fold_limit:
+                    tracer._flush_folds()
         try:
             facility_ids = self._state.facility_ids_of(request.index)
         except KeyError as error:
@@ -455,8 +473,9 @@ class OnlineSession:
         if self._telemetry is not None:
             # Probes reuse the elapsed time measured above — no extra clock
             # reads, no RNG draws, nothing fed back into the algorithm.
-            self._telemetry_pending.append((event, elapsed))
-            if len(self._telemetry_pending) >= _TELEMETRY_FLUSH_EVERY:
+            self._pending_events.append(event)
+            self._pending_elapsed.append(elapsed)
+            if len(self._pending_events) >= _TELEMETRY_FLUSH_EVERY:
                 self._flush_telemetry()
         if detail:
             tracer.add(
@@ -474,6 +493,7 @@ class OnlineSession:
                     "facilities": len(event.facility_ids),
                 },
             )
+            self._next_detail = tracer.next_detail(self._num_requests)
         return event
 
     def submit_many(self, items: Iterable[Tuple[int, Iterable[int]]]) -> list[AssignmentEvent]:

@@ -62,32 +62,41 @@ def step_stream(stream: ScenarioStream, session: OnlineSession, tracer: Any = No
     million-request stream within the tracing overhead budget
     (``benchmarks/bench_trace.py``).
     """
-    if tracer is not None and tracer.should_detail(session.num_requests):
-        index = session.num_requests
-        draw_start = wall_now()
-        got = stream.take(1)
-        tracer.add(
-            "scenario.draw",
-            category="scenario",
-            ordinal=index,
-            seconds=wall_now() - draw_start,
-            wall_start=draw_start,
-            attributes={"exhausted": not got},
-        )
-        if not got:
-            return None
-        point, commodities = got[0]
-        event = session.submit(point, commodities)
-        observe_start = wall_now()
-        stream.observe(event)
-        tracer.add(
-            "scenario.observe",
-            category="scenario",
-            ordinal=index,
-            seconds=wall_now() - observe_start,
-            wall_start=observe_start,
-        )
-        return event
+    if tracer is not None:
+        index = session._num_requests
+        # The session's own tracer has already placed its next sampled index
+        # on the session (OnlineSession.submit), so deciding is one compare,
+        # without a call per request.  Another tracer (the service
+        # manager's) is asked.
+        if tracer is session._tracer:
+            detail = index == session._next_detail
+        else:
+            detail = tracer.should_detail(index)
+        if detail:
+            draw_start = wall_now()
+            got = stream.take(1)
+            tracer.add(
+                "scenario.draw",
+                category="scenario",
+                ordinal=index,
+                seconds=wall_now() - draw_start,
+                wall_start=draw_start,
+                attributes={"exhausted": not got},
+            )
+            if not got:
+                return None
+            point, commodities = got[0]
+            event = session.submit(point, commodities)
+            observe_start = wall_now()
+            stream.observe(event)
+            tracer.add(
+                "scenario.observe",
+                category="scenario",
+                ordinal=index,
+                seconds=wall_now() - observe_start,
+                wall_start=observe_start,
+            )
+            return event
     got = stream.take(1)
     if not got:
         return None

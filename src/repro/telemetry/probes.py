@@ -2,10 +2,11 @@
 
 A probe consumes the stream of :class:`~repro.api.session.AssignmentEvent`
 objects a session emits (plus the per-request wall-clock time the session
-already measures) and maintains a bounded-memory running summary.  Probes are
-registered by name in the string-keyed :data:`METRICS_PROBES` registry,
-mirroring the metric/cost/algorithm/scenario registries, so a telemetry
-configuration is plain data: ``telemetry=["cost-decomposition", "latency"]``.
+already measures), a batch at a time, and maintains a bounded-memory running
+summary.  Probes are registered by name in the string-keyed
+:data:`METRICS_PROBES` registry, mirroring the metric/cost/algorithm/scenario
+registries, so a telemetry configuration is plain data:
+``telemetry=["cost-decomposition", "latency"]``.
 
 Contracts every probe honours (pinned by ``tests/test_telemetry.py``):
 
@@ -24,7 +25,7 @@ Contracts every probe honours (pinned by ``tests/test_telemetry.py``):
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.competitive import IncrementalOfflineBound
 from repro.api.registry import Registry
@@ -95,6 +96,22 @@ class MetricsProbe(abc.ABC):
         themselves).
         """
 
+    def observe_batch(
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
+    ) -> None:
+        """Fold a run of served requests, in arrival order.
+
+        ``elapsed[i]`` is the wall-clock time of ``events[i]``.  The sink
+        hands each probe a whole flush through this hook.  The default calls
+        :meth:`observe` per event; the stock probes fold the run in one pass
+        over local variables (their :meth:`observe` is a batch of one), with
+        the same float operations in the same order, so the state after a
+        batch equals the state after observing its events one by one.
+        """
+        observe = self.observe
+        for event, seconds in zip(events, elapsed):
+            observe(event, seconds)
+
     @abc.abstractmethod
     def summary(self) -> Dict[str, Any]:
         """Current value of the statistic as a strict-JSON dict."""
@@ -158,25 +175,42 @@ class CostDecompositionProbe(MetricsProbe):
         self._num_requests = 0
         self._opening_cost = 0.0
         self._connection_cost = 0.0
-        self._per_commodity: Dict[int, Dict[str, Any]] = {}
+        # commodity -> [requests, connection cost]
+        self._per_commodity: Dict[int, List[Any]] = {}
 
     def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self._num_requests += 1
-        self._opening_cost += event.opening_cost_delta
-        self._connection_cost += event.connection_cost
-        share = event.connection_cost / len(event.commodities)
-        # Per-commodity accumulators are independent, so iteration order is
-        # irrelevant to the result (summaries and state sort on the way out).
+        self.observe_batch((event,), (elapsed_seconds,))
+
+    def observe_batch(
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
+    ) -> None:
+        opening = self._opening_cost
+        connection = self._connection_cost
         per_commodity = self._per_commodity
-        for commodity in event.commodities:
-            entry = per_commodity.get(commodity)
-            if entry is None:
-                entry = per_commodity[commodity] = {
-                    "requests": 0,
-                    "connection_cost": 0.0,
-                }
-            entry["requests"] += 1
-            entry["connection_cost"] += share
+        for event in events:
+            opening += event.opening_cost_delta
+            cost = event.connection_cost
+            connection += cost
+            commodities = event.commodities
+            share = cost / len(commodities)
+            # Per-commodity accumulators are independent, so iteration order
+            # is irrelevant to the result (summaries and state sort on the
+            # way out).
+            for commodity in commodities:
+                entry = per_commodity.get(commodity)
+                if entry is None:
+                    entry = per_commodity[commodity] = [0, 0.0]
+                entry[0] += 1
+                entry[1] += share
+        self._num_requests += len(events)
+        self._opening_cost = opening
+        self._connection_cost = connection
+
+    def _commodity_rows(self) -> Dict[str, Dict[str, Any]]:
+        return {
+            str(e): {"requests": requests, "connection_cost": cost}
+            for e, (requests, cost) in sorted(self._per_commodity.items())
+        }
 
     def summary(self) -> Dict[str, Any]:
         total = self._opening_cost + self._connection_cost
@@ -186,13 +220,7 @@ class CostDecompositionProbe(MetricsProbe):
             "connection_cost": self._connection_cost,
             "total_cost": total,
             "opening_fraction": (self._opening_cost / total) if total > 0 else None,
-            "per_commodity": {
-                str(e): {
-                    "requests": entry["requests"],
-                    "connection_cost": entry["connection_cost"],
-                }
-                for e, entry in sorted(self._per_commodity.items())
-            },
+            "per_commodity": self._commodity_rows(),
         }
 
     def _state(self) -> Dict[str, Any]:
@@ -200,9 +228,7 @@ class CostDecompositionProbe(MetricsProbe):
             "num_requests": self._num_requests,
             "opening_cost": self._opening_cost,
             "connection_cost": self._connection_cost,
-            "per_commodity": {
-                str(e): dict(entry) for e, entry in sorted(self._per_commodity.items())
-            },
+            "per_commodity": self._commodity_rows(),
         }
 
     def _load_state(self, state: Mapping[str, Any]) -> None:
@@ -210,10 +236,7 @@ class CostDecompositionProbe(MetricsProbe):
         self._opening_cost = float(state["opening_cost"])
         self._connection_cost = float(state["connection_cost"])
         self._per_commodity = {
-            int(e): {
-                "requests": int(entry["requests"]),
-                "connection_cost": float(entry["connection_cost"]),
-            }
+            int(e): [int(entry["requests"]), float(entry["connection_cost"])]
             for e, entry in state["per_commodity"].items()
         }
 
@@ -231,12 +254,26 @@ class OpeningRateProbe(MetricsProbe):
         self._max_facility_id = -1
 
     def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self._num_requests += 1
-        if event.opening_cost_delta > 0.0:
-            self._opening_events += 1
-        self._opening_cost += event.opening_cost_delta
-        if event.facility_ids:
-            self._max_facility_id = max(self._max_facility_id, max(event.facility_ids))
+        self.observe_batch((event,), (elapsed_seconds,))
+
+    def observe_batch(
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
+    ) -> None:
+        opening_events = self._opening_events
+        opening = self._opening_cost
+        max_id = self._max_facility_id
+        for event in events:
+            delta = event.opening_cost_delta
+            if delta > 0.0:
+                opening_events += 1
+            opening += delta
+            for facility_id in event.facility_ids:
+                if facility_id > max_id:
+                    max_id = facility_id
+        self._num_requests += len(events)
+        self._opening_events = opening_events
+        self._opening_cost = opening
+        self._max_facility_id = max_id
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -294,10 +331,20 @@ class LatencyReservoirProbe(MetricsProbe):
         return {"capacity": self._capacity, "seed": self._seed}
 
     def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self._total_seconds += elapsed_seconds
-        if elapsed_seconds > self._max_seconds:
-            self._max_seconds = elapsed_seconds
-        self._sampler.add(elapsed_seconds)
+        self.observe_batch((event,), (elapsed_seconds,))
+
+    def observe_batch(
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
+    ) -> None:
+        total = self._total_seconds
+        longest = self._max_seconds
+        for seconds in elapsed:
+            total += seconds
+            if seconds > longest:
+                longest = seconds
+        self._total_seconds = total
+        self._max_seconds = longest
+        self._sampler.add_many(elapsed)
 
     def summary(self) -> Dict[str, Any]:
         count = self._sampler.count
@@ -348,9 +395,13 @@ class CompetitiveRatioProbe(MetricsProbe):
     Pairs the session's running online cost with the LP-free
     :class:`~repro.analysis.competitive.IncrementalOfflineBound` lower bound
     on offline OPT of the prefix — updated per arrival, never re-solving.
-    The reported ``ratio_upper_bound`` (online cost / lower bound) therefore
-    *over*-estimates the true competitive ratio; at finalize it exactly
-    matches the post-hoc batch computation
+    A flush hands the bound the whole batch of events
+    (:meth:`~repro.analysis.competitive.IncrementalOfflineBound.update_many`),
+    where an arrival costs one coverage-mask bit per commodity and only an
+    accepted anchor reads a distance column; the online cost is the last
+    event's running total.  The reported ``ratio_upper_bound`` (online cost
+    / lower bound) therefore *over*-estimates the true competitive ratio; at
+    finalize it exactly matches the post-hoc batch computation
     :func:`~repro.analysis.competitive.streaming_lower_bound` on the served
     prefix (pinned with ``==`` in ``tests/test_telemetry.py``).
     """
@@ -376,17 +427,24 @@ class CompetitiveRatioProbe(MetricsProbe):
             self._pending_state = None
 
     def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
+        self.observe_batch((event,), (elapsed_seconds,))
+
+    def observe_batch(
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
+    ) -> None:
         if self._bound is None:
             raise TelemetryError(
                 "competitive-ratio probe observed an event before bind(); "
                 "attach it through a TelemetrySink"
             )
-        self._num_requests += 1
-        # Inlined event.total_cost_so_far: this runs once per streamed
-        # request, so skip the property-call frame.
-        self._online_cost = event.opening_cost_so_far + event.connection_cost_so_far
-        # Raw-arrival fast path: the event already validated the request.
-        self._bound.update_arrival(event.point, event.commodities)
+        if not events:
+            return
+        self._num_requests += len(events)
+        # The running online cost is the last event's total so far
+        # (event.total_cost_so_far, inlined).
+        last = events[-1]
+        self._online_cost = last.opening_cost_so_far + last.connection_cost_so_far
+        self._bound.update_many(events)
 
     @property
     def lower_bound(self) -> float:

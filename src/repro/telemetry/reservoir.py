@@ -90,17 +90,33 @@ class ReservoirSampler:
 
     def add(self, value: float) -> None:
         """Fold one observation into the sample."""
-        index = self._count
-        self._count += 1
+        self.add_many((value,))
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold a run of observations, in order, into the sample.
+
+        Fills the reservoir with one slice, then jumps straight from one
+        precomputed replacement index to the next, so the values in between
+        cost nothing.  The draws, their order and the resulting state equal
+        :meth:`add` per value.
+        """
+        start = self._count
+        end = start + len(values)
+        reservoir = self._values
         if not self._filled:
-            self._values.append(value)
-            if len(self._values) == self._capacity:
-                self._filled = True
-                self._advance_skip(index)
-        elif index == self._next_replacement:
+            taken = min(self._capacity - len(reservoir), len(values))
+            reservoir.extend(values[:taken])
+            if len(reservoir) < self._capacity:
+                self._count = end
+                return
+            self._filled = True
+            self._advance_skip(start + taken - 1)
+        while self._next_replacement < end:
+            index = self._next_replacement
             slot = int(self._rng.integers(0, self._capacity))
-            self._values[slot] = value
+            reservoir[slot] = values[index - start]
             self._advance_skip(index)
+        self._count = end
 
     def percentiles(
         self, qs: Sequence[float] = (50.0, 90.0, 99.0)

@@ -3,16 +3,16 @@
 :class:`TelemetrySink` is the object a session's ``telemetry=`` hook accepts.
 It coerces a declarative probe list (names, spec dicts or live probe
 instances) into built probes, binds them to the session's fixed environment,
-fans every served event out to them, and round-trips the whole ensemble
-through a strict-JSON state dict so snapshots carry telemetry bit-identically
-(the probe *specs* are embedded alongside the state, making the sink
-self-describing: :meth:`TelemetrySink.from_state_dict` rebuilds it without
-re-supplying the configuration).
+fans each batch of served events out to them, and round-trips the whole
+ensemble through a strict-JSON state dict so snapshots carry telemetry
+bit-identically (the probe *specs* are embedded alongside the state, making
+the sink self-describing: :meth:`TelemetrySink.from_state_dict` rebuilds it
+without re-supplying the configuration).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.api.session import AssignmentEvent
 from repro.costs.base import FacilityCostFunction
@@ -107,27 +107,21 @@ class TelemetrySink:
             probe.bind(metric, cost)
         self._bound = True
 
-    def record(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        """Fan one served request out to every probe."""
-        for probe in self._probes:
-            probe.observe(event, elapsed_seconds)
-
     def record_batch(
-        self, items: Iterable[Tuple[AssignmentEvent, float]]
+        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
     ) -> None:
-        """Fan a short run of served requests out to every probe.
+        """Fan a run of served requests out to every probe.
 
-        Equivalent to :meth:`record` per item (each probe sees every event
-        exactly once, in arrival order), but iterated probe-major: each
-        probe's accumulators stay hot in cache for the whole batch and its
-        ``observe`` is resolved once instead of per event.  Probes are
-        independent by contract, so the cross-probe interleaving is not
-        observable.
+        ``elapsed[i]`` is the wall-clock time of ``events[i]``.  Each probe
+        receives the whole run once, through
+        :meth:`~repro.telemetry.probes.MetricsProbe.observe_batch`, and folds
+        it in one pass with its accumulators in local variables.  Each probe
+        sees every event exactly once, in arrival order, and ends in the
+        state that observing the events one by one would leave.  Probes are
+        independent by contract, so the probe-major order is not observable.
         """
         for probe in self._probes:
-            observe = probe.observe
-            for event, elapsed_seconds in items:
-                observe(event, elapsed_seconds)
+            probe.observe_batch(events, elapsed)
 
     def summary(self) -> Dict[str, Any]:
         """``{probe kind: probe summary}`` in probe order (strict JSON)."""

@@ -54,8 +54,8 @@ TRACE_VERSION = 1
 _DEFAULT_BUFFER = 4096
 _DEFAULT_STRIDE = 1024
 _DEFAULT_RESERVOIR = 256
-#: Buffered record_phase observations folded per batch (memory bound of the
-#: fold buffer; batching keeps the per-request cost to an append).
+#: Buffered record_phase observations folded per batch (memory bound of each
+#: phase's fold buffer; batching keeps the per-request cost to an append).
 _FOLD_FLUSH_EVERY = 512
 
 
@@ -76,13 +76,25 @@ class _PhaseStats:
         self.sampler = sampler
 
     def fold(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds < self.min_seconds:
-            self.min_seconds = seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        self.sampler.add(seconds)
+        self.fold_many((seconds,))
+
+    def fold_many(self, values: Sequence[float]) -> None:
+        """Fold a run of observations in one pass: the count, a left-to-right
+        total, min and max, then one batch reservoir add."""
+        total = self.total_seconds
+        shortest = self.min_seconds
+        longest = self.max_seconds
+        for seconds in values:
+            total += seconds
+            if seconds < shortest:
+                shortest = seconds
+            if seconds > longest:
+                longest = seconds
+        self.count += len(values)
+        self.total_seconds = total
+        self.min_seconds = shortest
+        self.max_seconds = longest
+        self.sampler.add_many(values)
 
 
 class Tracer:
@@ -127,18 +139,15 @@ class Tracer:
         self._next_id = 0
         self._clock = 0
         self._dropped = 0
-        # Cached detail-sample position of the current stratum, plus the
-        # last query (several instrumentation layers ask about the same
-        # request index back to back).
-        self._detail_stratum = -1
-        self._detail_index = 0
-        self._last_query = -1
-        self._last_detail = False
-        # Pending record_phase observations, folded in batches (see
-        # record_phase): bounded by _FOLD_FLUSH_EVERY, drained before any
-        # aggregate read.
+        # The last stratum queried, as [start, end), and its detail index
+        # (empty until the first query).
+        self._stratum_start = 0
+        self._stratum_end = 0
+        self._detail_index = -1
+        # Pending record_phase observations per phase, folded in batches
+        # (see record_phase): each bounded by _FOLD_FLUSH_EVERY, drained
+        # before any aggregate read.
         self._fold_buffer: Dict[str, List[float]] = {}
-        self._fold_pending = 0
 
     # ------------------------------------------------------------------
     # Coercion (the ``tracer=`` session/engine/service hook)
@@ -207,21 +216,34 @@ class Tracer:
         ``(sample_seed, stratum)``, so the sample is stratified, unbiased
         within strata, and a pure function of the tracer configuration.
         """
-        if index == self._last_query:
-            return self._last_detail
+        if self._stratum_start <= index < self._stratum_end:
+            return index == self._detail_index
         stride = self._detail_stride
         if stride <= 1:
             return True
         stratum = index // stride
-        if stratum != self._detail_stratum:
-            self._detail_stratum = stratum
-            offset = int(
-                np.random.default_rng((self._sample_seed, stratum)).integers(0, stride)
-            )
-            self._detail_index = stratum * stride + offset
-        self._last_query = index
-        self._last_detail = index == self._detail_index
-        return self._last_detail
+        offset = int(
+            np.random.default_rng((self._sample_seed, stratum)).integers(0, stride)
+        )
+        self._stratum_start = stratum * stride
+        self._stratum_end = self._stratum_start + stride
+        self._detail_index = self._stratum_start + offset
+        return index == self._detail_index
+
+    def next_detail(self, index: int) -> int:
+        """The first index at or after ``index`` that :meth:`should_detail`
+        samples.
+
+        A caller that serves requests in index order decides each request
+        with one compare against this index, and asks again only once it has
+        passed it: the session asks once per stratum, not once per request.
+        """
+        if self._detail_stride <= 1:
+            return index
+        self.should_detail(index)  # places the stratum holding ``index``
+        if self._detail_index < index:
+            self.should_detail(self._stratum_end)  # the next stratum
+        return self._detail_index
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -239,36 +261,42 @@ class Tracer:
 
     def record_phase(self, name: str, seconds: float) -> None:
         """Fold one pre-measured observation into the phase aggregates only
-        (no span object, no event-clock tick — the per-request hot path).
+        (no span object, no event-clock tick).
 
-        Observations are buffered and folded in batches: interleaved with
-        real per-request work, every small aggregate call runs on cold
-        caches and costs several times its tight-loop price, so the hot
-        path pays one dict lookup and a list append here, and the folds run
-        back to back in :meth:`_flush_folds`.  Every aggregate reader
-        (``phase_summary``, ``to_payload``) drains the buffer first, and the
-        buffer is bounded by ``_FOLD_FLUSH_EVERY`` observations.
+        Observations are buffered per phase and folded in batches:
+        interleaved with real per-request work, every small aggregate call
+        runs on cold caches and costs several times its tight-loop price, so
+        recording is a list append here, and :meth:`_flush_folds` folds each
+        buffer in one pass.  Every aggregate reader (``phase_summary``,
+        ``to_payload``) drains the buffers first, and each buffer is bounded
+        by ``_FOLD_FLUSH_EVERY`` observations.
+        """
+        buffer = self.phase_buffer(name)
+        buffer.append(seconds)
+        if len(buffer) >= _FOLD_FLUSH_EVERY:
+            self._flush_folds()
+
+    def phase_buffer(self, name: str) -> List[float]:
+        """The live list of ``name`` observations waiting to be folded.
+
+        :meth:`record_phase` appends to it.  A per-request hot path may
+        append to it directly, without the method call, provided it calls
+        :meth:`_flush_folds` once the list holds ``_FOLD_FLUSH_EVERY`` values
+        (the session does so for ``algorithm.process``).  The list object
+        stays the same for the tracer's lifetime.
         """
         buffer = self._fold_buffer.get(name)
         if buffer is None:
             buffer = self._fold_buffer[name] = []
-        buffer.append(seconds)
-        self._fold_pending += 1
-        if self._fold_pending >= _FOLD_FLUSH_EVERY:
-            self._flush_folds()
+        return buffer
 
     def _flush_folds(self) -> None:
-        """Drain the buffered observations into the per-phase aggregates."""
-        if not self._fold_pending:
-            return
+        """Drain the buffered observations into the per-phase aggregates,
+        one :meth:`_PhaseStats.fold_many` pass per phase."""
         for name, values in self._fold_buffer.items():
-            if not values:
-                continue
-            fold = self._phase(name).fold
-            for seconds in values:
-                fold(seconds)
-            values.clear()
-        self._fold_pending = 0
+            if values:
+                self._phase(name).fold_many(values)
+                values.clear()
 
     # ------------------------------------------------------------------
     # Span recording

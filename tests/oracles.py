@@ -46,9 +46,19 @@ array pass.  Its oracle is the object log those replaced:
 * :func:`reference_finalize` — the finalize that validates every request's
   assignment and recomputes every cost from the frozen solution.
 
-``tests/test_accel_equivalence.py``, ``tests/test_offline_equivalence.py``
-and ``tests/test_state_log_equivalence.py`` run production against it with
-exact ``==``; ``benchmarks/bench_algorithm_kernels.py`` times the scans.
+The streaming offline bound of :mod:`repro.analysis.competitive` answers an
+arrival from one bit of a per-commodity coverage mask, and the reservoir
+sample jumps from one replacement index to the next over a batch.  Their
+oracles are the loops those replaced:
+
+* :class:`ReferenceOfflineBound` — a memo of seen points per commodity and,
+  for each new point, the minimum over ``distances_between(point, anchors)``;
+* :class:`ReferenceReservoirSampler` — Algorithm L one value at a time.
+
+``tests/test_accel_equivalence.py``, ``tests/test_offline_equivalence.py``,
+``tests/test_state_log_equivalence.py``, ``tests/test_offline_bound_oracle.py``
+and ``tests/test_observer_batches.py`` run production against it with exact
+``==``; ``benchmarks/bench_algorithm_kernels.py`` times the scans.
 """
 
 from __future__ import annotations
@@ -74,6 +84,7 @@ from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCom
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
+from repro.analysis.competitive import IncrementalOfflineBound
 from repro.core.assignment import Assignment
 from repro.core.facility import Facility, FacilityStore
 from repro.core.instance import Instance
@@ -83,6 +94,7 @@ from repro.core.state import OnlineState
 from repro.core.trace import RequestAssignedEvent
 from repro.exceptions import AlgorithmError, InfeasibleSolutionError, SnapshotError
 from repro.metric.base import MetricSpace
+from repro.telemetry.reservoir import ReservoirSampler
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +627,72 @@ def object_log() -> Iterator[None]:
         yield
     finally:
         session_module.OnlineState = original
+
+
+# ---------------------------------------------------------------------------
+# The streaming offline bound and the reservoir sample
+# ---------------------------------------------------------------------------
+class ReferenceOfflineBound(IncrementalOfflineBound):
+    """The streaming lower bound deciding arrivals from a seen-point memo and
+    the minimum distance to the anchors.
+
+    The first arrival of a ``(commodity, point)`` pair compares
+    ``np.min(metric.distances_between(point, anchors))`` with ``2·f_e``; a
+    per-commodity set of seen points skips its repeats, and a load empties
+    it.  No point is range-checked.
+    """
+
+    def __init__(self, metric: MetricSpace, cost, *, anchor_cap: int = 256) -> None:
+        super().__init__(metric, cost, anchor_cap=anchor_cap)
+        self._seen_points: Dict[int, Set[int]] = {}
+
+    def update_many(self, arrivals) -> float:
+        for arrival in arrivals:
+            point = arrival.point
+            self._num_requests += 1
+            for commodity in arrival.commodities:
+                seen = self._seen_points.setdefault(commodity, set())
+                if point in seen:
+                    continue
+                seen.add(point)
+                f_e = self._singleton_cost(commodity)
+                if f_e <= 0.0:
+                    continue
+                anchors = self._anchors[commodity]
+                if len(anchors) >= self._anchor_cap:
+                    continue
+                if anchors:
+                    separation = float(np.min(self._metric.distances_between(point, anchors)))
+                    if separation <= 2.0 * f_e:
+                        continue
+                anchors.append(int(point))
+                candidate = len(anchors) * f_e
+                if candidate > self._bound:
+                    self._bound = candidate
+        return self._bound
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._seen_points = {}
+
+
+class ReferenceReservoirSampler(ReservoirSampler):
+    """Algorithm L one value at a time: every arrival index is compared with
+    the next replacement index."""
+
+    def add_many(self, values: Sequence[float]) -> None:
+        for value in values:
+            index = self._count
+            self._count += 1
+            if not self._filled:
+                self._values.append(value)
+                if len(self._values) == self._capacity:
+                    self._filled = True
+                    self._advance_skip(index)
+            elif index == self._next_replacement:
+                slot = int(self._rng.integers(0, self._capacity))
+                self._values[slot] = value
+                self._advance_skip(index)
 
 
 # ---------------------------------------------------------------------------
