@@ -20,6 +20,14 @@ Bit-identicality with the reference scan is guaranteed by two invariants:
 2. Ties are broken towards the earliest-added member (strict ``<`` update),
    which is what ``np.argmin`` over members in insertion order returns.
 
+A third invariant follows from the strict ``<``, and the cost model prices
+connections by it (:meth:`repro.core.facility.FacilityStore.connection_distance`):
+
+3. ``_dmin[p]`` is bit-for-bit the ``distances_to`` column of member
+   ``_tags[p]`` read at ``p``: the tag moves only where the new column is
+   strictly smaller, and there the minimum is that column's value.  So
+   ``nearest(p) == (tag, distance(p, point of tag))`` for finite distances.
+
 Trackers are deliberately *not* serialized by the session snapshot codec
 (:mod:`repro.service.snapshot`): their arrays are a pure fold over the member
 sequence, so restoring a snapshot replays the same ``add`` calls in the same

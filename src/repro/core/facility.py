@@ -81,7 +81,8 @@ class FacilityStore:
     minima folded in at opening time, one ``distances_to`` column read per
     opened facility (see :mod:`repro.accel`);
     :meth:`nearest_covering`, needed only for restricted large
-    configurations, scans the open facilities.
+    configurations, scans the open facilities.  :meth:`connection_distance`
+    prices a connection from the same trackers.
     """
 
     def __init__(self, metric: MetricSpace, cost_function: FacilityCostFunction) -> None:
@@ -242,6 +243,26 @@ class FacilityStore:
             return None
         facility_id, distance = tracker.nearest(point)
         return self._facilities[facility_id], distance
+
+    def connection_distance(self, facility_id: int, commodity: int, point: int) -> float:
+        """``metric.distance(point, facility.point)`` for a facility offering ``commodity``.
+
+        When the facility is the tracked nearest one at ``point`` for
+        ``commodity`` (or, if it offers all of ``S``, among the large
+        facilities), the tracked minimum is that distance bit for bit:
+        invariant 3 of :mod:`repro.accel.tracker`.  A farther facility, or
+        one tied with an earlier-opened facility, reads the metric.  The
+        caller checks that the facility is open and offers the commodity.
+        """
+        tag, distance = self._trackers[commodity].nearest(point)
+        if tag == facility_id:
+            return distance
+        facility = self._facilities[facility_id]
+        if facility.configuration == self._full_set:
+            tag, distance = self._large_tracker.nearest(point)
+            if tag == facility_id:
+                return distance
+        return self._metric.distance(point, facility.point)
 
     def nearest_covering(self, commodities: FrozenSet[int], point: int) -> Optional[Tuple[Facility, float]]:
         """Nearest facility offering *all* the given commodities, or ``None``."""

@@ -10,10 +10,23 @@ Keeping this state in one place guarantees that every algorithm is charged
 costs in exactly the same way (the cost model lives here, not in each
 algorithm), which is essential for fair competitive-ratio comparisons.
 
+Pricing
+-------
+A request pays the sum of the distances to its distinct facilities (Section
+1.1), summed from ``0.0`` in the order of their id frozenset, as
+:meth:`Assignment.connection_cost` sums.  Each distance comes from
+:meth:`FacilityStore.connection_distance`.  When the facility is the nearest
+one that the store's trackers hold for the request point, the tracked
+minimum is the distance, bit for bit; any other facility reads
+``metric.distance``.  An algorithm that connects to the nearest facility
+(Meyerson's always does) is then charged without a metric call.  Before
+pricing, the assignment is screened on ints; what the screen rejects goes
+through :meth:`Assignment.validate`, so the errors are the object checks'.
+
 The log
 -------
 Assignments are irrevocable (Section 1.1), so a request's connection cost is
-fixed once it is recorded.  :meth:`OnlineState.record_assignment` validates
+fixed once it is recorded.  :meth:`OnlineState.record_assignment` checks
 the assignment against the open facilities, adds its cost to a running total
 and copies it into flat int64 arrays: per request its index and point, and
 its ``(commodity, facility)`` pairs in the order the algorithm assigned them,
@@ -130,6 +143,7 @@ class OnlineState:
         self._store = FacilityStore(instance.metric, instance.cost_function)
         self._trace = trace if trace is not None else Trace(enabled=False)
         self._full_set = instance.cost_function.full_set
+        self._num_points = instance.num_points
         self._log = _Log()
         # Request index -> log row, built only once a request is recorded
         # out of arrival order; until then row k is request k.
@@ -233,8 +247,17 @@ class OnlineState:
     def record_assignment(self, request: Request, assignment: Assignment) -> None:
         """Finalize the (irrevocable) assignment of ``request``.
 
-        The assignment is validated, charged and copied into the log, so
-        later changes to the ``Assignment`` object do not reach the log.
+        The assignment is screened on ints: the request index matches, the
+        served commodities are the demanded ones, and each facility is open
+        and offers the commodity it serves.  Its connection cost sums
+        :meth:`FacilityStore.connection_distance` over its distinct
+        facilities, from ``0.0`` in the order of their id frozenset: bit for
+        bit :meth:`Assignment.connection_cost`, with no metric call for a
+        facility that is the tracked nearest one.  An assignment the screen
+        rejects, or a request at an unknown point, goes through
+        :meth:`Assignment.validate` and :meth:`Assignment.connection_cost`,
+        which raise what they always raised.  The pairs are copied into the
+        log, so later changes to the ``Assignment`` object do not reach it.
         """
         index = request.index
         log = self._log
@@ -245,14 +268,27 @@ class OnlineState:
             rows = self._rows = dict(zip(log.indices, range(row)))
         if rows is not None and index in rows:
             raise AlgorithmError(f"request {index} was assigned twice")
-        facilities = self._store.facility_map()
-        assignment.validate(request, facilities)
-        connection = assignment.connection_cost(request, facilities, self._instance.metric)
+        store = self._store
+        pairs = assignment.facility_of_commodity
+        point = request.point
+        commodity_of = self._screen(request, assignment)
+        if commodity_of is not None:
+            ids = frozenset(pairs.values())
+            connection = 0.0
+            for facility_id in ids:
+                connection += store.connection_distance(
+                    facility_id, commodity_of[facility_id], point
+                )
+        else:
+            facilities = store.facility_map()
+            assignment.validate(request, facilities)
+            connection = assignment.connection_cost(request, facilities, self._instance.metric)
+            ids = assignment.facility_ids()
         self._connection_cost += connection
         if rows is not None:
             rows[index] = row
-        log.append(index, request.point, assignment.facility_of_commodity)
-        facility_ids = tuple(sorted(assignment.facility_ids()))
+        log.append(index, point, pairs)
+        facility_ids = tuple(sorted(ids))
         self._last_index = index
         self._last_facility_ids = facility_ids
         if self._trace.enabled:
@@ -262,9 +298,36 @@ class OnlineState:
                     facility_ids=facility_ids,
                     connection_cost=connection,
                     via_large=len(facility_ids) == 1
-                    and facilities[facility_ids[0]].configuration == self._full_set,
+                    and store[facility_ids[0]].configuration == self._full_set,
                 )
             )
+
+    def _screen(self, request: Request, assignment: Assignment) -> Optional[Dict[int, int]]:
+        """Each facility of a feasible assignment, mapped to a commodity it serves.
+
+        :meth:`Assignment.validate` on ints, without building its messages,
+        plus the metric's range check of the request point.  ``None`` when a
+        check fails, or when a facility id is not a plain ``int``.
+        """
+        pairs = assignment.facility_of_commodity
+        if not (
+            assignment.request_index == request.index
+            and pairs.keys() == request.commodities
+            and 0 <= request.point < self._num_points
+        ):
+            return None
+        store = self._store
+        num_open = len(store)
+        commodity_of: Dict[int, int] = {}
+        for commodity, facility_id in pairs.items():
+            if not (
+                type(facility_id) is int
+                and 0 <= facility_id < num_open
+                and commodity in store[facility_id].configuration
+            ):
+                return None
+            commodity_of[facility_id] = commodity
+        return commodity_of
 
     def assign_to_single_facility(self, request: Request, facility: Facility) -> Assignment:
         """Connect every demanded commodity of ``request`` to one facility."""

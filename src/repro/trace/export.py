@@ -20,6 +20,7 @@ spans.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.trace.span import Span
@@ -254,7 +255,11 @@ def render_summary(summary: Mapping[str, Any]) -> str:
 
 
 def write_json(path: str, data: Mapping[str, Any], *, sort_keys: bool = True) -> None:
-    """Write strict JSON with a stable layout (the byte-stability surface)."""
+    """Write strict JSON with a stable layout (the byte-stability surface).
+
+    Missing parent directories are created first.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")

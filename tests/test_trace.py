@@ -509,6 +509,33 @@ def test_trace_cli_record_export_summarize_roundtrip(tmp_path, capsys):
     assert chrome_path_2.read_bytes() == chrome_path.read_bytes()
 
 
+def test_trace_cli_record_creates_missing_directories(tmp_path):
+    from repro.cli import main
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SCENARIO_SPEC))
+    trace_path = tmp_path / "missing" / "nested" / "trace.json"
+    argv = ["trace", "record", "--spec", str(spec_path), "--out", str(trace_path)]
+    assert main(argv + ["--max-requests", "8"]) == 0
+    assert validate_payload(json.loads(trace_path.read_text()))["meta"]["spans_retained"] > 0
+
+    chrome_path = tmp_path / "other" / "chrome.json"
+    assert main(["trace", "export", str(trace_path), "--out", str(chrome_path)]) == 0
+    assert validate_chrome_trace(json.loads(chrome_path.read_text())) > 0
+
+
+def test_serve_trace_out_creates_missing_directories(tmp_path):
+    import io
+
+    from repro.service import SessionManager, serve
+
+    trace_path = tmp_path / "missing" / "serve_trace.json"
+    output = io.StringIO()
+    serve(SessionManager(), io.StringIO('{"op": "ping"}\n'), output, trace_out=trace_path)
+    assert json.loads(output.getvalue())["ok"] is True
+    validate_payload(json.loads(trace_path.read_text()))
+
+
 def test_span_round_trips_with_and_without_wall_fields():
     span = Span(
         span_id=3,
