@@ -19,6 +19,11 @@ request history each arrival;
 preallocated buffers updated in place, and the sum itself as an exact running
 vector, O(n) per arrival.
 
+The tables that depend on the metric and the cost alone (per configuration:
+the cost classes, their class-distance columns and the cost vector) belong
+to the instance: :class:`~repro.accel.tables.EnvironmentTables` fills each
+once for every run on it.
+
 These structures are the only production implementation.  All three are
 **bit-identical** to the plain scans they replace (same floats, same
 tie-breaks, same numpy reduction orders): the test suite keeps those scans

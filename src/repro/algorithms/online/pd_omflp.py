@@ -30,9 +30,12 @@ while processing a request join ``F`` only once actually opened; ties are
 broken deterministically in the order (1), (3), (2), (4), then by point and
 commodity index.  All per-point quantities are numpy vectors over the whole
 point set, so one event search is a handful of vectorized reductions.  The
-bid sums of constraints (3)/(4) come from
-:class:`~repro.accel.history.BidHistoryBuffer` running sums: one buffer per
-commodity (the earlier requests demanding it) and one for the large
+opening costs ``f^{{e}}_m`` and ``f^L_m`` over all points are pure functions
+of the cost, so they come read-only from the instance's tables
+(:mod:`repro.accel.tables`), built once per configuration for every run on
+that instance.  The bid sums of constraints (3)/(4) are run state: they come
+from :class:`~repro.accel.history.BidHistoryBuffer` running sums, one buffer
+per commodity (the earlier requests demanding it) and one for the large
 configuration.
 
 The class accepts a ``large_configuration`` parameter.  The default is the
@@ -48,6 +51,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.accel.history import BidHistoryBuffer
+from repro.accel.tables import EnvironmentTables
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import Assignment
 from repro.core.instance import Instance
@@ -80,8 +84,7 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         self._instance: Optional[Instance] = None
         self._large_set: FrozenSet[int] = frozenset()
         self._row_cache: Dict[int, np.ndarray] = {}
-        self._f_small_cache: Dict[int, np.ndarray] = {}
-        self._f_large: Optional[np.ndarray] = None
+        self._tables: Optional[EnvironmentTables] = None
         # Bid-history buffers (see repro.accel.history): one per commodity
         # for constraint (3), one for the large constraint (4).
         self._small_buffers: Dict[int, BidHistoryBuffer] = {}
@@ -105,11 +108,9 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         else:
             self._large_set = instance.cost_function.full_set
         self._row_cache = {}
-        self._f_small_cache = {}
+        self._tables = instance.tables
         self._small_buffers = {}
         self._large_buffer = BidHistoryBuffer(instance.metric)
-        all_points = list(range(instance.num_points))
-        self._f_large = instance.cost_function.costs_over_points(self._large_set, all_points)
 
     def duals(self) -> Optional[DualVariableStore]:
         return self._duals
@@ -120,8 +121,8 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     def state_dict(self) -> Dict[str, Any]:
         """Duals plus the contents of every :class:`BidHistoryBuffer`.
 
-        The static per-point cost vectors and distance-row caches are rebuilt
-        by ``prepare`` / lazily.
+        The static per-point cost vectors live in the instance's tables and
+        the distance rows are re-read lazily.
         """
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
@@ -163,14 +164,6 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             row = np.asarray(self._instance.metric.distances_from(point), dtype=np.float64)
             self._row_cache[point] = row
         return row
-
-    def _f_small(self, commodity: int) -> np.ndarray:
-        vector = self._f_small_cache.get(commodity)
-        if vector is None:
-            all_points = list(range(self._instance.num_points))
-            vector = self._instance.cost_function.costs_over_points((commodity,), all_points)
-            self._f_small_cache[commodity] = vector
-        return vector
 
     def _register_opened_facility(self, point: int, configuration: FrozenSet[int]) -> None:
         """Fold a newly opened facility into the earlier requests' bids.
@@ -226,15 +219,13 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         nearest_large_entry = self._nearest_covering_large(state, point)
         dist_large = nearest_large_entry[1] if nearest_large_entry is not None else float("inf")
 
-        slack_small: Dict[int, np.ndarray] = {}
+        tables = self._tables
         trigger_small_open: Dict[int, np.ndarray] = {}
         for e in commodities:
-            base = self._base_small(e)
-            slack = np.maximum(self._f_small(e) - base, 0.0)
-            slack_small[e] = slack
+            slack = np.maximum(tables.cost_vector((e,)) - self._base_small(e), 0.0)
             trigger_small_open[e] = d_r + slack
         base_large = self._base_large()
-        slack_large = np.maximum(self._f_large - base_large, 0.0)
+        slack_large = np.maximum(tables.cost_vector(self._large_set) - base_large, 0.0)
 
         # Event-driven growth of the common dual level.
         unserved = set(commodities)

@@ -32,9 +32,14 @@ this choice).  If some demanded commodity is offered nowhere, the cheapest
 small-facility option realizing ``X(r, e)`` is opened deterministically as a
 feasibility fallback (DESIGN.md §4.2); this only affects constants.
 
-The static per-class distances ``d(C^τ_i, ·)`` come from memoized
-:class:`~repro.accel.classes.ClassDistanceIndex` columns (O(1) per query
-after the first from a point) instead of an O(n) scan per class per request.
+The cost classes of each configuration and their per-class distances
+``d(C^τ_i, ·)`` are pure functions of the metric and the cost, so they come
+from the instance's tables (:mod:`repro.accel.tables`): one
+:class:`~repro.costs.classes.CostClassIndex` per configuration and its
+memoized :class:`~repro.accel.classes.ClassDistanceIndex` columns (O(1) per
+query after the first from a point) instead of an O(n) scan per class per
+request.  Another run on the same instance, such as a reloaded service
+session, reads the tables the earlier runs filled.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.accel.classes import ClassDistanceIndex
+from repro.accel.tables import EnvironmentTables
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import Assignment
 from repro.core.instance import Instance
@@ -62,25 +68,17 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
     def __init__(self) -> None:
         self.name = "rand-omflp"
         self._instance: Optional[Instance] = None
-        self._small_classes: Dict[int, CostClassIndex] = {}
+        self._tables: Optional[EnvironmentTables] = None
         self._large_classes: Optional[CostClassIndex] = None
-        self._small_accel: Dict[int, ClassDistanceIndex] = {}
-        self._large_accel: Optional[ClassDistanceIndex] = None
 
     # ------------------------------------------------------------------
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         self._instance = instance
-        # The facility cost classes are static (costs never change), so they
-        # are built once per run; singleton classes are built lazily because a
-        # run may never see some commodities.
-        self._small_classes = {}
-        self._small_accel = {}
-        self._large_classes = CostClassIndex(
-            instance.metric, instance.cost_function, instance.cost_function.full_set
-        )
-        self._large_accel = ClassDistanceIndex.from_cost_index(
-            instance.metric, self._large_classes
-        )
+        # The facility cost classes are static (costs never change), so the
+        # instance's tables build each configuration's classes once, lazily:
+        # a run may never see some commodities.
+        self._tables = instance.tables
+        self._large_classes = self._tables.cost_classes(instance.cost_function.full_set)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -88,9 +86,9 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
     def state_dict(self) -> Dict[str, object]:
         """RAND-OMFLP carries no per-run decision state of its own.
 
-        Every attribute built after ``prepare`` (`_small_classes`,
-        `_small_accel` and their memo caches) is a pure function of the static
-        instance; the run's decisions live entirely in the shared
+        Every table it reads (the cost classes and their class-distance
+        columns) is a pure function of the static instance and lives in the
+        instance's tables; the run's decisions live entirely in the shared
         :class:`OnlineState` and the RNG stream, both captured by the session
         snapshot.  The snapshot is therefore empty.
         """
@@ -107,28 +105,16 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
             )
 
     def _classes_for(self, commodity: int) -> CostClassIndex:
-        index = self._small_classes.get(commodity)
-        if index is None:
-            index = CostClassIndex(
-                self._instance.metric, self._instance.cost_function, (commodity,)
-            )
-            self._small_classes[commodity] = index
-        return index
+        return self._tables.cost_classes((commodity,))
 
     def _provider_for(self, commodity: int) -> ClassDistanceIndex:
         """Distance queries (``distance_to_class`` / ``nearest_point_of_class``
         / ``cheapest_open_option``) over one commodity's cost classes."""
-        accel = self._small_accel.get(commodity)
-        if accel is None:
-            accel = ClassDistanceIndex.from_cost_index(
-                self._instance.metric, self._classes_for(commodity)
-            )
-            self._small_accel[commodity] = accel
-        return accel
+        return self._tables.class_distances((commodity,))
 
     def _large_provider(self) -> ClassDistanceIndex:
         """Distance queries over the large configuration's cost classes."""
-        return self._large_accel
+        return self._tables.class_distances(self._instance.cost_function.full_set)
 
     # ------------------------------------------------------------------
     # Budgets (Section 4.1)

@@ -5,12 +5,17 @@ space ``M``, a facility construction cost function ``f^σ_m`` and the request
 sequence.  The same object serves as the offline instance (the whole sequence
 is visible) and as the online instance (algorithms consume requests in
 arrival order through :class:`repro.algorithms.base.OnlineAlgorithm`).
+
+The instance also owns the tables its algorithms derive from the metric and
+the cost alone (:attr:`Instance.tables`, see :mod:`repro.accel.tables`), so
+every run on the same instance shares them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.accel.tables import EnvironmentTables
 from repro.core.commodities import CommodityUniverse
 from repro.core.requests import Request, RequestSequence
 from repro.costs.base import FacilityCostFunction
@@ -57,6 +62,7 @@ class Instance:
                 f"expects |S| = {cost_function.num_commodities}"
             )
         self.name = name or "instance"
+        self._tables = EnvironmentTables(metric, cost_function)
         self._validate()
 
     def _validate(self) -> None:
@@ -92,6 +98,11 @@ class Instance:
     @property
     def commodities(self) -> CommodityUniverse:
         return self._commodities
+
+    @property
+    def tables(self) -> EnvironmentTables:
+        """Per-configuration tables of the metric and the cost, filled on demand."""
+        return self._tables
 
     @property
     def num_requests(self) -> int:

@@ -76,7 +76,7 @@ class _Log:
     Row ``k`` holds ``indices[k]``, ``points[k]`` and the request's
     ``(commodity, facility)`` pairs at ``offsets[k]:offsets[k + 1]`` of
     ``commodities`` / ``facilities``, in ``assign`` order.  Rows are only
-    ever appended.
+    ever appended, whole or not at all.
     """
 
     __slots__ = ("indices", "points", "offsets", "commodities", "facilities")
@@ -92,11 +92,25 @@ class _Log:
         return len(self.points)
 
     def append(self, index: int, point: int, pairs: Mapping[int, int]) -> None:
-        self.indices.append(index)
-        self.points.append(point)
-        self.commodities.extend(pairs)
+        """Append one row; a value the int64 columns refuse appends nothing.
+
+        ``Assignment.validate`` compares ids with ``==``, so a float id such
+        as ``0.0`` passes it; the column's own conversion is the check.
+        """
         facilities = self.facilities
-        facilities.extend(pairs.values())
+        try:
+            self.commodities.extend(pairs)
+            facilities.extend(pairs.values())
+            self.indices.append(index)
+            self.points.append(point)
+        except (TypeError, OverflowError):
+            start, row = self.offsets[-1], len(self.offsets) - 1
+            del self.commodities[start:], facilities[start:]
+            del self.indices[row:], self.points[row:]
+            raise InfeasibleSolutionError(
+                f"request {index}: the log takes 64-bit integer ids only, got the "
+                f"(commodity, facility id) pairs {dict(pairs)!r}"
+            ) from None
         self.offsets.append(len(facilities))
 
     def assignment(self, row: int) -> Assignment:
@@ -258,6 +272,10 @@ class OnlineState:
         :meth:`Assignment.validate` and :meth:`Assignment.connection_cost`,
         which raise what they always raised.  The pairs are copied into the
         log, so later changes to the ``Assignment`` object do not reach it.
+        The copy comes before any charge: an id the log's int64 columns
+        refuse, such as the float ``0.0`` that ``validate`` lets through,
+        raises :class:`InfeasibleSolutionError` and leaves the state as it
+        was.
         """
         index = request.index
         log = self._log
@@ -284,10 +302,10 @@ class OnlineState:
             assignment.validate(request, facilities)
             connection = assignment.connection_cost(request, facilities, self._instance.metric)
             ids = assignment.facility_ids()
+        log.append(index, point, pairs)
         self._connection_cost += connection
         if rows is not None:
             rows[index] = row
-        log.append(index, point, pairs)
         facility_ids = tuple(sorted(ids))
         self._last_index = index
         self._last_facility_ids = facility_ids

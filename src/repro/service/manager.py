@@ -9,6 +9,22 @@ Because eviction goes through the bit-identical snapshot codec
 (:mod:`repro.service.snapshot`), a session that bounced through disk any
 number of times produces exactly the stream an always-resident one would.
 
+An eviction writes the whole session to its snapshot file, and a reload
+always reads it back through :meth:`OnlineSession.restore
+<repro.api.session.OnlineSession.restore>`.  The metric, the cost and the
+commodities are fixed before the first request (the paper's online model),
+so a manager with a ``max_live_sessions`` bound also keeps, when it evicts a
+session whose spec draws a stock workload, the spec and the request-free
+instance the session ran on.  The instance carries the tables the algorithm
+derived from the metric and the cost (:mod:`repro.accel.tables`).  At most
+``max_live_sessions`` instances are kept, and the oldest eviction is dropped
+first.  A reload takes its name's instance back and, when the snapshot's
+spec equals the kept spec, rebuilds only the algorithm and the online state
+on it; those are run state and are never kept.  Every other reload rebuilds
+the environment from the spec: explicit metric/cost specs, custom workload
+builders, scenario-backed sessions, a restarted manager, a snapshot file
+replaced with another spec, and an entry the bound dropped.
+
 Sessions are independent by construction — each owns its algorithm instance,
 online state and RNG stream — so interleaved submits to different names never
 interact (pinned by ``tests/test_service.py``).
@@ -26,7 +42,13 @@ from repro.api.record import RunRecord
 from repro.api.session import AssignmentEvent, OnlineSession
 from repro.api.spec import RunSpec
 from repro.exceptions import ServiceError
-from repro.service.snapshot import SessionSnapshot, components_from_spec
+from repro.core.instance import Instance
+from repro.service.snapshot import (
+    SessionSnapshot,
+    _online_spec,
+    _stock_scenario_kind,
+    components_from_spec,
+)
 from repro.trace.clock import wall_now
 
 __all__ = ["SessionManager"]
@@ -62,7 +84,9 @@ class SessionManager:
     max_live_sessions:
         Soft capacity: when more sessions than this are resident, the least
         recently used ones are snapshotted to disk (requires
-        ``snapshot_dir``).  ``None`` keeps everything resident.
+        ``snapshot_dir``).  ``None`` keeps everything resident.  The bound
+        also caps the evicted sessions' environments kept for their reloads
+        (see the module docstring); without it an eviction keeps nothing.
     tracer:
         Opt-in span tracing (:mod:`repro.trace`) of the manager's I/O
         phases: disk reloads (``service.session-reload``) and evictions
@@ -89,6 +113,10 @@ class SessionManager:
         self._max_live = max_live_sessions
         #: Live sessions in least-recently-used-first order.
         self._live: "OrderedDict[str, _ManagedSession]" = OrderedDict()
+        #: ``(spec, instance)`` of evicted stock-workload sessions, oldest
+        #: eviction first, at most ``max_live_sessions`` of them.  Only the
+        #: environment: never the algorithm or the state, which are run state.
+        self._kept: "OrderedDict[str, Tuple[Dict[str, Any], Instance]]" = OrderedDict()
         self._finalized: Dict[str, RunRecord] = {}
         #: Manager-wide lifetime counters, surfaced by :meth:`metrics`.
         self._counters: Dict[str, int] = {
@@ -232,6 +260,9 @@ class SessionManager:
             raise ServiceError(f"session {name!r} is finalized")
         path = self._snapshot_path(name)
         if path is not None and path.exists():
+            # The reload takes the kept environment back: from here on the
+            # live session holds it.
+            kept = self._kept.pop(name, None)
             reload_span = None
             if self._tracer is not None:
                 reload_span = self._tracer.begin(
@@ -265,6 +296,14 @@ class SessionManager:
                         snapshot, algorithm=algorithm, instance=instance
                     )
                     stream.load_state_dict(snapshot.scenario_state)
+                elif kept is not None and kept[0] == snapshot.spec:
+                    # The instance this session ran on: only the algorithm
+                    # and the state are rebuilt.
+                    session = OnlineSession.restore(
+                        snapshot,
+                        algorithm=_online_spec(snapshot.spec).build_algorithm(),
+                        instance=kept[1],
+                    )
                 else:
                     session = OnlineSession.restore(snapshot)
             finally:
@@ -358,9 +397,13 @@ class SessionManager:
 
         The next :meth:`submit` (or :meth:`snapshot`/:meth:`finalize`)
         transparently restores it — bit-identically — from the file.
+        Evicting a session that is already on disk returns its snapshot path
+        and changes nothing.
         """
         if self._snapshot_dir is None:
             raise ServiceError("eviction needs a snapshot_dir")
+        if name not in self._live and name not in self._finalized and self._on_disk(name):
+            return self._snapshot_path(name)
         entry = self._checkout(name)
         evict_span = None
         if self._tracer is not None:
@@ -381,7 +424,16 @@ class SessionManager:
                 self._tracer.end(evict_span)
         del self._live[name]
         self._counters["evictions"] += 1
+        self._keep_environment(entry)
         return path
+
+    def _keep_environment(self, entry: _ManagedSession) -> None:
+        """Keep an evicted stock-workload session's instance for its next reload."""
+        if self._max_live is None or _stock_scenario_kind(entry.spec.get("workload")) is None:
+            return
+        self._kept[entry.name] = (entry.spec, entry.session._instance)
+        while len(self._kept) > self._max_live:
+            self._kept.popitem(last=False)
 
     def evict_all(self) -> List[str]:
         """Evict every live session (e.g. on service shutdown)."""
@@ -404,6 +456,7 @@ class SessionManager:
 
     def close(self, name: str) -> None:
         """Drop the named session entirely (memory, disk and records)."""
+        self._kept.pop(name, None)
         known = False
         if name in self._live:
             del self._live[name]

@@ -270,6 +270,16 @@ _SCENARIO_ADAPTERS = (
 )
 
 
+def _stock_scenario_kind(workload: Any) -> Optional[str]:
+    """The scenario kind of a workload spec whose builder is a stock adapter.
+
+    ``None`` for anything else: no workload, or a kind registered to another
+    builder.
+    """
+    builder = WORKLOADS.get(workload["kind"]) if isinstance(workload, dict) else None
+    return next((kind for adapter, kind in _SCENARIO_ADAPTERS if adapter is builder), None)
+
+
 def _restore_components(
     spec_data: Mapping[str, Any]
 ) -> Tuple[OnlineAlgorithm, MetricSpace, FacilityCostFunction, CommodityUniverse]:
@@ -287,10 +297,7 @@ def _restore_components(
     """
     spec = _online_spec(spec_data)
     workload = spec.workload
-    builder = WORKLOADS.get(workload["kind"]) if isinstance(workload, dict) else None
-    scenario_kind = next(
-        (kind for adapter, kind in _SCENARIO_ADAPTERS if adapter is builder), None
-    )
+    scenario_kind = _stock_scenario_kind(workload)
     if scenario_kind is None:
         algorithm, instance, _ = components_from_spec(spec_data)
         return algorithm, instance.metric, instance.cost_function, instance.commodities

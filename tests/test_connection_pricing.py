@@ -14,12 +14,16 @@ otherwise.  ``tests/oracles.py`` keeps the plain ``metric.distance`` loop,
 * the charge to the oracle on seeded integer-coordinate instances, where
   ties are common;
 * the rejection of an infeasible assignment to ``Assignment.validate``'s
-  error, with the state left as it was.
+  error, with the state left as it was;
+* the rejection of an id the int64 log refuses (a float ``0.0`` passes
+  ``validate``), before any charge, while numpy ints and bools still log.
 """
 
 from __future__ import annotations
 
 import pytest
+
+import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.instance import Instance
@@ -246,6 +250,47 @@ def test_rejection_raises_validate_error_and_leaves_state(demand, assignment_ind
         state.record_assignment(request, assignment)
     assert str(raised.value) == str(expected.value)
     assert (state.num_recorded, state.current_connection_cost(), state.state_dict()) == before
+
+
+NON_INTEGER = [
+    pytest.param({0}, {0: 0.0}, id="float-facility"),
+    pytest.param({0, 1}, {0: 0, 1: 1.0}, id="second-float-facility"),
+    pytest.param({0}, {0.0: 0}, id="float-commodity"),
+]
+
+
+@pytest.mark.parametrize("demand,pairs", NON_INTEGER)
+def test_non_integer_id_is_rejected_before_any_charge(demand, pairs):
+    """``validate`` accepts ``0.0`` as ``0``; the log refuses it, and the
+    state stays as it was: no charge, no half-written row."""
+    state = _recorded_state()
+    request = Request(index=2, point=4, commodities=frozenset(demand))
+    assignment = Assignment(2, dict(pairs))
+    assignment.validate(request, state.store.facility_map())
+    before = (state.num_recorded, state.current_connection_cost(), state.state_dict())
+    with pytest.raises(InfeasibleSolutionError) as raised:
+        state.record_assignment(request, assignment)
+    assert str(raised.value) == (
+        "request 2: the log takes 64-bit integer ids only, got the "
+        f"(commodity, facility id) pairs {pairs!r}"
+    )
+    assert (state.num_recorded, state.current_connection_cost(), state.state_dict()) == before
+    state.record_assignment(request, Assignment(2, {e: 0 for e in demand}))
+    assert state.num_recorded == 3
+    assert state.assignment_of(2).facility_of_commodity == {e: 0 for e in demand}
+
+
+@pytest.mark.parametrize(
+    "facility_id", [np.int64(1), np.intp(1), True], ids=["int64", "intp", "bool"]
+)
+def test_integer_like_ids_still_log(facility_id):
+    state = _recorded_state()
+    plain = _recorded_state()
+    request = Request(index=2, point=4, commodities=frozenset({1}))
+    state.record_assignment(request, Assignment(2, {1: facility_id}))
+    plain.record_assignment(request, Assignment(2, {1: 1}))
+    assert state.state_dict() == plain.state_dict()
+    assert state.current_connection_cost() == plain.current_connection_cost()
 
 
 def test_request_at_unknown_point_raises_metric_error_and_leaves_state():
