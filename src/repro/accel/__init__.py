@@ -15,9 +15,10 @@ families of distance queries per arriving request:
 
 The primal–dual algorithms additionally need O(h x n) bid sums over their
 request history each arrival;
-:class:`~repro.accel.history.BidHistoryBuffer` keeps those operands in
-preallocated buffers updated in place, and the sum itself as an exact running
-vector, O(n) per arrival.
+:class:`~repro.accel.history.BidHistoryBuffer` is one run's bid ledger: per
+slot (a commodity, or PD-OMFLP's large configuration) flat entry columns and
+an exact running sum, O(n) per arrival, over one store holding each distinct
+point's distance row once.
 
 The tables that depend on the metric and the cost alone (per configuration:
 the cost classes, their class-distance columns and the cost vector) belong

@@ -16,10 +16,11 @@ Two artifacts live here:
   :class:`~repro.algorithms.base.OnlineAlgorithm` for instances with
   ``|S| = 1`` (used by the substrate sanity experiment).
 
-The bid sums over earlier demands are evaluated from a preallocated
+The bid sums over earlier demands come from a one-slot bid ledger,
 :class:`~repro.accel.history.BidHistoryBuffer` (an exact running sum makes a
-request O(n) unless an opening lowered some bid) and the nearest-own-facility
-query is O(1) via a :class:`~repro.accel.tracker.NearestSetTracker`.
+request O(n) unless an opening lowered some bid), which also keeps each
+distinct point's distance row once per run; the nearest-own-facility query
+is O(1) via a :class:`~repro.accel.tracker.NearestSetTracker`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.accel.history import BidHistoryBuffer
+from repro.accel.history import BidHistoryBuffer, open_trigger
 from repro.accel.tracker import NearestSetTracker
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import Assignment
@@ -66,8 +67,7 @@ class SingleCommodityPrimalDual:
         self._costs = costs
         self._dual_values: List[float] = []
         self._facility_points: List[int] = []
-        self._row_cache: Dict[int, np.ndarray] = {}
-        self._buffer = BidHistoryBuffer(metric)
+        self._ledger = BidHistoryBuffer(metric)
         self._tracker = NearestSetTracker()
 
     # ------------------------------------------------------------------
@@ -86,11 +86,7 @@ class SingleCommodityPrimalDual:
         return list(self._dual_values)
 
     def _row(self, point: int) -> np.ndarray:
-        row = self._row_cache.get(point)
-        if row is None:
-            row = np.asarray(self._metric.distances_from(point), dtype=np.float64)
-            self._row_cache[point] = row
-        return row
+        return self._ledger.row(point)
 
     def _nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
         """(index into facility_points, distance) of the nearest own facility."""
@@ -107,8 +103,8 @@ class SingleCommodityPrimalDual:
         )
 
     def _bid_base(self) -> np.ndarray:
-        """Bid sum of earlier demands towards every point (constraint (3))."""
-        return self._buffer.base()
+        """Bid sum of earlier demands towards every point (constraint (3)), a fresh array."""
+        return self._ledger.base()
 
     def _join_bid_history(
         self, point: int, dual: float, nearest: float, opened: Optional[int]
@@ -116,8 +112,8 @@ class SingleCommodityPrimalDual:
         """Fold the facility ``opened`` for this demand (if any) into the
         earlier demands' bids, then append the demand itself."""
         if opened is not None:
-            self._buffer.update_nearest(self._row(opened))
-        self._buffer.append(point, dual, nearest, row=self._row(point))
+            self._ledger.update_nearest(self._row(opened))
+        self._ledger.append(point, dual, nearest)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -131,7 +127,7 @@ class SingleCommodityPrimalDual:
         return {
             "facility_points": list(self._facility_points),
             "dual_values": [float(v) for v in self._dual_values],
-            "history": self._buffer.state_dict(),
+            "history": self._ledger.state_dict(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -143,7 +139,7 @@ class SingleCommodityPrimalDual:
         for point in state["facility_points"]:
             self._append_facility(int(point))
         self._dual_values = [float(v) for v in state["dual_values"]]
-        self._buffer.load_state_dict(state["history"])
+        self._ledger.load_state_dict(state["history"])
 
     # ------------------------------------------------------------------
     def decide(self, point: int) -> Tuple[str, int, float]:
@@ -157,11 +153,9 @@ class SingleCommodityPrimalDual:
         row = self._row(point)
         slot, nearest_distance = self._nearest_own_facility(point)
 
-        base = self._bid_base()
-        slack = np.maximum(self._costs - base, 0.0)
-        open_trigger = row + slack
-        open_point = int(np.argmin(open_trigger))
-        open_level = float(open_trigger[open_point])
+        trigger = open_trigger(self._bid_base(), self._costs, row)
+        open_point = int(trigger.argmin())
+        open_level = float(trigger[open_point])
 
         if nearest_distance <= open_level + 1e-12:
             dual = nearest_distance

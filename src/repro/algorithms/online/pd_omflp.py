@@ -29,14 +29,18 @@ Implementation conventions (DESIGN.md §4.1): the bid sums of constraints
 while processing a request join ``F`` only once actually opened; ties are
 broken deterministically in the order (1), (3), (2), (4), then by point and
 commodity index.  All per-point quantities are numpy vectors over the whole
-point set, so one event search is a handful of vectorized reductions.  The
-opening costs ``f^{{e}}_m`` and ``f^L_m`` over all points are pure functions
-of the cost, so they come read-only from the instance's tables
-(:mod:`repro.accel.tables`), built once per configuration for every run on
-that instance.  The bid sums of constraints (3)/(4) are run state: they come
-from :class:`~repro.accel.history.BidHistoryBuffer` running sums, one buffer
-per commodity (the earlier requests demanding it) and one for the large
-configuration.
+point set.  The facilities do not change while an arrival's level grows
+(an opening either ends the large part or comes after the loop), so each
+commodity's trigger vector of (3) and its minimum are found once per
+arrival; (4)'s minimum is found again only when the number of growing large
+commodities changes.  The opening costs ``f^{{e}}_m`` and ``f^L_m`` over all
+points are pure functions of the cost, so they come read-only from the
+instance's tables (:mod:`repro.accel.tables`), built once per configuration
+for every run on that instance.  The bid sums of constraints (3)/(4) are run
+state: they come from one bid ledger per run,
+:class:`~repro.accel.history.BidHistoryBuffer`, with a slot per commodity
+(the earlier requests demanding it) and one for the large configuration,
+whose store also holds the run's distance rows.
 
 The class accepts a ``large_configuration`` parameter.  The default is the
 full commodity set ``S`` (the paper's algorithm); restricting it realizes the
@@ -46,11 +50,12 @@ large facility and are always served by small facilities.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.accel.history import BidHistoryBuffer
+from repro.accel.history import BidHistoryBuffer, open_trigger
 from repro.accel.tables import EnvironmentTables
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import Assignment
@@ -60,11 +65,14 @@ from repro.core.state import OnlineState
 from repro.core.trace import DualFreezeEvent
 from repro.dual.variables import DualVariableStore
 from repro.exceptions import AlgorithmError, SnapshotError
+from repro.utils.validation import snapshot_field, snapshot_int, snapshot_list
 
 __all__ = ["PDOMFLPAlgorithm"]
 
 #: Numerical slack used when comparing trigger levels.
 _EPS = 1e-12
+
+_INF = float("inf")
 
 
 class PDOMFLPAlgorithm(OnlineAlgorithm):
@@ -83,12 +91,14 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         self._duals: Optional[DualVariableStore] = None
         self._instance: Optional[Instance] = None
         self._large_set: FrozenSet[int] = frozenset()
-        self._row_cache: Dict[int, np.ndarray] = {}
         self._tables: Optional[EnvironmentTables] = None
-        # Bid-history buffers (see repro.accel.history): one per commodity
-        # for constraint (3), one for the large constraint (4).
-        self._small_buffers: Dict[int, BidHistoryBuffer] = {}
-        self._large_buffer: Optional[BidHistoryBuffer] = None
+        # The run's bid ledger (see repro.accel.history): slot e holds the
+        # earlier requests demanding commodity e, for constraint (3), and
+        # slot |S| every earlier request, for the large constraint (4).
+        self._ledger: Optional[BidHistoryBuffer] = None
+        self._large_slot = 0
+        # Commodities in the order of their first bid entry (snapshot order).
+        self._joined: List[int] = []
 
     # ------------------------------------------------------------------
     # Run-loop hooks
@@ -107,10 +117,10 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             self._large_set = self._large_override
         else:
             self._large_set = instance.cost_function.full_set
-        self._row_cache = {}
         self._tables = instance.tables
-        self._small_buffers = {}
-        self._large_buffer = BidHistoryBuffer(instance.metric)
+        self._ledger = BidHistoryBuffer(instance.metric, slots=instance.num_commodities + 1)
+        self._large_slot = instance.num_commodities
+        self._joined = []
 
     def duals(self) -> Optional[DualVariableStore]:
         return self._duals
@@ -119,26 +129,29 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Duals plus the contents of every :class:`BidHistoryBuffer`.
+        """Duals plus the bid entries of every ledger slot.
 
-        The static per-point cost vectors live in the instance's tables and
-        the distance rows are re-read lazily.
+        ``small_buffers`` lists the commodities in the order of their first
+        entry, then ``large_buffer`` the large slot.  The static per-point
+        cost vectors live in the instance's tables and the distance rows are
+        re-read on restore.
         """
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
+        ledger = self._ledger
         return {
             "duals": self._duals.to_dict(),
             "small_buffers": [
-                [commodity, buffer.state_dict()]
-                for commodity, buffer in self._small_buffers.items()
+                [commodity, ledger.state_dict(commodity)] for commodity in self._joined
             ],
-            "large_buffer": self._large_buffer.state_dict(),
+            "large_buffer": ledger.state_dict(self._large_slot),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
-        if len(self._duals) or self._small_buffers or len(self._large_buffer):
+        ledger = self._ledger
+        if len(self._duals) or len(ledger):
             raise SnapshotError(
                 "PDOMFLPAlgorithm.load_state_dict requires a freshly prepared run"
             )
@@ -149,36 +162,47 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                 "the run's requests into a new session instead"
             )
         self._duals = DualVariableStore.from_dict(state["duals"])
-        for commodity, buffer_state in state["small_buffers"]:
-            buffer = BidHistoryBuffer(self._instance.metric)
-            buffer.load_state_dict(buffer_state)
-            self._small_buffers[int(commodity)] = buffer
-        self._large_buffer.load_state_dict(state["large_buffer"])
+        num_commodities = self._instance.num_commodities
+        histories = snapshot_list(
+            snapshot_field(state, "small_buffers", "PD-OMFLP state"), "small_buffers"
+        )
+        for position, pair in enumerate(histories):
+            where = f"small_buffers[{position}]"
+            commodity, history = snapshot_list(pair, where, 2)
+            commodity = snapshot_int(commodity, f"{where} commodity")
+            if not 0 <= commodity < num_commodities:
+                raise SnapshotError(
+                    f"{where} commodity must lie in [0, {num_commodities}), got {commodity}"
+                )
+            if commodity in self._joined:
+                raise SnapshotError(f"small_buffers repeats commodity {commodity}")
+            ledger.load_state_dict(history, slot=commodity)
+            if not ledger.entries(commodity):
+                raise SnapshotError(f"{where} holds no bid entries for commodity {commodity}")
+            self._joined.append(commodity)
+        ledger.load_state_dict(
+            snapshot_field(state, "large_buffer", "PD-OMFLP state"), slot=self._large_slot
+        )
 
     # ------------------------------------------------------------------
     # Cached quantities
     # ------------------------------------------------------------------
     def _distance_row(self, point: int) -> np.ndarray:
-        row = self._row_cache.get(point)
-        if row is None:
-            row = np.asarray(self._instance.metric.distances_from(point), dtype=np.float64)
-            self._row_cache[point] = row
-        return row
+        return self._ledger.row(point)
 
     def _register_opened_facility(self, point: int, configuration: FrozenSet[int]) -> None:
         """Fold a newly opened facility into the earlier requests' bids.
 
-        Each commodity buffer holds exactly the earlier requests that
-        demanded that commodity, so lowering their nearest-facility distances
-        is one vectorized fold per affected buffer.
+        Each commodity slot holds exactly the earlier requests that demanded
+        that commodity, so lowering their nearest-facility distances is one
+        vectorized fold per affected slot.
         """
         row = self._distance_row(point)
+        ledger = self._ledger
         for commodity in configuration:
-            buffer = self._small_buffers.get(commodity)
-            if buffer is not None:
-                buffer.update_nearest(row)
+            ledger.update_nearest(row, slot=commodity)
         if configuration >= self._large_set:
-            self._large_buffer.update_nearest(row)
+            ledger.update_nearest(row, slot=self._large_slot)
 
     def _nearest_covering_large(self, state: OnlineState, point: int) -> Optional[Tuple[object, float]]:
         """Nearest open facility covering the large configuration, or ``None``."""
@@ -191,14 +215,11 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
     # ------------------------------------------------------------------
     def _base_small(self, commodity: int) -> np.ndarray:
         """``sum_{j earlier, e in s_j} (min{a_{je}, d(F(e), j)} - d(m, j))_+`` over all m."""
-        buffer = self._small_buffers.get(commodity)
-        if buffer is None:
-            return np.zeros(self._instance.num_points, dtype=np.float64)
-        return buffer.base()
+        return self._ledger.base(commodity)
 
     def _base_large(self) -> np.ndarray:
         """``sum_{j earlier} (min{sum_e a_{je}, d(F̂, j)} - d(m, j))_+`` over all m."""
-        return self._large_buffer.base()
+        return self._ledger.base(self._large_slot)
 
     # ------------------------------------------------------------------
     # Request processing
@@ -212,20 +233,28 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         commodities = sorted(request.commodities)
         large_members = [e for e in commodities if e in self._large_set]
 
-        # Static quantities for this arrival (facilities do not change until
-        # the processing opens one, which either terminates the large part or
-        # happens after the loop).
-        dist_small = {e: state.distance_to_nearest(e, point) for e in commodities}
-        nearest_large_entry = self._nearest_covering_large(state, point)
-        dist_large = nearest_large_entry[1] if nearest_large_entry is not None else float("inf")
-
+        # Facilities do not change until the processing opens one, which
+        # either ends the large part or happens after the loop.  So the
+        # levels of constraints (1) and (2), and each commodity's trigger
+        # vector of constraint (3) with its minimum, hold for the whole
+        # arrival: each is found once here.
         tables = self._tables
-        trigger_small_open: Dict[int, np.ndarray] = {}
+        connect_small = {e: state.distance_to_nearest(e, point) for e in commodities}
+        open_small: Dict[int, Tuple[float, int]] = {}
         for e in commodities:
-            slack = np.maximum(tables.cost_vector((e,)) - self._base_small(e), 0.0)
-            trigger_small_open[e] = d_r + slack
-        base_large = self._base_large()
-        slack_large = np.maximum(tables.cost_vector(self._large_set) - base_large, 0.0)
+            trigger = open_trigger(self._base_small(e), tables.cost_vector((e,)), d_r)
+            m = int(trigger.argmin())
+            open_small[e] = (float(trigger[m]), m)
+        nearest_large_entry = self._nearest_covering_large(state, point)
+        connect_large = nearest_large_entry[1] if nearest_large_entry is not None else _INF
+        if large_members:
+            trigger_large = open_trigger(
+                self._base_large(), tables.cost_vector(self._large_set), d_r
+            )
+        # Constraint (4)'s vector is (d_r + slack - frozen_sum) / k for the k
+        # large commodities still growing; k fixes frozen_sum too, so its
+        # minimum is found again only when k changes.
+        open_large: Tuple[int, float, int] = (0, _INF, -1)  # (k, level, point)
 
         # Event-driven growth of the common dual level.
         unserved = set(commodities)
@@ -233,19 +262,25 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         served_by: Dict[int, int] = {}  # commodity -> facility id (existing or opened later)
         temp_small: Dict[int, int] = {}  # commodity -> point of a temporarily open small facility
         level = 0.0
-        large_done = False
 
         while unserved:
-            event = self._next_event(
-                unserved,
-                frozen,
-                dist_small,
-                trigger_small_open,
-                dist_large,
-                slack_large,
-                d_r,
-                large_members,
-                large_done,
+            # Constraints (2) and (4) only concern the large part of the
+            # request and only while some of its commodities still grow.
+            large = None
+            growing_large = [e for e in large_members if e in unserved]
+            if growing_large:
+                k = len(growing_large)
+                frozen_sum = sum(frozen[e] for e in large_members if e not in unserved)
+                if k != open_large[0]:
+                    # Subtracting 0 and dividing by 1 change no bit: skipped.
+                    vector = trigger_large - frozen_sum if frozen_sum else trigger_large
+                    if k != 1:
+                        vector = vector / k
+                    m = int(vector.argmin())
+                    open_large = (k, float(vector[m]), m)
+                large = ((connect_large - frozen_sum) / k, open_large[1], open_large[2])
+            event = _next_event(
+                [e for e in commodities if e in unserved], connect_small, open_small, large
             )
             if event is None:
                 raise AlgorithmError(
@@ -290,7 +325,7 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                             ),
                         )
                     )
-            elif kind in ("connect-large", "open-large"):
+            else:  # "connect-large" or "open-large"
                 # Freeze all still-unserved commodities of the large part at
                 # the current level; connect every commodity of s_r ∩ L to the
                 # (existing or new) large facility; discard their temporary
@@ -323,9 +358,6 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                 for e in large_members:
                     served_by[e] = facility.id
                     temp_small.pop(e, None)
-                large_done = True
-            else:  # pragma: no cover - defensive
-                raise AlgorithmError(f"unknown event kind {kind!r}")
 
         # Line 10 of Algorithm 1: open the remaining temporarily open small
         # facilities and connect their commodities to them.
@@ -346,91 +378,67 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         self._join_bid_history(request, state)
 
     def _join_bid_history(self, request: Request, state: OnlineState) -> None:
-        """Append ``request``'s bids to the buffers of constraints (3) and (4).
+        """Append ``request``'s bids to the ledger slots of constraints (3) and (4).
 
         Its nearest-facility distances are taken with respect to the facility
         set *after* its own processing.
         """
         point = request.point
-        row = self._distance_row(point)
+        ledger = self._ledger
+        duals = self._duals
         for commodity in sorted(request.commodities):
-            buffer = self._small_buffers.get(commodity)
-            if buffer is None:
-                buffer = self._small_buffers[commodity] = BidHistoryBuffer(
-                    self._instance.metric
-                )
-            buffer.append(
+            if not ledger.entries(commodity):
+                self._joined.append(commodity)
+            ledger.append(
                 point,
-                self._duals.get(request.index, commodity),
+                duals.get(request.index, commodity),
                 state.distance_to_nearest(commodity, point),
-                row=row,
+                slot=commodity,
             )
-        if request.commodities & self._large_set:
-            dual_sum = sum(
-                self._duals.get(request.index, e)
-                for e in request.commodities & self._large_set
-            )
+        large = request.commodities & self._large_set
+        if large:
+            dual_sum = sum(duals.get(request.index, e) for e in large)
             entry = self._nearest_covering_large(state, point)
-            self._large_buffer.append(
+            ledger.append(
                 point,
                 dual_sum,
-                entry[1] if entry is not None else float("inf"),
-                row=row,
+                entry[1] if entry is not None else _INF,
+                slot=self._large_slot,
             )
 
-    # ------------------------------------------------------------------
-    def _next_event(
-        self,
-        unserved: set,
-        frozen: Dict[int, float],
-        dist_small: Dict[int, float],
-        trigger_small_open: Dict[int, np.ndarray],
-        dist_large: float,
-        slack_large: np.ndarray,
-        d_r: np.ndarray,
-        large_members: Sequence[int],
-        large_done: bool,
-    ) -> Optional[Tuple[float, str, int, int]]:
-        """Find the earliest tight constraint for the current growth phase.
 
-        Returns ``(trigger_level, kind, *payload)`` where kind is one of
-        ``"connect-small"`` (payload: commodity), ``"open-small"`` (payload:
-        commodity, point), ``"connect-large"`` (no payload) and
-        ``"open-large"`` (payload: point).  Ties are broken in exactly that
-        order, then by commodity/point index (the iteration order below).
-        """
-        best: Optional[Tuple[float, str, int, int]] = None
+def _next_event(
+    growing: List[int],
+    connect_small: Mapping[int, float],
+    open_small: Mapping[int, Tuple[float, int]],
+    large: Optional[Tuple[float, float, int]],
+) -> Optional[Tuple[float, str, int, int]]:
+    """Find the earliest tight constraint for the current growth phase.
 
-        def better(candidate_level: float) -> bool:
-            return best is None or candidate_level < best[0] - _EPS
-
-        # Constraint (1): connect a single commodity to an existing facility.
-        for e in sorted(unserved):
-            level = dist_small[e]
-            if np.isfinite(level) and better(level):
-                best = (float(level), "connect-small", e, -1)
-
-        # Constraint (3): open a new small facility.
-        for e in sorted(unserved):
-            vector = trigger_small_open[e]
-            m = int(np.argmin(vector))
-            level = float(vector[m])
-            if better(level):
-                best = (level, "open-small", e, m)
-
-        # Constraints (2) and (4) only concern the large part of the request
-        # and only while some of its commodities are still growing.
-        unserved_large = [e for e in large_members if e in unserved]
-        if unserved_large and not large_done:
-            k = len(unserved_large)
-            frozen_sum = sum(frozen.get(e, 0.0) for e in large_members if e not in unserved)
-            if np.isfinite(dist_large):
-                level = (dist_large - frozen_sum) / k
-                if better(level):
-                    best = (float(level), "connect-large", -1, -1)
-            vector = (d_r + slack_large - frozen_sum) / k
-            m = int(np.argmin(vector))
-            level = float(vector[m])
-            if better(level):
-                best = (level, "open-large", m, -1)
-        return best
+    ``growing`` lists the unserved commodities in index order; ``large``
+    holds the levels of constraints (2) and (4) and the point of (4) while
+    the large part grows, else ``None``.  Returns ``(trigger_level, kind,
+    *payload)`` where kind is one of ``"connect-small"`` (payload:
+    commodity), ``"open-small"`` (payload: commodity, point),
+    ``"connect-large"`` (no payload) and ``"open-large"`` (payload: point).
+    Ties are broken in exactly that order, then by commodity/point index (the
+    iteration order below).
+    """
+    best: Optional[Tuple[float, str, int, int]] = None
+    # Constraint (1): connect a single commodity to an existing facility.
+    for e in growing:
+        level = connect_small[e]
+        if math.isfinite(level) and (best is None or level < best[0] - _EPS):
+            best = (level, "connect-small", e, -1)
+    # Constraint (3): open a new small facility.
+    for e in growing:
+        level, m = open_small[e]
+        if best is None or level < best[0] - _EPS:
+            best = (level, "open-small", e, m)
+    if large is not None:
+        connect_level, open_level, m = large
+        if math.isfinite(connect_level) and (best is None or connect_level < best[0] - _EPS):
+            best = (connect_level, "connect-large", -1, -1)
+        if best is None or open_level < best[0] - _EPS:
+            best = (open_level, "open-large", m, -1)
+    return best

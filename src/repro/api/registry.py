@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import difflib
 import inspect
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError, UnknownComponentError
 
@@ -64,6 +64,10 @@ class Registry:
         self.kind = kind
         self.strict_params = strict_params
         self._builders: Dict[str, Callable[..., Any]] = {}
+        # inspect.signature per builder object (None: not introspectable),
+        # keyed by id() and holding the builder, so a swapped builder is
+        # introspected afresh.
+        self._signatures: Dict[int, Tuple[Callable[..., Any], Optional[inspect.Signature]]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -115,16 +119,26 @@ class Registry:
             self.check_params(name, params)
         return self.get(name)(**params)
 
+    def _signature(self, name: str) -> Optional[inspect.Signature]:
+        """The signature of ``name``'s builder, introspected once per builder object."""
+        builder = self.get(name)
+        cached = self._signatures.get(id(builder))
+        if cached is None or cached[0] is not builder:
+            try:
+                signature: Optional[inspect.Signature] = inspect.signature(builder)
+            except (TypeError, ValueError):  # builtins without introspectable signatures
+                signature = None
+            cached = self._signatures[id(builder)] = (builder, signature)
+        return cached[1]
+
     def accepted_params(self, name: str) -> Optional[List[str]]:
         """Keyword parameters the builder of ``name`` accepts.
 
         ``None`` when the builder takes ``**kwargs`` or its signature cannot
         be introspected (anything would be accepted / nothing can be checked).
         """
-        builder = self.get(name)
-        try:
-            signature = inspect.signature(builder)
-        except (TypeError, ValueError):  # builtins without introspectable signatures
+        signature = self._signature(name)
+        if signature is None:
             return None
         parameters = signature.parameters.values()
         if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
@@ -164,10 +178,8 @@ class Registry:
         Used to thread the run's random generator into builders that want one
         (``rng=``) without forcing every builder to declare it.
         """
-        builder = self.get(name)
-        try:
-            signature = inspect.signature(builder)
-        except (TypeError, ValueError):  # builtins without introspectable signatures
+        signature = self._signature(name)
+        if signature is None:
             return False
         if parameter in signature.parameters:
             return True

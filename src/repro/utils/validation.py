@@ -16,8 +16,13 @@ __all__ = [
     "snapshot_field",
     "snapshot_list",
     "snapshot_int",
+    "snapshot_indices",
+    "snapshot_floats",
     "snapshot_commodities",
 ]
+
+#: How :mod:`repro.utils.encoding` spells the non-finite floats.
+_NONFINITE_SPELLINGS = ("inf", "-inf", "nan")
 
 
 def check_finite(value: float, name: str) -> float:
@@ -101,6 +106,29 @@ def snapshot_int(value: Any, where: str) -> int:
     if type(value) is not int:
         raise SnapshotError(f"{where} must be a JSON integer, got {value!r}")
     return value
+
+
+def snapshot_indices(value: Any, where: str, bound: int) -> List[int]:
+    """A JSON list of integers in ``[0, bound)`` (points of a metric)."""
+    indices = snapshot_list(value, where)
+    for position, index in enumerate(indices):
+        if type(index) is not int:
+            snapshot_int(index, f"{where}[{position}]")
+        if not 0 <= index < bound:
+            raise SnapshotError(f"{where}[{position}] must lie in [0, {bound}), got {index}")
+    return indices
+
+
+def snapshot_floats(value: Any, where: str) -> List[float]:
+    """A JSON list of numbers, non-finite ones spelled as :mod:`repro.utils.encoding` writes them."""
+    numbers = snapshot_list(value, where)
+    for position, number in enumerate(numbers):
+        kind = type(number)
+        if kind is not float and kind is not int and not (
+            kind is str and number in _NONFINITE_SPELLINGS
+        ):
+            raise SnapshotError(f"{where}[{position}] must be a JSON number, got {number!r}")
+    return [float(number) for number in numbers]
 
 
 def snapshot_commodities(value: Any, where: str) -> List[int]:

@@ -94,6 +94,46 @@ class TestRegistry:
         assert METRICS.accepts("random-euclidean", "rng")
         assert not METRICS.accepts("uniform-line", "rng")
 
+    def test_many_builds_of_one_name_introspect_once(self, monkeypatch):
+        import repro.api.registry as registry_module
+
+        calls = []
+        signature = registry_module.inspect.signature
+
+        def counting_signature(builder):
+            calls.append(builder)
+            return signature(builder)
+
+        monkeypatch.setattr(registry_module.inspect, "signature", counting_signature)
+        registry = Registry("widget", strict_params=True)
+
+        def build_widget(size=1, rng=None):
+            return ("widget", size)
+
+        registry.add("w", build_widget)
+        for size in range(50):
+            assert registry.build("w", size=size) == ("widget", size)
+            assert registry.accepts("w", "rng")
+            assert registry.accepted_params("w") == ["size", "rng"]
+        assert calls == [build_widget]
+        with pytest.raises(ReproError, match="unknown parameter"):
+            registry.build("w", colour="red")
+        assert len(calls) == 1
+
+    def test_a_swapped_builder_is_introspected_afresh(self, monkeypatch):
+        registry = Registry("widget", strict_params=True)
+        registry.add("w", lambda size=1: ("widget", size))
+        assert registry.accepted_params("w") == ["size"]
+
+        def build_widget(colour="red"):
+            return ("widget", colour)
+
+        monkeypatch.setitem(registry._builders, "w", build_widget)
+        assert registry.accepted_params("w") == ["colour"]
+        assert registry.build("w", colour="blue") == ("widget", "blue")
+        with pytest.raises(ReproError, match="unknown parameter"):
+            registry.build("w", size=2)
+
 
 class TestRunSpec:
     def test_from_dict_to_dict_round_trip(self):
