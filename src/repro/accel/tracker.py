@@ -81,13 +81,17 @@ class NearestSetTracker:
         """``d(point, F)`` — ``inf`` while the set is empty (O(1))."""
         if self._dmin is None:
             return float("inf")
-        return float(self._dmin[point])
+        return self._dmin.item(point)
 
     def nearest(self, point: int) -> Optional[Tuple[int, float]]:
-        """``(tag, distance)`` of the closest member, or ``None`` when empty."""
+        """``(tag, distance)`` of the closest member, or ``None`` when empty.
+
+        ``item`` reads the Python int and float straight from the arrays,
+        the values ``int()`` and ``float()`` of the NumPy scalars give.
+        """
         if self._dmin is None:
             return None
-        return int(self._tags[point]), float(self._dmin[point])
+        return self._tags.item(point), self._dmin.item(point)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NearestSetTracker(members={self._num_added})"

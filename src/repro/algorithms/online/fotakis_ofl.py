@@ -38,6 +38,12 @@ from repro.core.requests import Request
 from repro.core.state import OnlineState
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
+from repro.utils.validation import (
+    snapshot_field,
+    snapshot_floats,
+    snapshot_indices,
+    snapshot_int_rows,
+)
 
 __all__ = ["SingleCommodityPrimalDual", "FotakisOFLAlgorithm"]
 
@@ -131,15 +137,30 @@ class SingleCommodityPrimalDual:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replay facility openings and reload the bid history (fresh helper only)."""
+        """Replay facility openings and reload the bid history (fresh helper only).
+
+        The facility points must be JSON integers of the metric and the duals
+        JSON numbers; anything else raises :class:`SnapshotError` naming the
+        entry, before any facility opens.
+        """
         if self._facility_points or self._dual_values:
             raise SnapshotError(
                 "SingleCommodityPrimalDual.load_state_dict requires a fresh helper"
             )
-        for point in state["facility_points"]:
-            self._append_facility(int(point))
-        self._dual_values = [float(v) for v in state["dual_values"]]
-        self._ledger.load_state_dict(state["history"])
+        where = "primal-dual helper"
+        points = snapshot_indices(
+            snapshot_field(state, "facility_points", f"{where} state"),
+            f"{where} facility_points",
+            self._metric.num_points,
+        )
+        duals = snapshot_floats(
+            snapshot_field(state, "dual_values", f"{where} state"), f"{where} dual_values"
+        )
+        history = snapshot_field(state, "history", f"{where} state")
+        for point in points:
+            self._append_facility(point)
+        self._dual_values = duals
+        self._ledger.load_state_dict(history)
 
     # ------------------------------------------------------------------
     def decide(self, point: int) -> Tuple[str, int, float]:
@@ -214,10 +235,15 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
-        self._helper.load_state_dict(state["helper"])
-        self._facility_of_slot = {
-            int(slot): int(fid) for slot, fid in state["facility_of_slot"]
-        }
+        where = f"{self.name} state"
+        self._helper.load_state_dict(snapshot_field(state, "helper", where))
+        self._facility_of_slot = dict(
+            snapshot_int_rows(
+                snapshot_field(state, "facility_of_slot", where),
+                "facility_of_slot",
+                ("slot", "facility id"),
+            )
+        )
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._helper is None:
@@ -230,6 +256,5 @@ class FotakisOFLAlgorithm(OnlineAlgorithm):
             facility_id = facility.id
         else:
             facility_id = self._facility_of_slot[payload]
-        assignment = Assignment(request_index=request.index)
-        assignment.assign(0, facility_id)
+        assignment = Assignment(request.index, {0: facility_id})
         state.record_assignment(request, assignment)

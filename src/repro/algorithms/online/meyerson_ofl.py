@@ -41,6 +41,7 @@ from repro.costs.classes import class_position
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
 from repro.utils.maths import round_down_power_of_two
+from repro.utils.validation import snapshot_field, snapshot_indices, snapshot_int_rows
 
 __all__ = ["SingleCommodityMeyerson", "MeyersonOFLAlgorithm"]
 
@@ -131,13 +132,22 @@ class SingleCommodityMeyerson:
         return {"facility_points": list(self._facility_points)}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replay the facility openings (refolds the tracker identically)."""
+        """Replay the facility openings (refolds the tracker identically).
+
+        The points must be JSON integers of the metric; anything else raises
+        :class:`SnapshotError` naming the entry, before any facility opens.
+        """
         if self._facility_points:
             raise SnapshotError(
                 "SingleCommodityMeyerson.load_state_dict requires a fresh helper"
             )
-        for point in state["facility_points"]:
-            self._append_facility(int(point))
+        points = snapshot_indices(
+            snapshot_field(state, "facility_points", "Meyerson helper state"),
+            "Meyerson helper facility_points",
+            self._metric.num_points,
+        )
+        for point in points:
+            self._append_facility(point)
 
     # ------------------------------------------------------------------
     def decide(self, point: int, rng, *, budget: Optional[float] = None) -> Tuple[List[int], int, float]:
@@ -215,10 +225,15 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         if self._helper is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
-        self._helper.load_state_dict(state["helper"])
-        self._facility_of_slot = {
-            int(slot): int(fid) for slot, fid in state["facility_of_slot"]
-        }
+        where = f"{self.name} state"
+        self._helper.load_state_dict(snapshot_field(state, "helper", where))
+        self._facility_of_slot = dict(
+            snapshot_int_rows(
+                snapshot_field(state, "facility_of_slot", where),
+                "facility_of_slot",
+                ("slot", "facility id"),
+            )
+        )
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._helper is None:
@@ -230,6 +245,5 @@ class MeyersonOFLAlgorithm(OnlineAlgorithm):
         for new_slot, new_point in enumerate(opened, start=first_slot):
             facility = state.open_facility(request, new_point, (0,))
             self._facility_of_slot[new_slot] = facility.id
-        assignment = Assignment(request_index=request.index)
-        assignment.assign(0, self._facility_of_slot[slot])
+        assignment = Assignment(request.index, {0: self._facility_of_slot[slot]})
         state.record_assignment(request, assignment)

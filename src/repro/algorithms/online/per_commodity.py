@@ -26,6 +26,7 @@ from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
 from repro.exceptions import AlgorithmError, SnapshotError
+from repro.utils.validation import snapshot_field, snapshot_int, snapshot_int_rows, snapshot_list
 
 __all__ = ["PerCommodityAlgorithm"]
 
@@ -94,12 +95,29 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
             raise SnapshotError(
                 "PerCommodityAlgorithm.load_state_dict requires a freshly prepared run"
             )
-        for commodity, helper_state in state["helpers"]:
-            self._helper_for(int(commodity)).load_state_dict(helper_state)
-        self._facility_of_slot = {
-            (int(commodity), int(slot)): int(fid)
-            for commodity, slot, fid in state["facility_of_slot"]
-        }
+        where = f"{self.name} state"
+        helpers = snapshot_list(snapshot_field(state, "helpers", where), "helpers")
+        slots = snapshot_int_rows(
+            snapshot_field(state, "facility_of_slot", where),
+            "facility_of_slot",
+            ("commodity", "slot", "facility id"),
+        )
+        num_commodities = self._instance.num_commodities
+        for position, entry in enumerate(helpers):
+            at = f"helpers[{position}]"
+            commodity, helper_state = snapshot_list(entry, at, 2)
+            commodity = snapshot_int(commodity, f"{at} commodity")
+            if not 0 <= commodity < num_commodities:
+                raise SnapshotError(
+                    f"{at} commodity must lie in [0, {num_commodities}), got {commodity}"
+                )
+            if commodity in self._helpers:
+                raise SnapshotError(f"helpers repeats commodity {commodity}")
+            try:
+                self._helper_for(commodity).load_state_dict(helper_state)
+            except SnapshotError as error:
+                raise SnapshotError(f"{at}: {error}") from None
+        self._facility_of_slot = {(commodity, slot): fid for commodity, slot, fid in slots}
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._instance is None:

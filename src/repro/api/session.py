@@ -69,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, types only
 __all__ = ["AssignmentEvent", "OnlineSession"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AssignmentEvent:
     """The irrevocable outcome of serving one streamed request.
 
@@ -88,6 +88,14 @@ class AssignmentEvent:
         Connection cost of this request's assignment.
     opening_cost_so_far, connection_cost_so_far:
         Session cost totals after this request.
+
+    Every submit builds one, so the constructor is written out, like
+    :class:`~repro.core.requests.Request`'s: one ``__dict__.update`` in place
+    of the generated frozen ``__init__``'s eight ``object.__setattr__``
+    calls.  It checks nothing, as the generated one did not.  ``==``,
+    ``hash``, ``repr``, :func:`dataclasses.fields` and
+    :func:`dataclasses.replace`, pickling and ``FrozenInstanceError`` on
+    assignment stay generated.
     """
 
     request_index: int
@@ -98,6 +106,28 @@ class AssignmentEvent:
     connection_cost: float
     opening_cost_so_far: float
     connection_cost_so_far: float
+
+    def __init__(
+        self,
+        request_index: int,
+        point: int,
+        commodities: FrozenSet[int],
+        facility_ids: Tuple[int, ...],
+        opening_cost_delta: float,
+        connection_cost: float,
+        opening_cost_so_far: float,
+        connection_cost_so_far: float,
+    ) -> None:
+        self.__dict__.update(
+            request_index=request_index,
+            point=point,
+            commodities=commodities,
+            facility_ids=facility_ids,
+            opening_cost_delta=opening_cost_delta,
+            connection_cost=connection_cost,
+            opening_cost_so_far=opening_cost_so_far,
+            connection_cost_so_far=connection_cost_so_far,
+        )
 
     @property
     def cost_delta(self) -> float:
@@ -385,11 +415,11 @@ class OnlineSession:
         """
         if self._record is not None:
             raise AlgorithmError("cannot submit to a finalized session")
-        request = Request(
-            index=self._num_requests,
-            point=int(point),
-            commodities=frozenset(int(e) for e in commodities),
-        )
+        # Built and checked once: Request checks the sign of the point and
+        # that some commodity is demanded, the instance the point's range and
+        # the commodities' (against bounds it read when it was built).
+        index = self._num_requests
+        request = Request(index, int(point), frozenset(map(int, commodities)))
         # Tracing of the hot path: the real work phase (algorithm.process)
         # folds into the per-phase latency aggregates on every request, at
         # zero extra clock reads — its elapsed time is measured exactly once
@@ -405,12 +435,12 @@ class OnlineSession:
         if tracer is not None:
             # One compare decides: the tracer is asked for the next sampled
             # index only after a sampled request (see the end of submit).
-            detail = request.index == self._next_detail
+            detail = index == self._next_detail
             if detail:
                 submit_span = tracer.begin(
                     "session.submit",
                     category="session",
-                    ordinal=request.index,
+                    ordinal=index,
                     attributes={
                         "point": request.point,
                         "num_commodities": len(request.commodities),
@@ -422,15 +452,15 @@ class OnlineSession:
             tracer.add(
                 "session.validate",
                 category="session",
-                ordinal=request.index,
+                ordinal=index,
                 seconds=wall_now() - validate_start,
                 wall_start=validate_start,
             )
 
-        opening_before = self._state.current_opening_cost()
-        connection_before = self._state.current_connection_cost()
+        state = self._state
+        opening_before, connection_before = state.current_costs()
         start = wall_now()
-        self._algorithm.process(request, self._state, self._rng)
+        self._algorithm.process(request, state, self._rng)
         elapsed = wall_now() - start
         self._runtime += elapsed
         if tracer is not None:
@@ -438,7 +468,7 @@ class OnlineSession:
                 tracer.add(
                     "algorithm.process",
                     category="algorithm",
-                    ordinal=request.index,
+                    ordinal=index,
                     seconds=elapsed,
                     wall_start=start,
                 )
@@ -450,25 +480,24 @@ class OnlineSession:
                 if len(folds) >= self._fold_limit:
                     tracer._flush_folds()
         try:
-            facility_ids = self._state.facility_ids_of(request.index)
+            facility_ids = state.facility_ids_of(index)
         except KeyError as error:
             raise AlgorithmError(
-                f"{self._algorithm.name} finished processing request {request.index} "
+                f"{self._algorithm.name} finished processing request {index} "
                 "without recording an assignment"
             ) from error
-        self._num_requests += 1
+        self._num_requests = index + 1
 
-        opening_after = self._state.current_opening_cost()
-        connection_after = self._state.current_connection_cost()
+        opening_after, connection_after = state.current_costs()
         event = AssignmentEvent(
-            request_index=request.index,
-            point=request.point,
-            commodities=request.commodities,
-            facility_ids=facility_ids,
-            opening_cost_delta=opening_after - opening_before,
-            connection_cost=connection_after - connection_before,
-            opening_cost_so_far=opening_after,
-            connection_cost_so_far=connection_after,
+            index,
+            request.point,
+            request.commodities,
+            facility_ids,
+            opening_after - opening_before,
+            connection_after - connection_before,
+            opening_after,
+            connection_after,
         )
         if self._telemetry is not None:
             # Probes reuse the elapsed time measured above — no extra clock

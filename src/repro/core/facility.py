@@ -28,7 +28,7 @@ from repro.utils.validation import (
 __all__ = ["Facility", "FacilityStore"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Facility:
     """An opened facility.
 
@@ -42,6 +42,13 @@ class Facility:
         Set of commodities offered.
     opening_cost:
         The construction cost ``f^σ_m`` paid when the facility was opened.
+
+    The constructor is written out, like :class:`~repro.core.requests.Request`'s
+    (a snapshot reload builds every facility again): the checks a
+    ``__post_init__`` would run, then one ``__dict__.update`` in place of an
+    ``object.__setattr__`` call per field.  ``==``, ``hash``, ``repr``,
+    :func:`dataclasses.fields` and :func:`dataclasses.replace`, pickling and
+    ``FrozenInstanceError`` on assignment stay generated.
     """
 
     id: int
@@ -49,19 +56,25 @@ class Facility:
     configuration: FrozenSet[int]
     opening_cost: float
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise InvalidInstanceError(f"facility id must be non-negative, got {self.id}")
-        if self.point < 0:
-            raise InvalidInstanceError(f"facility point must be non-negative, got {self.point}")
-        if not isinstance(self.configuration, frozenset):
-            object.__setattr__(self, "configuration", frozenset(self.configuration))
-        if not self.configuration:
+    def __init__(
+        self, id: int, point: int, configuration: FrozenSet[int], opening_cost: float
+    ) -> None:
+        if id < 0:
+            raise InvalidInstanceError(f"facility id must be non-negative, got {id}")
+        if point < 0:
+            raise InvalidInstanceError(f"facility point must be non-negative, got {point}")
+        if not isinstance(configuration, frozenset):
+            configuration = frozenset(configuration)
+        if not configuration:
             raise InvalidInstanceError("a facility must offer at least one commodity")
-        if self.opening_cost < 0:
-            raise InvalidInstanceError(
-                f"opening cost must be non-negative, got {self.opening_cost}"
-            )
+        if opening_cost < 0:
+            raise InvalidInstanceError(f"opening cost must be non-negative, got {opening_cost}")
+        self.__dict__.update(
+            id=id,
+            point=point,
+            configuration=configuration,
+            opening_cost=opening_cost,
+        )
 
     def offers(self, commodity: int) -> bool:
         """Whether the facility offers the commodity."""

@@ -63,6 +63,10 @@ class Instance:
             )
         self.name = name or "instance"
         self._tables = EnvironmentTables(metric, cost_function)
+        # The bounds every request is checked against; the metric and the
+        # universe never change.
+        self._num_points = metric.num_points
+        self._commodity_set = self._commodities.full_set
         self._validate()
 
     def _validate(self) -> None:
@@ -73,14 +77,18 @@ class Instance:
         """Check one request against this instance's metric and commodities.
 
         Used both for the constructor's whole-sequence validation and for
-        requests arriving incrementally through a streaming session.
+        requests arriving incrementally through a streaming session.  A
+        demand inside the universe passes with one subset test; any other
+        goes through :meth:`CommodityUniverse.check` element by element, so
+        the first commodity out of range is the one named.
         """
-        if not 0 <= request.point < self._metric.num_points:
+        if not 0 <= request.point < self._num_points:
             raise InvalidInstanceError(
                 f"request {request.index} is located at unknown point {request.point}"
             )
-        for commodity in request.commodities:
-            self._commodities.check(commodity)
+        if not request.commodities <= self._commodity_set:
+            for commodity in request.commodities:
+                self._commodities.check(commodity)
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +125,7 @@ class Instance:
     @property
     def num_points(self) -> int:
         """``|M|`` — the number of metric points."""
-        return self._metric.num_points
+        return self._num_points
 
     # ------------------------------------------------------------------
     def prefix(self, length: int) -> "Instance":

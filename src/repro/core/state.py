@@ -334,14 +334,16 @@ class OnlineState:
             and 0 <= request.point < self._num_points
         ):
             return None
-        store = self._store
-        num_open = len(store)
+        # The store's own list, read once (its __len__ and __getitem__ are
+        # a Python call each); the screen only reads it.
+        facilities = self._store._facilities
+        num_open = len(facilities)
         commodity_of: Dict[int, int] = {}
         for commodity, facility_id in pairs.items():
             if not (
                 type(facility_id) is int
                 and 0 <= facility_id < num_open
-                and commodity in store[facility_id].configuration
+                and commodity in facilities[facility_id].configuration
             ):
                 return None
             commodity_of[facility_id] = commodity
@@ -371,6 +373,10 @@ class OnlineState:
 
     def current_total_cost(self) -> float:
         return self.current_opening_cost() + self.current_connection_cost()
+
+    def current_costs(self) -> Tuple[float, float]:
+        """``(opening cost, connection cost)`` so far, read in one call."""
+        return self._store.total_opening_cost, self._connection_cost
 
     def _request_costs(self) -> np.ndarray:
         """Each logged request's connection cost, recomputed from the log.

@@ -55,13 +55,18 @@ class FacilityCostFunction(abc.ABC):
         return self._full_set
 
     def normalize_configuration(self, configuration: Iterable[int]) -> Configuration:
-        """Validate and freeze a configuration."""
-        config = frozenset(int(e) for e in configuration)
-        for e in config:
-            if not 0 <= e < self._num_commodities:
-                raise InvalidCostFunctionError(
-                    f"commodity {e} out of range [0, {self._num_commodities})"
-                )
+        """Validate and freeze a configuration.
+
+        One subset test against ``S`` checks the ints; only a configuration
+        that fails it is walked, to name its first commodity out of range.
+        """
+        config = frozenset(map(int, configuration))
+        if not config <= self._full_set:
+            for e in config:
+                if not 0 <= e < self._num_commodities:
+                    raise InvalidCostFunctionError(
+                        f"commodity {e} out of range [0, {self._num_commodities})"
+                    )
         return config
 
     def singleton_cost(self, point: int, commodity: int) -> float:

@@ -37,13 +37,15 @@ class EuclideanMetric(MetricSpace):
         if not np.all(np.isfinite(coords)):
             raise InvalidMetricError("coordinates must be finite")
         self._coords = np.ascontiguousarray(coords)
+        # Read on every request; the coordinates are private and never reshaped.
+        self._num_points = int(coords.shape[0])
         self._tree = None
         if use_kdtree and cKDTree is not None and coords.shape[0] >= 32:
             self._tree = cKDTree(self._coords)
 
     @property
     def num_points(self) -> int:
-        return int(self._coords.shape[0])
+        return self._num_points
 
     @property
     def dimension(self) -> int:
