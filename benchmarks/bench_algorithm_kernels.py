@@ -26,11 +26,13 @@ import pytest
 
 from repro.algorithms.base import run_online
 from repro.algorithms.offline.greedy import GreedyOfflineSolver
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm
 from repro.algorithms.online.no_prediction import NoPredictionGreedy
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost

@@ -11,11 +11,12 @@ Online algorithms (Sections 2–4 of the paper and its baselines):
 * :class:`~repro.algorithms.online.rand_omflp.RandOMFLPAlgorithm` — the
   randomized Meyerson-style algorithm of Section 4 (Algorithm 2),
   O(√|S|·log n / log log n)-competitive in expectation (Theorem 19).
-* :class:`~repro.algorithms.online.fotakis_ofl.FotakisOFLAlgorithm` and
-  :class:`~repro.algorithms.online.meyerson_ofl.MeyersonOFLAlgorithm` — the
-  single-commodity online facility location substrates the paper builds on.
 * :class:`~repro.algorithms.online.per_commodity.PerCommodityAlgorithm` — the
   trivial O(|S|·log n / log log n) decomposition baseline of Section 1.3.
+* :class:`~repro.algorithms.online.per_commodity.FotakisOFLAlgorithm` and
+  :class:`~repro.algorithms.online.per_commodity.MeyersonOFLAlgorithm` — the
+  single-commodity online facility location substrates the paper builds on:
+  the decomposition baseline at ``|S| = 1``.
 * :class:`~repro.algorithms.online.no_prediction.NoPredictionGreedy` and
   :class:`~repro.algorithms.online.always_large.AlwaysLargeGreedy` — greedy
   baselines that never/always predict, bracketing the design space the lower
@@ -48,11 +49,13 @@ from repro.algorithms.offline.local_search import LocalSearchSolver
 from repro.algorithms.offline.lp_bound import lp_relaxation_lower_bound
 from repro.algorithms.offline.planted import PlantedSolver
 from repro.algorithms.online.always_large import AlwaysLargeGreedy
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm
 from repro.algorithms.online.no_prediction import NoPredictionGreedy
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.algorithms.online.threshold import ThresholdPDAlgorithm
 

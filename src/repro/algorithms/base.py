@@ -63,8 +63,8 @@ class OnlineAlgorithm(abc.ABC):
         """JSON-compatible snapshot of the algorithm's *per-run mutable* state.
 
         The contract mirrors the torch idiom: ``state_dict`` captures exactly
-        the decision-relevant state accumulated since :meth:`prepare` (helper
-        facility lists, dual stores, bid histories, slot maps) and
+        the decision-relevant state accumulated since :meth:`prepare` (dual
+        stores, bid histories; never a copy of the state's facilities) and
         :meth:`load_state_dict` restores it onto a freshly ``prepare``-d
         instance such that every subsequent :meth:`process` call — given the
         same restored RNG stream and :class:`OnlineState` — is bit-identical

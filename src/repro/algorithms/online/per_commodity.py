@@ -1,12 +1,17 @@
-"""Per-commodity decomposition baseline.
+"""Per-commodity decomposition baseline, and the single-commodity algorithms it covers.
 
 Section 1.3 of the paper: "it is trivial to achieve an algorithm having a
 competitive ratio of O(|S| · log n / log log n) simply by solving an instance
 of the OFLP for each commodity separately, using Fotakis' algorithm, for
-example."  This baseline does exactly that: it maintains one independent
-single-commodity online-facility-location instance per commodity (either the
-deterministic primal–dual substrate or Meyerson's randomized one) whose
-facility opening costs are the singleton costs ``f^{{e}}_m``.
+example."  This baseline does exactly that: it runs one single-commodity
+online-facility-location helper per commodity (either the deterministic
+primal–dual substrate or Meyerson's randomized one) whose facility opening
+costs are the singleton costs ``f^{{e}}_m``.  Each helper reads and opens the
+state's ``F(e)``, so the baseline keeps no facility set of its own.
+
+With ``|S| = 1`` the baseline *is* the classical algorithm:
+:class:`FotakisOFLAlgorithm` and :class:`MeyersonOFLAlgorithm` are this class
+with ``|S| = 1`` checked in :meth:`~PerCommodityAlgorithm.prepare`.
 
 On instances whose optimal solution bundles many commodities into shared
 facilities (e.g. the Theorem-2 adversary), this baseline loses a factor of
@@ -16,7 +21,7 @@ facilities (e.g. the Theorem-2 adversary), this baseline loses a factor of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.algorithms.base import OnlineAlgorithm
 from repro.algorithms.online.fotakis_ofl import SingleCommodityPrimalDual
@@ -26,9 +31,11 @@ from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
 from repro.exceptions import AlgorithmError, SnapshotError
-from repro.utils.validation import snapshot_field, snapshot_int, snapshot_int_rows, snapshot_list
+from repro.utils.validation import snapshot_field, snapshot_int, snapshot_list
 
-__all__ = ["PerCommodityAlgorithm"]
+__all__ = ["PerCommodityAlgorithm", "FotakisOFLAlgorithm", "MeyersonOFLAlgorithm"]
+
+Helper = Union[SingleCommodityPrimalDual, SingleCommodityMeyerson]
 
 
 class PerCommodityAlgorithm(OnlineAlgorithm):
@@ -48,44 +55,37 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
         self.name = f"per-commodity-{base}"
         self.randomized = base == "meyerson"
         self._instance: Optional[Instance] = None
-        self._helpers: Dict[int, object] = {}
-        # (commodity, helper facility slot) -> real facility id
-        self._facility_of_slot: Dict[Tuple[int, int], int] = {}
+        self._helpers: Dict[int, Helper] = {}
 
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
         self._instance = instance
         self._helpers = {}
-        self._facility_of_slot = {}
 
-    def _helper_for(self, commodity: int):
+    def _helper_for(self, commodity: int) -> Helper:
         helper = self._helpers.get(commodity)
         if helper is None:
             costs = self._instance.cost_function.costs_over_points(
                 (commodity,), list(range(self._instance.num_points))
             )
-            if self._base == "fotakis":
-                helper = SingleCommodityPrimalDual(self._instance.metric, costs)
-            else:
-                helper = SingleCommodityMeyerson(self._instance.metric, costs)
-            self._helpers[commodity] = helper
+            helper_class = (
+                SingleCommodityPrimalDual if self._base == "fotakis" else SingleCommodityMeyerson
+            )
+            helper = self._helpers[commodity] = helper_class(
+                self._instance.metric, costs, commodity
+            )
         return helper
 
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Per-commodity helper snapshots (in creation order) plus slot map."""
+        """``[commodity, helper state]`` per helper, in creation order."""
         if self._instance is None:
             raise AlgorithmError("prepare() was not called before state_dict()")
         return {
             "helpers": [
-                [commodity, helper.state_dict()]
-                for commodity, helper in self._helpers.items()
-            ],
-            "facility_of_slot": [
-                [commodity, slot, fid]
-                for (commodity, slot), fid in self._facility_of_slot.items()
-            ],
+                [commodity, helper.state_dict()] for commodity, helper in self._helpers.items()
+            ]
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -95,13 +95,7 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
             raise SnapshotError(
                 "PerCommodityAlgorithm.load_state_dict requires a freshly prepared run"
             )
-        where = f"{self.name} state"
-        helpers = snapshot_list(snapshot_field(state, "helpers", where), "helpers")
-        slots = snapshot_int_rows(
-            snapshot_field(state, "facility_of_slot", where),
-            "facility_of_slot",
-            ("commodity", "slot", "facility id"),
-        )
+        helpers = snapshot_list(snapshot_field(state, "helpers", f"{self.name} state"), "helpers")
         num_commodities = self._instance.num_commodities
         for position, entry in enumerate(helpers):
             at = f"helpers[{position}]"
@@ -117,29 +111,50 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
                 self._helper_for(commodity).load_state_dict(helper_state)
             except SnapshotError as error:
                 raise SnapshotError(f"{at}: {error}") from None
-        self._facility_of_slot = {(commodity, slot): fid for commodity, slot, fid in slots}
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._instance is None:
             raise AlgorithmError("prepare() was not called before process()")
-        assignment = Assignment(request_index=request.index)
-        for commodity in sorted(request.commodities):
-            helper = self._helper_for(commodity)
-            if self._base == "fotakis":
-                kind, payload, _ = helper.decide(request.point)
-                if kind == "open":
-                    facility = state.open_facility(request, payload, (commodity,))
-                    slot = helper.num_facilities - 1
-                    self._facility_of_slot[(commodity, slot)] = facility.id
-                    facility_id = facility.id
-                else:
-                    facility_id = self._facility_of_slot[(commodity, payload)]
-            else:
-                opened, slot, _ = helper.decide(request.point, rng)
-                first_slot = helper.num_facilities - len(opened)
-                for new_slot, new_point in enumerate(opened, start=first_slot):
-                    facility = state.open_facility(request, new_point, (commodity,))
-                    self._facility_of_slot[(commodity, new_slot)] = facility.id
-                facility_id = self._facility_of_slot[(commodity, slot)]
-            assignment.assign(commodity, facility_id)
-        state.record_assignment(request, assignment)
+        pairs = {
+            commodity: self._helper_for(commodity).decide(request, state, rng)
+            for commodity in sorted(request.commodities)
+        }
+        state.record_assignment(request, Assignment(request.index, pairs))
+
+
+class FotakisOFLAlgorithm(PerCommodityAlgorithm):
+    """Classical online facility location (single commodity, deterministic).
+
+    The ``"fotakis"`` baseline on instances with ``|S| = 1``, where every
+    request demands the unique commodity.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("fotakis")
+        self.name = "fotakis-ofl"
+
+    def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
+        _require_one_commodity("FotakisOFLAlgorithm", instance)
+        super().prepare(instance, state, rng)
+
+
+class MeyersonOFLAlgorithm(PerCommodityAlgorithm):
+    """Classical randomized online facility location (single commodity).
+
+    The ``"meyerson"`` baseline on instances with ``|S| = 1``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("meyerson")
+        self.name = "meyerson-ofl"
+
+    def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
+        _require_one_commodity("MeyersonOFLAlgorithm", instance)
+        super().prepare(instance, state, rng)
+
+
+def _require_one_commodity(algorithm: str, instance: Instance) -> None:
+    if instance.num_commodities != 1:
+        raise AlgorithmError(
+            f"{algorithm} requires |S| = 1; got |S| = {instance.num_commodities}"
+        )

@@ -39,7 +39,6 @@ from repro.metric.graph import GraphMetric
 from repro.metric.grid import GridMetric
 from repro.metric.line import LineMetric
 from repro.metric.matrix import ExplicitMetric
-from repro.metric.nearest import NearestPointIndex
 from repro.metric.single_point import SinglePointMetric
 from repro.metric.tree import TreeMetric
 
@@ -52,7 +51,6 @@ __all__ = [
     "GraphMetric",
     "TreeMetric",
     "SinglePointMetric",
-    "NearestPointIndex",
     "uniform_line_metric",
     "random_line_metric",
     "random_euclidean_metric",

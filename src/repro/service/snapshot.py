@@ -4,8 +4,8 @@ A :class:`SessionSnapshot` is the durable form of a mid-stream
 :class:`~repro.api.session.OnlineSession`: everything needed to continue the
 run **bit-identically** in a fresh process —
 
-* the algorithm's ``state_dict`` (dual stores, bid histories, helper facility
-  lists — see :meth:`repro.algorithms.base.OnlineAlgorithm.state_dict`),
+* the algorithm's ``state_dict`` (dual stores, bid histories — see
+  :meth:`repro.algorithms.base.OnlineAlgorithm.state_dict`),
 * the online state's mutation log (facilities in opening order, assignments
   in arrival order, the trace) from
   :meth:`repro.core.state.OnlineState.state_dict`,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional
 
 from repro.exceptions import SnapshotError
 
@@ -16,7 +16,6 @@ __all__ = [
     "snapshot_field",
     "snapshot_list",
     "snapshot_int",
-    "snapshot_int_rows",
     "snapshot_indices",
     "snapshot_floats",
     "snapshot_commodities",
@@ -107,18 +106,6 @@ def snapshot_int(value: Any, where: str) -> int:
     if type(value) is not int:
         raise SnapshotError(f"{where} must be a JSON integer, got {value!r}")
     return value
-
-
-def snapshot_int_rows(value: Any, where: str, columns: Sequence[str]) -> List[Tuple[int, ...]]:
-    """A JSON list of rows of JSON integers, one per name in ``columns``."""
-    rows: List[Tuple[int, ...]] = []
-    for position, row in enumerate(snapshot_list(value, where)):
-        at = f"{where}[{position}]"
-        items = snapshot_list(row, at, len(columns))
-        rows.append(
-            tuple(snapshot_int(item, f"{at} {column}") for item, column in zip(items, columns))
-        )
-    return rows
 
 
 def snapshot_indices(value: Any, where: str, bound: int) -> List[int]:

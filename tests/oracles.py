@@ -12,8 +12,8 @@ order and tie-breaks:
   facilities by one scan over the open facilities per query;
 * :class:`ReferencePDOMFLPAlgorithm` — PD-OMFLP's bid sums rebuilt from the
   full request history and per-request nearest-distance caches;
-* :class:`ReferencePrimalDual` — the Fotakis helper's facility scan and bid
-  sum over its demand history;
+* :class:`ReferencePrimalDual` — the Fotakis helper's bid sum over its
+  demand history;
 * :class:`ReferenceMeyerson` — the Meyerson helper's per-class scans and
   scalar coin probabilities;
 * :class:`ReferenceRandOMFLPAlgorithm` — RAND-OMFLP on
@@ -28,11 +28,13 @@ oracle is the plain loop over every (point, configuration) candidate:
   reconstruction asks the metric again for every distance it already holds.
 
 No query here reads a tracker, class index or bid buffer (the inherited
-constructors still build them; nothing consults them).  Production code does
-not know this module: the reference classes override private hooks of the
-production ones, and :func:`reference_scans` patches the module globals
-production constructs its facility store, single-commodity helpers, the
-local search's greedy start and the offline assignments from.
+constructors still build them; nothing consults them).  The single-commodity
+helpers read ``F(e)`` through the state, whose store is the scan store inside
+:func:`reference_scans`.  Production code does not know this module: the
+reference classes override private hooks of the production ones, and
+:func:`reference_scans` patches the module globals production constructs its
+facility store, single-commodity helpers, the local search's greedy start and
+the offline assignments from.
 The reference scans have no snapshot support.
 
 :class:`~repro.core.state.OnlineState` logs recorded assignments as flat
@@ -71,18 +73,20 @@ import numpy as np
 
 import repro.algorithms.offline.common as offline_common
 import repro.algorithms.offline.local_search as local_search
-import repro.algorithms.online.fotakis_ofl as fotakis_ofl
-import repro.algorithms.online.meyerson_ofl as meyerson_ofl
 import repro.algorithms.online.per_commodity as per_commodity
 import repro.api.session as session_module
 import repro.core.state as state_module
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
 from repro.algorithms.offline.common import candidate_configurations
 from repro.algorithms.offline.greedy import GreedyOfflineSolver
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm, SingleCommodityPrimalDual
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCommodityMeyerson
+from repro.algorithms.online.fotakis_ofl import SingleCommodityPrimalDual
+from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.analysis.competitive import IncrementalOfflineBound
 from repro.core.assignment import Assignment
@@ -214,30 +218,16 @@ class _HistoryEntry:
 
     point: int
     dual: float
-    nearest_distance: float  # distance to the helper's nearest own facility
-
-
-def _nearest_in(metric, point: int, facility_points: List[int]) -> Tuple[Optional[int], float]:
-    """(slot, distance) of the nearest of ``facility_points`` — first on ties."""
-    if not facility_points:
-        return None, float("inf")
-    distances = metric.distances_between(point, facility_points)
-    best = int(np.argmin(distances))
-    return best, float(distances[best])
+    nearest_distance: float  # d(F(e), demand) after the demand was served
 
 
 class ReferencePrimalDual(SingleCommodityPrimalDual):
-    """Fotakis' primal–dual helper with a facility scan and a rebuilt bid sum."""
+    """Fotakis' primal–dual helper with a rebuilt bid sum."""
 
-    def __init__(self, metric, opening_costs) -> None:
-        super().__init__(metric, opening_costs)
+    def __init__(self, metric, opening_costs, commodity: int) -> None:
+        super().__init__(metric, opening_costs, commodity)
+        self._metric = metric
         self._history: List[_HistoryEntry] = []
-
-    def _nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
-        return _nearest_in(self._metric, point, self._facility_points)
-
-    def _append_facility(self, point: int) -> None:
-        self._facility_points.append(int(point))
 
     def _bid_base(self) -> np.ndarray:
         if not self._history:
@@ -263,6 +253,10 @@ class ReferencePrimalDual(SingleCommodityPrimalDual):
 class ReferenceMeyerson(SingleCommodityMeyerson):
     """Meyerson's helper with per-class scans and scalar coin probabilities."""
 
+    def __init__(self, metric, opening_costs, commodity: int) -> None:
+        super().__init__(metric, opening_costs, commodity)
+        self._metric = metric
+
     def distance_to_class(self, index: int, point: int) -> float:
         points = self._class_points[index - 1]
         return float(np.min(self._metric.distances_between(point, points)))
@@ -271,17 +265,11 @@ class ReferenceMeyerson(SingleCommodityMeyerson):
         nearest, _ = self._metric.nearest(point, self._class_points[index - 1])
         return int(nearest)
 
-    def nearest_own_facility(self, point: int) -> Tuple[Optional[int], float]:
-        return _nearest_in(self._metric, point, self._facility_points)
-
     def cheapest_open_option(self, point: int) -> Tuple[int, float]:
         classes = range(1, self.num_classes + 1)
         options = [self.class_value(i) + self.distance_to_class(i, point) for i in classes]
         best = min(classes, key=lambda i: options[i - 1])
         return best, options[best - 1]
-
-    def _append_facility(self, point: int) -> None:
-        self._facility_points.append(int(point))
 
     def _class_probabilities(self, point: int, effective_budget: float) -> List[float]:
         probabilities = []
@@ -298,25 +286,25 @@ class ReferenceMeyerson(SingleCommodityMeyerson):
             probabilities.append(probability)
         return probabilities
 
-    def decide(self, point: int, rng, *, budget: Optional[float] = None) -> Tuple[List[int], int, float]:
+    def decide(self, request: Request, state: OnlineState, rng) -> int:
         """The helper's decide before its scalar coin loop: the probabilities of
         :meth:`_class_probabilities`, then one ``uniform()`` per positive coin."""
-        effective_budget = self.connection_budget(point) if budget is None else float(budget)
+        point = request.point
+        nearest = state.nearest_offering(self._commodity, point)
+        _, cheapest_open = self.cheapest_open_option(point)
+        budget = min(float("inf") if nearest is None else nearest[1], cheapest_open)
         opened: List[int] = []
-        probabilities = self._class_probabilities(point, effective_budget)
+        probabilities = self._class_probabilities(point, budget)
         for i in range(1, self.num_classes + 1):
             probability = float(probabilities[i - 1])
             if probability > 0 and rng.uniform() < probability:
                 opened.append(self.nearest_point_of_class(i, point))
-        for new_point in opened:
-            self._append_facility(int(new_point))
-        if not self._facility_points:
+        if nearest is None and not opened:
             best_i, _ = self.cheapest_open_option(point)
-            fallback = self.nearest_point_of_class(best_i, point)
-            self._append_facility(int(fallback))
-            opened.append(int(fallback))
-        slot, distance = self.nearest_own_facility(point)
-        return opened, int(slot), float(distance)
+            opened.append(self.nearest_point_of_class(best_i, point))
+        for new_point in opened:
+            state.open_facility(request, new_point, (self._commodity,))
+        return state.nearest_offering(self._commodity, point)[0].id
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +689,6 @@ class ReferenceReservoirSampler(ReservoirSampler):
 #: (module, global name, reference substitute) patched by reference_scans().
 _SUBSTITUTES = (
     (state_module, "FacilityStore", ScanFacilityStore),
-    (fotakis_ofl, "SingleCommodityPrimalDual", ReferencePrimalDual),
-    (meyerson_ofl, "SingleCommodityMeyerson", ReferenceMeyerson),
     (per_commodity, "SingleCommodityPrimalDual", ReferencePrimalDual),
     (per_commodity, "SingleCommodityMeyerson", ReferenceMeyerson),
     (local_search, "GreedyOfflineSolver", ReferenceGreedyOfflineSolver),

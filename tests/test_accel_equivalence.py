@@ -24,10 +24,12 @@ import pytest
 
 from repro.accel.history import BidHistoryBuffer
 from repro.algorithms.base import OnlineAlgorithm, OnlineResult, run_online
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCommodityMeyerson
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
@@ -238,10 +240,7 @@ def test_reference_scans_reach_production_constructors():
         for algorithm, instance, _ in runs:
             run_online(algorithm, instance, rng=0)
     for algorithm, _, helper_type in runs:
-        if isinstance(algorithm, PerCommodityAlgorithm):
-            helpers = list(algorithm._helpers.values())
-        else:
-            helpers = [algorithm._helper]
+        helpers = list(algorithm._helpers.values())
         assert helpers and all(type(h) is helper_type for h in helpers)
     assert type(OnlineState(multi).store) is not ScanFacilityStore
 
@@ -264,25 +263,6 @@ def test_streaming_session_matches_batch_fast_path():
     record = session.finalize()
     assert record.total_cost == batch.total_cost
     assert _facility_sequence(record.source) == _facility_sequence(batch)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_meyerson_budget_override_equivalence(seed):
-    """SingleCommodityMeyerson.decide with an explicit budget (the RAND-OMFLP
-    entry point) is bit-identical between the production and reference helper."""
-    rng = ensure_rng(seed)
-    metric = random_euclidean_metric(30, rng=seed)
-    costs = rng.uniform(0.25, 4.0, size=metric.num_points)
-    reference = ReferenceMeyerson(metric, costs)
-    fast = SingleCommodityMeyerson(metric, costs)
-    rng_ref, rng_fast = ensure_rng(seed + 1), ensure_rng(seed + 1)
-    for _ in range(40):
-        point = int(rng.integers(0, metric.num_points))
-        budget = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.5 else None
-        out_ref = reference.decide(point, rng_ref, budget=budget)
-        out_fast = fast.decide(point, rng_fast, budget=budget)
-        assert out_fast == out_ref
-    assert fast.facility_points == reference.facility_points
 
 
 # ---------------------------------------------------------------------------

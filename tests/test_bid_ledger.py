@@ -35,7 +35,7 @@ import pytest
 
 from repro.accel.history import BidHistoryBuffer
 from repro.algorithms.base import run_online
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
+from repro.algorithms.online.per_commodity import FotakisOFLAlgorithm
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
@@ -410,7 +410,7 @@ def test_fotakis_restore_rejects_a_damaged_history():
     for point in (3, 7, 3, 1):
         session.submit(point, [0])
     data = json.loads(session.snapshot().to_json())
-    data["algorithm_state"]["helper"]["history"]["points"][1] = 2.5
+    data["algorithm_state"]["helpers"][0][1]["history"]["points"][1] = 2.5
     with pytest.raises(SnapshotError, match=r"bid slot 0 points\[1\] must be a JSON integer"):
         OnlineSession.restore(
             data,

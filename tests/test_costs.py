@@ -259,7 +259,7 @@ CLASS_PROVIDERS = ["CostClassIndex", "ClassDistanceIndex", "SingleCommodityMeyer
 def _class_provider(name, metric, scales):
     """A provider of 1-based class queries over one commodity costing ``scales``."""
     if name == "SingleCommodityMeyerson":
-        return SingleCommodityMeyerson(metric, scales)
+        return SingleCommodityMeyerson(metric, scales, 0)
     classes = CostClassIndex(metric, ConstantCost(1, point_scales=scales), {0})
     if name == "ClassDistanceIndex":
         return ClassDistanceIndex.from_cost_index(metric, classes)

@@ -1,32 +1,41 @@
 """Snapshots of the single-commodity helpers are checked, not coerced.
 
-``meyerson-ofl``, ``fotakis-ofl`` and the two per-commodity baselines keep
-their decisions in single-commodity helpers
+``meyerson-ofl``, ``fotakis-ofl`` and the two per-commodity baselines run a
+single-commodity helper per commodity
 (:class:`~repro.algorithms.online.meyerson_ofl.SingleCommodityMeyerson`,
-:class:`~repro.algorithms.online.fotakis_ofl.SingleCommodityPrimalDual`)
-plus a map from helper slot to facility id.  A restore used to coerce these
-fields with ``int()`` and ``float()``: a facility point of 9.7 restored as
-point 9, a facility id of 0.5 as facility 0, and a dual of ``"x"`` raised a
-bare ``ValueError``.  Each damaged field now raises a :class:`SnapshotError`
-naming it, and an undamaged snapshot still restores to a session that
-continues like the uninterrupted one.
+:class:`~repro.algorithms.online.fotakis_ofl.SingleCommodityPrimalDual`).
+The helpers read ``F(e)`` from the state, so their snapshot is the list of
+``[commodity, helper state]`` pairs: ``{}`` for Meyerson, the bid history for
+Fotakis.  Each damaged field raises a :class:`SnapshotError` naming it, and
+an undamaged snapshot restores to a session that continues like the
+uninterrupted one.
+
+Snapshots written before the helpers dropped their facility lists and slot
+maps are committed under ``tests/golden/``: the per-commodity ones resume
+equal to an uninterrupted run (the loaders read only the fields they keep),
+and the single-commodity ones, which had a ``helper`` field and no
+``helpers``, are refused by that name.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
 from repro.costs.count_based import PowerCost
 from repro.exceptions import SnapshotError
 from repro.metric.factories import random_euclidean_metric
+from repro.scenarios import ScenarioSession
 
 #: Algorithm name -> (factory, |S|).
 HELPER_ALGORITHMS: Dict[str, Tuple[Callable[[], Any], int]] = {
@@ -101,70 +110,27 @@ def _drop(*path):
 
 #: (algorithm, damage to its algorithm state, message).
 DAMAGED = [
-    # Values the loaders used to coerce.
-    pytest.param("meyerson-ofl", _put("helper", "facility_points", 0, 9.7),
-                 r"^Meyerson helper facility_points\[0\] must be a JSON integer, got 9\.7$",
-                 id="meyerson-point-float"),
-    pytest.param("meyerson-ofl", _put("facility_of_slot", 1, 1, 0.5),
-                 r"^facility_of_slot\[1\] facility id must be a JSON integer, got 0\.5$",
-                 id="meyerson-facility-id-float"),
-    pytest.param("meyerson-ofl", _put("facility_of_slot", 0, 0, "0"),
-                 r"^facility_of_slot\[0\] slot must be a JSON integer, got '0'$",
-                 id="meyerson-slot-string"),
-    pytest.param("fotakis-ofl", _put("helper", "facility_points", 0, 9.7),
-                 r"^primal-dual helper facility_points\[0\] must be a JSON integer, got 9\.7$",
-                 id="fotakis-point-float"),
-    pytest.param("fotakis-ofl", _put("helper", "dual_values", 1, "x"),
-                 r"^primal-dual helper dual_values\[1\] must be a JSON number, got 'x'$",
-                 id="fotakis-dual-string"),
-    pytest.param("fotakis-ofl", _put("helper", "dual_values", 0, True),
-                 r"^primal-dual helper dual_values\[0\] must be a JSON number, got True$",
-                 id="fotakis-dual-bool"),
-    pytest.param("fotakis-ofl", _put("facility_of_slot", 0, 1, 0.5),
-                 r"^facility_of_slot\[0\] facility id must be a JSON integer, got 0\.5$",
-                 id="fotakis-facility-id-float"),
-    pytest.param("per-commodity-fotakis", _put("helpers", 1, 1, "facility_points", 0, 9.7),
-                 r"^helpers\[1\]: primal-dual helper facility_points\[0\] must be a JSON integer, "
-                 r"got 9\.7$", id="per-commodity-fotakis-point-float"),
-    pytest.param("per-commodity-fotakis", _put("helpers", 0, 1, "dual_values", 2, "x"),
-                 r"^helpers\[0\]: primal-dual helper dual_values\[2\] must be a JSON number, "
-                 r"got 'x'$", id="per-commodity-fotakis-dual-string"),
-    pytest.param("per-commodity-fotakis", _put("facility_of_slot", 1, 2, 0.5),
-                 r"^facility_of_slot\[1\] facility id must be a JSON integer, got 0\.5$",
-                 id="per-commodity-fotakis-facility-id-float"),
-    pytest.param("per-commodity-meyerson", _put("helpers", 0, 1, "facility_points", 1, 9.7),
-                 r"^helpers\[0\]: Meyerson helper facility_points\[1\] must be a JSON integer, "
-                 r"got 9\.7$", id="per-commodity-meyerson-point-float"),
-    pytest.param("per-commodity-meyerson", _put("facility_of_slot", 3, 0, 2.0),
-                 r"^facility_of_slot\[3\] commodity must be a JSON integer, got 2\.0$",
-                 id="per-commodity-meyerson-commodity-float"),
     pytest.param("per-commodity-meyerson", _put("helpers", 1, 0, 2.5),
                  r"^helpers\[1\] commodity must be a JSON integer, got 2\.5$",
                  id="per-commodity-meyerson-helper-commodity-float"),
-    # Values out of range, which used to fail later or not at all.
-    pytest.param("meyerson-ofl", _put("helper", "facility_points", 2, NUM_POINTS),
-                 r"^Meyerson helper facility_points\[2\] must lie in \[0, 10\), got 10$",
-                 id="meyerson-point-out-of-range"),
-    pytest.param("fotakis-ofl", _put("helper", "facility_points", 0, -1),
-                 r"^primal-dual helper facility_points\[0\] must lie in \[0, 10\), got -1$",
-                 id="fotakis-point-negative"),
     pytest.param("per-commodity-fotakis", _put("helpers", 1, 0, 3),
                  r"^helpers\[1\] commodity must lie in \[0, 3\), got 3$",
                  id="per-commodity-commodity-out-of-range"),
     pytest.param("per-commodity-meyerson", _put("helpers", 1, 0, 0),
                  r"^helpers repeats commodity 0$", id="per-commodity-repeated-commodity"),
-    # Fields of the wrong shape, or missing.
-    pytest.param("meyerson-ofl", _put("facility_of_slot", 0, [0]),
-                 r"^facility_of_slot\[0\] must have 2 items, got 1$", id="meyerson-short-pair"),
-    pytest.param("meyerson-ofl", _drop("helper"),
-                 r"^meyerson-ofl state has no 'helper' field$", id="meyerson-no-helper"),
-    pytest.param("fotakis-ofl", _drop("helper", "dual_values"),
-                 r"^primal-dual helper state has no 'dual_values' field$", id="fotakis-no-duals"),
     pytest.param("per-commodity-fotakis", _put("helpers", {}),
                  r"^helpers must be a JSON list, got dict$", id="per-commodity-helpers-dict"),
-    pytest.param("per-commodity-meyerson", _drop("facility_of_slot"),
-                 r"^per-commodity-meyerson state has no 'facility_of_slot' field$",
-                 id="per-commodity-no-slot-map"),
+    pytest.param("per-commodity-meyerson", _put("helpers", 0, 1, []),
+                 r"^helpers\[0\]: Meyerson helper state must be a JSON object, got list$",
+                 id="per-commodity-meyerson-helper-state-list"),
+    pytest.param("meyerson-ofl", _drop("helpers"),
+                 r"^meyerson-ofl state has no 'helpers' field$", id="meyerson-no-helper"),
+    pytest.param("fotakis-ofl", _put("helpers", 0, 1, "history", "points", 1, 2.5),
+                 r"^helpers\[0\]: bid slot 0 points\[1\] must be a JSON integer, got 2\.5$",
+                 id="fotakis-history-point-float"),
+    pytest.param("per-commodity-fotakis", _put("helpers", 1, 1, "history", "points", 0, 2.5),
+                 r"^helpers\[1\]: bid slot 0 points\[0\] must be a JSON integer, got 2\.5$",
+                 id="per-commodity-fotakis-history-point-float"),
 ]
 
 
@@ -188,3 +154,51 @@ def test_an_undamaged_helper_snapshot_restores_and_continues(name):
     for point, commodities in [(5, [0]), (9, [0]), (3, [0]), (2, [0])]:
         assert restored.submit(point, commodities) == uninterrupted.submit(point, commodities)
     assert restored.finalize().total_cost == uninterrupted.finalize().total_cost
+
+
+# ---------------------------------------------------------------------------
+# Snapshots written by the helpers that kept a facility list and a slot map
+# ---------------------------------------------------------------------------
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: Each file holds a ScenarioSession snapshot after 24 of 60 clustered
+#: requests (seed 0), written when every helper kept its own facility list
+#: and its driver a slot -> facility-id map.  The totals of the full runs
+#: were recorded with them.
+OLDER_TOTALS = {
+    "per-commodity-fotakis": 11.439065466518935,
+    "per-commodity-meyerson": 11.778701706768665,
+}
+
+
+def _older_snapshot(name: str) -> Dict[str, Any]:
+    return json.loads((GOLDEN / f"{name.replace('-', '_')}_snapshot.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(OLDER_TOTALS))
+def test_an_older_per_commodity_snapshot_resumes_equal(name):
+    data = _older_snapshot(name)
+    assert {"helpers", "facility_of_slot"} <= set(data["algorithm_state"])
+    resumed = ScenarioSession.restore(data)
+    uninterrupted = ScenarioSession(data["spec"])
+    for _ in range(data["num_requests"]):
+        uninterrupted.step()
+    written = uninterrupted.snapshot().to_dict()
+    for snapshot in (written, data):
+        snapshot.pop("runtime_seconds")
+        snapshot.pop("algorithm_state")
+    assert written == data
+    assert resumed.advance() == uninterrupted.advance()
+    assert resumed.session.total_cost == uninterrupted.session.total_cost == OLDER_TOTALS[name]
+    finished = [session.snapshot().to_dict() for session in (resumed, uninterrupted)]
+    for snapshot in finished:
+        snapshot.pop("runtime_seconds")
+    assert finished[0] == finished[1]
+
+
+@pytest.mark.parametrize("name", ["fotakis-ofl", "meyerson-ofl"])
+def test_an_older_single_commodity_snapshot_is_refused_by_name(name):
+    data = _older_snapshot(name)
+    assert set(data["algorithm_state"]) == {"helper", "facility_of_slot"}
+    with pytest.raises(SnapshotError, match=rf"^{name} state has no 'helpers' field$"):
+        ScenarioSession.restore(data)

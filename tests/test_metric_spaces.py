@@ -21,7 +21,6 @@ from repro.metric import (
     uniform_line_metric,
 )
 from repro.metric.factories import random_grid_metric
-from repro.metric.nearest import NearestPointIndex
 
 
 class TestLineMetric:
@@ -226,32 +225,6 @@ class TestMetricQueries:
     def test_len_and_points(self, line_metric):
         assert len(line_metric) == 5
         assert list(line_metric.points()) == [0, 1, 2, 3, 4]
-
-
-class TestNearestPointIndex:
-    def test_empty_key(self, line_metric):
-        index = NearestPointIndex(line_metric)
-        assert index.nearest_distance("e", 0) == float("inf")
-        assert index.nearest("e", 0) is None
-        assert not index.has_any("e")
-
-    def test_add_and_query(self, line_metric):
-        index = NearestPointIndex(line_metric)
-        index.add("e", 4)
-        index.add("e", 1)
-        point, distance = index.nearest("e", 0)
-        assert point == 1
-        assert distance == pytest.approx(0.25)
-        assert index.nearest_distance("e", 0) == pytest.approx(0.25)
-        assert sorted(index.points("e")) == [1, 4]
-
-    def test_many_queries(self, line_metric):
-        index = NearestPointIndex(line_metric)
-        index.add("e", 2)
-        distances = index.nearest_distances_many("e", [0, 2, 4])
-        np.testing.assert_allclose(distances, [0.5, 0.0, 0.5])
-        empty = index.nearest_distances_many("missing", [0, 1])
-        assert np.all(np.isinf(empty))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,18 +1,27 @@
 """Tests for the single-commodity OFL substrates and the greedy baselines."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from repro.accel.tracker import NearestSetTracker
 
 from repro.algorithms.base import run_online
 from repro.algorithms.offline.brute_force import BruteForceSolver
 from repro.algorithms.online.always_large import AlwaysLargeGreedy
-from repro.algorithms.online.fotakis_ofl import FotakisOFLAlgorithm, SingleCommodityPrimalDual
-from repro.algorithms.online.meyerson_ofl import MeyersonOFLAlgorithm, SingleCommodityMeyerson
+from repro.algorithms.online.fotakis_ofl import SingleCommodityPrimalDual
+from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
 from repro.algorithms.online.no_prediction import NoPredictionGreedy
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
-from repro.algorithms.online.per_commodity import PerCommodityAlgorithm
+from repro.algorithms.online.per_commodity import (
+    FotakisOFLAlgorithm,
+    MeyersonOFLAlgorithm,
+    PerCommodityAlgorithm,
+)
 from repro.core.instance import Instance
-from repro.core.requests import RequestSequence
+from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import AdversaryCost, ConstantCost, LinearCost
 from repro.exceptions import AlgorithmError
 from repro.metric.factories import uniform_line_metric
@@ -33,65 +42,99 @@ def single_commodity_instance(num_requests: int = 10, seed: int = 0) -> Instance
     ).instance
 
 
+def one_commodity_state(metric, costs) -> OnlineState:
+    """A real online state on |S| = 1 with opening cost ``costs[m]`` at point ``m``."""
+    cost = ConstantCost(1, point_scales=costs)
+    return OnlineState(Instance(metric, cost, RequestSequence.from_tuples([])))
+
+
+def demand(index: int, point: int) -> Request:
+    return Request(index, point, frozenset({0}))
+
+
+def duals(helper: SingleCommodityPrimalDual):
+    return helper.state_dict()["history"]["duals"]
+
+
 class TestSingleCommodityPrimalDualHelper:
     def test_opens_then_reuses(self):
         metric = uniform_line_metric(3)
-        helper = SingleCommodityPrimalDual(metric, [1.0, 1.0, 1.0])
-        kind, point, dual = helper.decide(0)
-        assert kind == "open"
-        assert dual == pytest.approx(1.0)
-        kind2, slot, dual2 = helper.decide(0)
-        assert kind2 == "connect"
-        assert dual2 == pytest.approx(0.0)
-        assert helper.facility_points == [0]
-        assert helper.duals == [1.0, 0.0]
+        state = one_commodity_state(metric, [1.0, 1.0, 1.0])
+        helper = SingleCommodityPrimalDual(metric, [1.0, 1.0, 1.0], 0)
+        opened = helper.decide(demand(0, 0), state, None)
+        assert duals(helper) == [pytest.approx(1.0)]
+        assert helper.decide(demand(1, 0), state, None) == opened
+        assert duals(helper)[1] == pytest.approx(0.0)
+        assert [f.point for f in state.store.facilities_offering(0)] == [0]
+        assert duals(helper) == [1.0, 0.0]
 
     def test_costs_shape_checked(self):
         metric = uniform_line_metric(3)
         with pytest.raises(AlgorithmError):
-            SingleCommodityPrimalDual(metric, [1.0, 1.0])
+            SingleCommodityPrimalDual(metric, [1.0, 1.0], 0)
 
     def test_prefers_cheap_remote_point(self):
         metric = uniform_line_metric(3)
-        helper = SingleCommodityPrimalDual(metric, [10.0, 0.1, 10.0])
-        kind, point, dual = helper.decide(0)
-        assert kind == "open"
-        assert point == 1
-        assert dual == pytest.approx(0.6)  # distance 0.5 + cost 0.1
+        state = one_commodity_state(metric, [10.0, 0.1, 10.0])
+        helper = SingleCommodityPrimalDual(metric, [10.0, 0.1, 10.0], 0)
+        opened = helper.decide(demand(0, 0), state, None)
+        assert len(state.store) == 1
+        assert state.store[opened].point == 1
+        assert duals(helper) == [pytest.approx(0.6)]  # distance 0.5 + cost 0.1
 
 
 class TestSingleCommodityMeyersonHelper:
     def test_classes_and_budget(self):
         metric = uniform_line_metric(4)
-        helper = SingleCommodityMeyerson(metric, [1.0, 2.0, 4.0, 8.0])
+        state = one_commodity_state(metric, [1.0, 2.0, 4.0, 8.0])
+        helper = SingleCommodityMeyerson(metric, [1.0, 2.0, 4.0, 8.0], 0)
         assert helper.num_classes == 4
         assert helper.class_value(1) == 1.0
         assert helper.distance_to_class(4, 0) == 0.0
-        # Budget before any facility: cheapest open option.
-        assert helper.connection_budget(0) == pytest.approx(1.0)
+        # Budget min{d(F(e), r), cheapest open option} before any facility:
+        # the cheapest open option.
+        _, cheapest_open = helper.cheapest_open_option(0)
+        assert min(state.distance_to_nearest(0, 0), cheapest_open) == pytest.approx(1.0)
 
     def test_decide_always_yields_a_facility(self):
         metric = uniform_line_metric(4)
-        helper = SingleCommodityMeyerson(metric, [1.0, 1.0, 1.0, 1.0])
+        state = one_commodity_state(metric, [1.0, 1.0, 1.0, 1.0])
+        helper = SingleCommodityMeyerson(metric, [1.0, 1.0, 1.0, 1.0], 0)
         rng = np.random.default_rng(0)
-        opened, slot, distance = helper.decide(2, rng)
-        assert helper.facility_points
-        assert distance < float("inf")
+        facility_id = helper.decide(demand(0, 2), state, rng)
+        assert state.store.facilities_offering(0)
+        assert state.nearest_offering(0, 2)[0].id == facility_id
+        assert state.distance_to_nearest(0, 2) < float("inf")
 
     def test_costs_shape_checked(self):
         metric = uniform_line_metric(2)
         with pytest.raises(AlgorithmError):
-            SingleCommodityMeyerson(metric, [1.0])
+            SingleCommodityMeyerson(metric, [1.0], 0)
 
 
 class TestOFLAlgorithms:
     def test_fotakis_requires_single_commodity(self, small_instance):
-        with pytest.raises(AlgorithmError):
+        with pytest.raises(
+            AlgorithmError, match=r"^FotakisOFLAlgorithm requires \|S\| = 1; got \|S\| = 4$"
+        ):
             run_online(FotakisOFLAlgorithm(), small_instance)
 
     def test_meyerson_requires_single_commodity(self, small_instance):
-        with pytest.raises(AlgorithmError):
+        with pytest.raises(
+            AlgorithmError, match=r"^MeyersonOFLAlgorithm requires \|S\| = 1; got \|S\| = 4$"
+        ):
             run_online(MeyersonOFLAlgorithm(), small_instance, rng=0)
+
+    @pytest.mark.parametrize(
+        "single,base", [(FotakisOFLAlgorithm, "fotakis"), (MeyersonOFLAlgorithm, "meyerson")]
+    )
+    def test_single_commodity_algorithm_is_the_baseline_at_one_commodity(self, single, base):
+        instance = single_commodity_instance(40, seed=4)
+        ofl = run_online(single(), instance, rng=5)
+        baseline = run_online(PerCommodityAlgorithm(base), instance, rng=5)
+        assert ofl.solution.facilities == baseline.solution.facilities
+        assert list(ofl.solution.assignments) == list(baseline.solution.assignments)
+        assert ofl.total_cost == baseline.total_cost
 
     def test_fotakis_reasonable_on_single_commodity(self):
         instance = single_commodity_instance(12, seed=1)
@@ -121,6 +164,34 @@ class TestOFLAlgorithms:
 
 
 class TestPerCommodityBaseline:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            FotakisOFLAlgorithm,
+            MeyersonOFLAlgorithm,
+            lambda: PerCommodityAlgorithm("fotakis"),
+            lambda: PerCommodityAlgorithm("meyerson"),
+        ],
+        ids=["fotakis-ofl", "meyerson-ofl", "per-commodity-fotakis", "per-commodity-meyerson"],
+    )
+    def test_only_the_facility_store_builds_trackers(self, factory, monkeypatch):
+        """The helpers read F(e) from the state: no nearest-facility tracker
+        of their own, so every tracker of a run is one the store builds."""
+        builders = []
+        build = NearestSetTracker.__init__
+
+        def recording_init(tracker):
+            builders.append(sys._getframe(1).f_globals["__name__"])
+            build(tracker)
+
+        monkeypatch.setattr(NearestSetTracker, "__init__", recording_init)
+        single = isinstance(factory(), (FotakisOFLAlgorithm, MeyersonOFLAlgorithm))
+        instance = single_commodity_instance(20, seed=6) if single else uniform_workload(
+            num_requests=20, num_commodities=3, num_points=16, rng=6
+        ).instance
+        run_online(factory(), instance, rng=0)
+        assert builders and set(builders) == {"repro.core.facility"}
+
     def test_feasible_and_ignores_bundling(self, single_point_instance_constant):
         result = run_online(PerCommodityAlgorithm("fotakis"), single_point_instance_constant)
         result.solution.validate(single_point_instance_constant.requests)
