@@ -3,9 +3,11 @@
 One measurement, honest by construction: the *same* scenario seed is
 streamed through two ``ScenarioSession`` instances side by side — one with
 telemetry disabled and one with the full stock probe catalog (cost
-decomposition, opening rate, latency reservoir, rolling competitive ratio)
-attached.  Inside one fresh subprocess the two sessions advance in
-alternating fixed-size chunks (plain, probed, probed, plain, ...), and the
+decomposition, opening rate, rolling competitive ratio) attached.  The
+probes fold only the served events; per-request latency is the span
+tracer's, whose overhead ``benchmarks/bench_trace.py`` measures.  Inside
+one fresh subprocess the two sessions advance in alternating fixed-size
+chunks (plain, probed, probed, plain, ...), and the
 overhead is the **median of the per-chunk pair ratios**: each probed chunk
 is compared only against the plain chunk timed immediately next to it, so
 machine drift at the seconds scale hits both sides of every pair equally
@@ -143,9 +145,6 @@ def run_bench(n: int = N) -> dict:
     )
 
     summary = measured["summary"]
-    # Wall-clock percentiles are machine-dependent; keep the committed JSON
-    # to the structural facts (what was measured, over how many requests).
-    latency = summary.get("latency", {})
     return {
         "pairs": len(ratios),
         "plain": plain,
@@ -160,7 +159,6 @@ def run_bench(n: int = N) -> dict:
             "all_probes_counted_every_request": all(
                 s.get("num_requests") == n for s in summary.values()
             ),
-            "latency_reservoir_size": latency.get("reservoir_size"),
             "ratio_upper_bound": summary.get("competitive-ratio", {}).get(
                 "ratio_upper_bound"
             ),

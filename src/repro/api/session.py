@@ -60,11 +60,11 @@ from repro.costs.base import FacilityCostFunction
 from repro.exceptions import AlgorithmError, SnapshotError
 from repro.metric.base import MetricSpace
 from repro.trace.clock import wall_now
+from repro.trace.tracer import _FOLD_FLUSH_EVERY, Tracer
 from repro.utils.rng import RandomState, ensure_rng, rng_from_state, rng_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, types only
     from repro.telemetry.sink import TelemetrySink
-    from repro.trace.tracer import Tracer
 
 __all__ = ["AssignmentEvent", "OnlineSession"]
 
@@ -221,9 +221,9 @@ class OnlineSession:
         the stock probe catalog; a list of probe names/spec dicts or a
         prebuilt :class:`~repro.telemetry.sink.TelemetrySink` selects probes
         explicitly; ``None`` (the default) disables telemetry entirely.
-        Telemetry is passive: probes only read the served events (and the
-        wall-clock time the session measures anyway), never the session's
-        RNG or state, so enabling it is bit-identical to running without it.
+        Telemetry is passive: probes only read the served events, never the
+        session's RNG, state or clock, so enabling it is bit-identical to
+        running without it.  Per-request latency comes from ``tracer``.
     tracer:
         Opt-in span tracing (:mod:`repro.trace`).  ``True`` attaches a
         default :class:`~repro.trace.tracer.Tracer`; a prebuilt tracer is
@@ -234,7 +234,9 @@ class OnlineSession:
         Per-request sub-phase spans (and sub-phase timing) are recorded for
         the tracer's deterministic stratified sample of requests; *every*
         request folds ``algorithm.process`` — the phase measured anyway for
-        runtime telemetry — into the per-phase latency aggregates.
+        ``runtime_seconds`` — into the per-phase latency aggregates, so
+        ``tracer.phase_summary()["algorithm.process"]`` holds the session's
+        per-request latency percentiles.
         Distinct from ``trace``, which records the algorithm's structured
         decision trace.
     """
@@ -266,10 +268,6 @@ class OnlineSession:
         if tracer is None or tracer is False:
             self._tracer = None
         else:
-            # Imported lazily for the same cycle reason as the telemetry
-            # sink below (the tracer pulls in repro.telemetry's reservoir).
-            from repro.trace.tracer import _FOLD_FLUSH_EVERY, Tracer
-
             self._tracer = Tracer.coerce(tracer)
             # Per-request tracer state kept on the session (see submit): the
             # first index at or after _num_requests in the detail sample, and
@@ -295,11 +293,9 @@ class OnlineSession:
         self._num_requests = 0
         self._runtime = 0.0
         self._record: Optional[RunRecord] = None
-        # Served events (and their elapsed times) waiting to be fanned out to
-        # the telemetry sink; see _flush_telemetry for why delivery is
-        # micro-batched.  Two lists, not a list of pairs: no tuple per request.
+        # Served events waiting to be fanned out to the telemetry sink; see
+        # _flush_telemetry for why delivery is micro-batched.
         self._pending_events: List["AssignmentEvent"] = []
-        self._pending_elapsed: List[float] = []
         if telemetry is None or telemetry is False:
             self._telemetry = None
         else:
@@ -370,7 +366,7 @@ class OnlineSession:
         return self._telemetry
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
+    def tracer(self) -> Optional[Tracer]:
         """The attached span tracer (``None`` when tracing is disabled)."""
         return self._tracer
 
@@ -399,9 +395,8 @@ class OnlineSession:
             return
         sink = self._telemetry
         if sink is not None:
-            sink.record_batch(events, self._pending_elapsed)
+            sink.record_batch(events)
         events.clear()
-        self._pending_elapsed.clear()
 
     # ------------------------------------------------------------------
     # Streaming
@@ -423,13 +418,13 @@ class OnlineSession:
         # Tracing of the hot path: the real work phase (algorithm.process)
         # folds into the per-phase latency aggregates on every request, at
         # zero extra clock reads — its elapsed time is measured exactly once
-        # either way and feeds RunRecord.runtime_seconds, telemetry probes
-        # and trace spans alike.  The bookkeeping envelope (submit total,
-        # validate, event assembly) is measured only on the tracer's
-        # deterministic stratified sample of requests, which additionally
-        # gets a full span tree (submit → validate / process / event);
-        # measuring it on every request would cost more clock reads and
-        # folds than the phases are worth at streaming scale.
+        # either way and feeds RunRecord.runtime_seconds and the tracer
+        # alike.  The bookkeeping envelope (submit total, validate, event
+        # assembly) is measured only on the tracer's deterministic
+        # stratified sample of requests, which additionally gets a full span
+        # tree (submit → validate / process / event); measuring it on every
+        # request would cost more clock reads and folds than the phases are
+        # worth at streaming scale.
         tracer = self._tracer
         detail = False
         if tracer is not None:
@@ -500,10 +495,9 @@ class OnlineSession:
             connection_after,
         )
         if self._telemetry is not None:
-            # Probes reuse the elapsed time measured above — no extra clock
-            # reads, no RNG draws, nothing fed back into the algorithm.
+            # Probes read the event only: no clock reads, no RNG draws,
+            # nothing fed back into the algorithm.
             self._pending_events.append(event)
-            self._pending_elapsed.append(elapsed)
             if len(self._pending_events) >= _TELEMETRY_FLUSH_EVERY:
                 self._flush_telemetry()
         if detail:

@@ -140,8 +140,11 @@ class FacilityStore:
             tracker.add(column, tag=facility.id)
         if config == self._full_set:
             if self._large_tracker is None:
-                self._large_tracker = NearestSetTracker()
-            self._large_tracker.add(column, tag=facility.id)
+                # At |S| = 1 every facility is large and F̂ is F(e): the
+                # commodity's tracker serves both, folding each column once.
+                self._large_tracker = tracker if len(config) == 1 else NearestSetTracker()
+            if self._large_tracker is not tracker:
+                self._large_tracker.add(column, tag=facility.id)
         return facility
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.engine.tasks import TASKS
 from repro.exceptions import EngineError, UnknownComponentError
 from repro.parallel.pool import ParallelConfig, parallel_map
 from repro.trace.clock import wall_now
+from repro.trace.tracer import Tracer
 
 __all__ = [
     "TaskResult",
@@ -189,8 +190,6 @@ def execute_task_traced(
     :meth:`~repro.trace.tracer.Tracer.merge_shard`.  ``runtime_seconds``
     keeps the exact :func:`execute_task` semantics (the compute call only).
     """
-    from repro.trace.tracer import Tracer
-
     kind, case, seed, index = payload
     tracer = Tracer(buffer_size=_SHARD_BUFFER, detail_stride=1, sample_seed=0)
     task_span = tracer.begin(
@@ -260,8 +259,6 @@ def run_plan(
     if tracer is None or tracer is False:
         tracer = None
     else:
-        from repro.trace.tracer import Tracer
-
         tracer = Tracer.coerce(tracer)
     tasks = plan.tasks()
     plan_span = None

@@ -9,11 +9,6 @@ plain serial loop so that tests and debugging stay deterministic and
 picklability is never required in the common case.
 """
 
-from repro.parallel.pool import (
-    ParallelConfig,
-    ParallelTaskError,
-    parallel_map,
-    scatter_gather,
-)
+from repro.parallel.pool import ParallelConfig, ParallelTaskError, parallel_map
 
-__all__ = ["parallel_map", "scatter_gather", "ParallelConfig", "ParallelTaskError"]
+__all__ = ["parallel_map", "ParallelConfig", "ParallelTaskError"]

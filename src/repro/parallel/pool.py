@@ -9,7 +9,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ExperimentError, ParallelTaskError
 
-__all__ = ["ParallelConfig", "ParallelTaskError", "parallel_map", "scatter_gather"]
+__all__ = ["ParallelConfig", "ParallelTaskError", "parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -104,16 +104,3 @@ def parallel_map(
         ):
             results.extend(chunk_result)
     return results
-
-
-def scatter_gather(
-    function: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: Optional[int] = 1,
-    chunk_size: Optional[int] = None,
-) -> List[R]:
-    """Convenience wrapper around :func:`parallel_map` with flat arguments."""
-    return parallel_map(
-        function, items, config=ParallelConfig(workers=workers, chunk_size=chunk_size)
-    )

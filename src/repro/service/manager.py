@@ -50,6 +50,7 @@ from repro.service.snapshot import (
     components_from_spec,
 )
 from repro.trace.clock import wall_now
+from repro.trace.tracer import Tracer
 
 __all__ = ["SessionManager"]
 
@@ -126,19 +127,15 @@ class SessionManager:
             "reloads": 0,
             "finalized": 0,
         }
-        if tracer is None or tracer is False:
-            self._tracer = None
-        else:
-            from repro.trace.tracer import Tracer
-
-            self._tracer = Tracer.coerce(tracer)
+        self._tracer: Optional[Tracer] = None
+        self.attach_tracer(tracer)
         self._started = wall_now()
 
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
     @property
-    def tracer(self):
+    def tracer(self) -> Optional[Tracer]:
         """The attached span tracer (``None`` when tracing is disabled)."""
         return self._tracer
 
@@ -150,8 +147,6 @@ class SessionManager:
         """
         if tracer is None or tracer is False:
             return
-        from repro.trace.tracer import Tracer
-
         self._tracer = Tracer.coerce(tracer)
 
     # ------------------------------------------------------------------

@@ -37,7 +37,10 @@ Operations
     Introspect one session / list all known session names.  ``status`` on a
     live session reports its running request count, cost totals and
     algorithm wall-time; with telemetry enabled the probe summaries ride
-    along under ``"telemetry"``.
+    along under ``"telemetry"``: what the session did (cost decomposition,
+    opening rate, competitive ratio), a function of its served events.
+    Latency is not a probe: the ``metrics`` op's ``"ops"`` block times the
+    wire ops.
 ``metrics``
     Manager-wide live counters (sessions created/held, evictions, disk
     reloads, requests routed with the overall requests/s rate) plus a
@@ -68,11 +71,11 @@ from typing import TYPE_CHECKING, Any, Dict, IO, Mapping, Optional, Union
 
 from repro.exceptions import ReproError
 from repro.service.manager import SessionManager
+from repro.trace.export import write_json
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from pathlib import Path
-
-    from repro.trace.tracer import Tracer
 
 __all__ = ["ServiceProtocol", "serve"]
 
@@ -95,10 +98,8 @@ class ServiceProtocol:
     def __init__(self, manager: SessionManager, tracer: Any = None) -> None:
         self._manager = manager
         if tracer is False:
-            self._tracer: Optional["Tracer"] = None
+            self._tracer: Optional[Tracer] = None
         else:
-            from repro.trace.tracer import Tracer
-
             self._tracer = manager.tracer if tracer is None else Tracer.coerce(tracer)
             if self._tracer is None:
                 self._tracer = Tracer()
@@ -107,7 +108,7 @@ class ServiceProtocol:
         self._op_sequence = 0
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
+    def tracer(self) -> Optional[Tracer]:
         """The protocol's span tracer (``None`` when disabled)."""
         return self._tracer
 
@@ -309,6 +310,4 @@ def serve(
         if response.get("shutdown"):
             break
     if trace_out is not None and protocol.tracer is not None:
-        from repro.trace.export import write_json
-
         write_json(str(trace_out), protocol.tracer.to_payload())

@@ -1,19 +1,20 @@
 """Streaming metrics probes — O(1)-memory running statistics over sessions.
 
 A probe consumes the stream of :class:`~repro.api.session.AssignmentEvent`
-objects a session emits (plus the per-request wall-clock time the session
-already measures), a batch at a time, and maintains a bounded-memory running
-summary.  Probes are registered by name in the string-keyed
+objects a session emits, a batch at a time, and maintains a bounded-memory
+running summary.  Probes are registered by name in the string-keyed
 :data:`METRICS_PROBES` registry, mirroring the metric/cost/algorithm/scenario
 registries, so a telemetry configuration is plain data:
-``telemetry=["cost-decomposition", "latency"]``.
+``telemetry=["cost-decomposition", "opening-rate"]``.
 
 Contracts every probe honours (pinned by ``tests/test_telemetry.py``):
 
 * **passive** — a probe only *reads* events; it never touches the session's
   RNG, state or decisions, so enabling telemetry is bit-identical to running
-  without it (any probe that needs randomness, like the latency reservoir,
-  carries its own fixed-seeded private generator);
+  without it;
+* **deterministic** — a probe's state is a function of the events alone: no
+  clock reads, no random draws, so same-seed runs report equal summaries
+  (wall-clock latency is the span tracer's, :mod:`repro.trace`);
 * **O(1) memory** — summaries are running aggregates or fixed-size sketches,
   never per-request logs, so probes survive multi-million-request streams;
 * **strict-JSON durability** — :meth:`MetricsProbe.state_dict` /
@@ -33,14 +34,12 @@ from repro.api.session import AssignmentEvent
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import TelemetryError
 from repro.metric.base import MetricSpace
-from repro.telemetry.reservoir import ReservoirSampler
 
 __all__ = [
     "METRICS_PROBES",
     "MetricsProbe",
     "CostDecompositionProbe",
     "OpeningRateProbe",
-    "LatencyReservoirProbe",
     "CompetitiveRatioProbe",
 ]
 
@@ -88,29 +87,22 @@ class MetricsProbe(abc.ABC):
         """
 
     @abc.abstractmethod
-    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        """Fold one served request into the running statistic.
+    def observe(self, event: AssignmentEvent) -> None:
+        """Fold one served request into the running statistic."""
 
-        ``elapsed_seconds`` is the wall-clock time the session already
-        measured for this request (probes never call ``perf_counter``
-        themselves).
-        """
-
-    def observe_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
+    def observe_batch(self, events: Sequence[AssignmentEvent]) -> None:
         """Fold a run of served requests, in arrival order.
 
-        ``elapsed[i]`` is the wall-clock time of ``events[i]``.  The sink
-        hands each probe a whole flush through this hook.  The default calls
-        :meth:`observe` per event; the stock probes fold the run in one pass
-        over local variables (their :meth:`observe` is a batch of one), with
-        the same float operations in the same order, so the state after a
-        batch equals the state after observing its events one by one.
+        The sink hands each probe a whole flush through this hook.  The
+        default calls :meth:`observe` per event; the stock probes fold the
+        run in one pass over local variables (their :meth:`observe` is a
+        batch of one), with the same float operations in the same order, so
+        the state after a batch equals the state after observing its events
+        one by one.
         """
         observe = self.observe
-        for event, seconds in zip(events, elapsed):
-            observe(event, seconds)
+        for event in events:
+            observe(event)
 
     @abc.abstractmethod
     def summary(self) -> Dict[str, Any]:
@@ -178,12 +170,10 @@ class CostDecompositionProbe(MetricsProbe):
         # commodity -> [requests, connection cost]
         self._per_commodity: Dict[int, List[Any]] = {}
 
-    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self.observe_batch((event,), (elapsed_seconds,))
+    def observe(self, event: AssignmentEvent) -> None:
+        self.observe_batch((event,))
 
-    def observe_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
+    def observe_batch(self, events: Sequence[AssignmentEvent]) -> None:
         opening = self._opening_cost
         connection = self._connection_cost
         per_commodity = self._per_commodity
@@ -253,12 +243,10 @@ class OpeningRateProbe(MetricsProbe):
         self._opening_cost = 0.0
         self._max_facility_id = -1
 
-    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self.observe_batch((event,), (elapsed_seconds,))
+    def observe(self, event: AssignmentEvent) -> None:
+        self.observe_batch((event,))
 
-    def observe_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
+    def observe_batch(self, events: Sequence[AssignmentEvent]) -> None:
         opening_events = self._opening_events
         opening = self._opening_cost
         max_id = self._max_facility_id
@@ -303,91 +291,6 @@ class OpeningRateProbe(MetricsProbe):
         self._max_facility_id = int(state["max_facility_id"])
 
 
-@METRICS_PROBES.register("latency")
-class LatencyReservoirProbe(MetricsProbe):
-    """Per-request latency percentiles from a fixed-size reservoir sample.
-
-    The sampling core is the shared
-    :class:`~repro.telemetry.reservoir.ReservoirSampler` (Li's "Algorithm L"
-    with geometric skips) over the per-request wall-clock times the session
-    already measures — the same sampler the span tracer uses for its
-    per-phase percentiles, so every latency distribution in the repo is
-    estimated the same way.  Its draws come from a **private** generator
-    seeded by the probe's own ``seed`` parameter — never from the session's
-    generator — so enabling the probe draws nothing from the algorithm's RNG
-    stream (the zero-cost contract).
-    """
-
-    kind = "latency"
-
-    def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        self._capacity = int(capacity)
-        self._seed = int(seed)
-        self._sampler = ReservoirSampler(capacity=self._capacity, seed=self._seed)
-        self._total_seconds = 0.0
-        self._max_seconds = 0.0
-
-    def params(self) -> Dict[str, Any]:
-        return {"capacity": self._capacity, "seed": self._seed}
-
-    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self.observe_batch((event,), (elapsed_seconds,))
-
-    def observe_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
-        total = self._total_seconds
-        longest = self._max_seconds
-        for seconds in elapsed:
-            total += seconds
-            if seconds > longest:
-                longest = seconds
-        self._total_seconds = total
-        self._max_seconds = longest
-        self._sampler.add_many(elapsed)
-
-    def summary(self) -> Dict[str, Any]:
-        count = self._sampler.count
-        return {
-            "num_requests": count,
-            "total_seconds": self._total_seconds,
-            "mean_seconds": (self._total_seconds / count) if count else None,
-            "max_seconds": self._max_seconds if count else None,
-            "requests_per_second": (
-                count / self._total_seconds if self._total_seconds > 0 else None
-            ),
-            "reservoir_size": len(self._sampler),
-            **self._sampler.percentiles((50.0, 90.0, 99.0)),
-        }
-
-    def _state(self) -> Dict[str, Any]:
-        # Flattened sampler state: the layout predates the shared sampler
-        # class, and keeping it lets version-1 snapshots load unchanged.
-        sampler = self._sampler.state_dict()
-        return {
-            "count": sampler["count"],
-            "total_seconds": self._total_seconds,
-            "max_seconds": self._max_seconds,
-            "reservoir": sampler["reservoir"],
-            "w": sampler["w"],
-            "next_replacement": sampler["next_replacement"],
-            "rng": sampler["rng"],
-        }
-
-    def _load_state(self, state: Mapping[str, Any]) -> None:
-        self._total_seconds = float(state["total_seconds"])
-        self._max_seconds = float(state["max_seconds"])
-        self._sampler.load_state_dict(
-            {
-                "count": state["count"],
-                "reservoir": state["reservoir"],
-                "w": state["w"],
-                "next_replacement": state["next_replacement"],
-                "rng": state["rng"],
-            }
-        )
-
-
 @METRICS_PROBES.register("competitive-ratio")
 class CompetitiveRatioProbe(MetricsProbe):
     """Rolling competitive-ratio estimate against a streaming offline bound.
@@ -426,12 +329,10 @@ class CompetitiveRatioProbe(MetricsProbe):
             self._bound.load_state_dict(self._pending_state)
             self._pending_state = None
 
-    def observe(self, event: AssignmentEvent, elapsed_seconds: float) -> None:
-        self.observe_batch((event,), (elapsed_seconds,))
+    def observe(self, event: AssignmentEvent) -> None:
+        self.observe_batch((event,))
 
-    def observe_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
+    def observe_batch(self, events: Sequence[AssignmentEvent]) -> None:
         if self._bound is None:
             raise TelemetryError(
                 "competitive-ratio probe observed an event before bind(); "

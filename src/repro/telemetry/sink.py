@@ -23,7 +23,12 @@ from repro.telemetry.probes import METRICS_PROBES, MetricsProbe
 __all__ = ["TelemetrySink", "DEFAULT_PROBES"]
 
 #: Probe kinds a bare ``telemetry=True`` enables, in report order.
-DEFAULT_PROBES = ("cost-decomposition", "opening-rate", "latency", "competitive-ratio")
+DEFAULT_PROBES = ("cost-decomposition", "opening-rate", "competitive-ratio")
+
+#: Probe kinds that no longer exist but that older sink states may list.
+#: :meth:`TelemetrySink.from_state_dict` drops their entries: the
+#: ``latency`` probe kept wall-clock times, which the span tracer now owns.
+_RETIRED_PROBES = frozenset({"latency"})
 
 #: Format marker embedded in every sink state dict.
 SINK_STATE_FORMAT = "repro.telemetry.sink"
@@ -107,13 +112,10 @@ class TelemetrySink:
             probe.bind(metric, cost)
         self._bound = True
 
-    def record_batch(
-        self, events: Sequence[AssignmentEvent], elapsed: Sequence[float]
-    ) -> None:
+    def record_batch(self, events: Sequence[AssignmentEvent]) -> None:
         """Fan a run of served requests out to every probe.
 
-        ``elapsed[i]`` is the wall-clock time of ``events[i]``.  Each probe
-        receives the whole run once, through
+        Each probe receives the whole run once, through
         :meth:`~repro.telemetry.probes.MetricsProbe.observe_batch`, and folds
         it in one pass with its accumulators in local variables.  Each probe
         sees every event exactly once, in arrival order, and ends in the
@@ -121,7 +123,7 @@ class TelemetrySink:
         independent by contract, so the probe-major order is not observable.
         """
         for probe in self._probes:
-            probe.observe_batch(events, elapsed)
+            probe.observe_batch(events)
 
     def summary(self) -> Dict[str, Any]:
         """``{probe kind: probe summary}`` in probe order (strict JSON)."""
@@ -145,7 +147,9 @@ class TelemetrySink:
         """Rebuild a sink (probes + their exact state) from :meth:`state_dict`.
 
         The returned sink is *unbound*; the restoring session binds it to the
-        rebuilt environment before streaming resumes.
+        rebuilt environment before streaming resumes.  Entries of a retired
+        probe kind (``latency``) are dropped, so snapshots written while it
+        existed still load.
         """
         if state.get("format") != SINK_STATE_FORMAT:
             raise TelemetryError(
@@ -155,8 +159,13 @@ class TelemetrySink:
             raise TelemetryError(
                 f"unsupported telemetry sink state version {state.get('version')!r}"
             )
-        sink = cls([dict(entry["spec"]) for entry in state["probes"]])
-        for probe, entry in zip(sink._probes, state["probes"]):
+        entries = [
+            entry
+            for entry in state["probes"]
+            if entry["spec"].get("kind") not in _RETIRED_PROBES
+        ]
+        sink = cls([dict(entry["spec"]) for entry in entries])
+        for probe, entry in zip(sink._probes, entries):
             probe.load_state_dict(entry["state"])
         return sink
 

@@ -6,36 +6,35 @@ content, and a profiling-only wall clock), bounded O(buffer) collection
 with deterministic stratified sampling of per-request detail, cross-process
 shard merging, and Chrome trace-event export loadable in Perfetto.
 
+Timing lives here and only here: per-phase latency percentiles come from the
+tracer's reservoir samples (:mod:`repro.trace.reservoir`), including a
+traced session's per-request latency, ``phase_summary()["algorithm.process"]``.
+:mod:`repro.telemetry` folds only what a run did, never how long it took.
+
 Entry points: pass ``tracer=True`` (or a configured :class:`Tracer`) to
 ``OnlineSession`` / ``ScenarioSession`` / ``run_plan`` / ``ServiceProtocol``,
 then ``tracer.to_payload()`` → ``repro trace export`` / ``summarize``.
 
-The package initializer resolves its exports lazily (PEP 562): the tracer
-pulls in :mod:`repro.telemetry` (for the shared reservoir sampler), which in
-turn reaches back to :mod:`repro.api.session` — so eagerly importing it here
-would make ``repro.trace.clock`` (the session's wall-clock authority, which
-has no dependencies at all) un-importable from the session module.
+The package depends on nothing above :mod:`repro.utils` and
+:mod:`repro.exceptions`, so the session, engine and service layers import it
+at module level.
 """
 
-from importlib import import_module
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from repro.trace.clock import wall_now
-    from repro.trace.export import (
-        chrome_trace,
-        render_summary,
-        summarize_trace,
-        validate_chrome_trace,
-    )
-    from repro.trace.span import Span
-    from repro.trace.tracer import (
-        TRACE_FORMAT,
-        TRACE_VERSION,
-        TraceError,
-        Tracer,
-        validate_payload,
-    )
+from repro.trace.clock import wall_now
+from repro.trace.export import (
+    chrome_trace,
+    render_summary,
+    summarize_trace,
+    validate_chrome_trace,
+)
+from repro.trace.span import Span
+from repro.trace.tracer import (
+    TRACE_FORMAT,
+    TRACE_VERSION,
+    TraceError,
+    Tracer,
+    validate_payload,
+)
 
 __all__ = [
     "Span",
@@ -50,30 +49,3 @@ __all__ = [
     "render_summary",
     "validate_payload",
 ]
-
-_EXPORTS = {
-    "wall_now": "repro.trace.clock",
-    "Span": "repro.trace.span",
-    "Tracer": "repro.trace.tracer",
-    "TraceError": "repro.trace.tracer",
-    "TRACE_FORMAT": "repro.trace.tracer",
-    "TRACE_VERSION": "repro.trace.tracer",
-    "validate_payload": "repro.trace.tracer",
-    "chrome_trace": "repro.trace.export",
-    "validate_chrome_trace": "repro.trace.export",
-    "summarize_trace": "repro.trace.export",
-    "render_summary": "repro.trace.export",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.trace' has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

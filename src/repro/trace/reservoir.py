@@ -1,30 +1,28 @@
 """Uniform reservoir sampling with geometric skips (Li's "Algorithm L").
 
-One shared implementation of the fixed-size uniform sample used everywhere a
-percentile over an unbounded stream is reported: the
-:class:`~repro.telemetry.probes.LatencyReservoirProbe` (per-request latency
-percentiles on sessions) and the per-phase latency aggregates of
-:class:`~repro.trace.tracer.Tracer` (``repro trace summarize`` and the
-service ``metrics`` op) both fold their observations through a
-:class:`ReservoirSampler`.
+The fixed-size uniform sample behind every latency percentile the repo
+reports: each per-phase aggregate of :class:`~repro.trace.tracer.Tracer`
+folds its observations through a :class:`ReservoirSampler`, so ``repro trace
+summarize``, the service ``metrics`` op's per-op block and a traced
+session's per-request latency (``phase_summary()["algorithm.process"]``)
+are all estimated the same way.
 
 The sampler pre-computes the arrival index of the *next* replacement, so the
 steady-state per-observation cost is one integer compare — O(k·log(n/k)) RNG
 draws over the whole stream instead of one per observation.  All draws come
-from a **private** generator seeded at construction; attaching a sampler to a
-run therefore draws nothing from any algorithm's RNG stream (the passivity
-contract of :mod:`repro.telemetry` and :mod:`repro.trace`).
+from a **private** generator seeded at construction; tracing a run therefore
+draws nothing from any algorithm's RNG stream (the passivity contract of
+:mod:`repro.trace`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import TelemetryError
-from repro.utils.rng import rng_from_state, rng_state
+from repro.utils.rng import rng_state
 
 __all__ = ["ReservoirSampler"]
 
@@ -32,15 +30,12 @@ __all__ = ["ReservoirSampler"]
 class ReservoirSampler:
     """A fixed-capacity uniform sample over a stream of floats.
 
-    Every observation ever :meth:`add`-ed has equal probability of being in
-    the reservoir, regardless of stream length.  State round-trips losslessly
-    through strict JSON (:meth:`state_dict` / :meth:`load_state_dict`), so
-    the sample — including the exact skip position — survives snapshots.
+    Every observation ever folded in has equal probability of being in the
+    reservoir, regardless of stream length.  ``capacity`` must be at least 1
+    (the tracer checks its ``reservoir_capacity``).
     """
 
     def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        if capacity < 1:
-            raise TelemetryError(f"reservoir capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
         self._seed = int(seed)
         self._rng = np.random.default_rng(self._seed)
@@ -52,26 +47,9 @@ class ReservoirSampler:
         self._next_replacement = self._capacity
         self._filled = False
 
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     @property
     def seed(self) -> int:
         return self._seed
-
-    @property
-    def count(self) -> int:
-        """Observations folded in so far (not the reservoir size)."""
-        return self._count
-
-    def values(self) -> List[float]:
-        """The current sample, in reservoir-slot order."""
-        return list(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     # ------------------------------------------------------------------
     def _uniform_open(self) -> float:
@@ -88,17 +66,13 @@ class ReservoirSampler:
         skip = int(math.log(self._uniform_open()) / log_reject)
         self._next_replacement = from_index + 1 + skip
 
-    def add(self, value: float) -> None:
-        """Fold one observation into the sample."""
-        self.add_many((value,))
-
     def add_many(self, values: Sequence[float]) -> None:
         """Fold a run of observations, in order, into the sample.
 
         Fills the reservoir with one slice, then jumps straight from one
         precomputed replacement index to the next, so the values in between
         cost nothing.  The draws, their order and the resulting state equal
-        :meth:`add` per value.
+        folding the values one at a time (``tests/test_observer_batches.py``).
         """
         start = self._count
         end = start + len(values)
@@ -128,10 +102,9 @@ class ReservoirSampler:
         points = np.percentile(values, list(qs))
         return {f"p{q:g}": float(p) for q, p in zip(qs, points)}
 
-    # ------------------------------------------------------------------
-    # Strict-JSON durability
-    # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
+        """The whole sampler state as strict JSON: the sample, the skip
+        position and the private generator."""
         return {
             "count": self._count,
             "reservoir": list(self._values),
@@ -139,14 +112,6 @@ class ReservoirSampler:
             "next_replacement": self._next_replacement,
             "rng": rng_state(self._rng),
         }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        self._count = int(state["count"])
-        self._values = [float(v) for v in state["reservoir"]]
-        self._w = float(state["w"])
-        self._next_replacement = int(state["next_replacement"])
-        self._filled = len(self._values) >= self._capacity
-        self._rng = rng_from_state(state["rng"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

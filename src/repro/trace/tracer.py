@@ -8,9 +8,11 @@ for million-request streams on a fixed memory budget:
   detail is O(buffer) no matter how long the stream runs;
 * **per-phase aggregates** — every recorded observation folds into a
   per-phase running aggregate (count, total/min/max wall seconds, plus a
-  shared :class:`~repro.telemetry.reservoir.ReservoirSampler` for latency
-  percentiles), so ``repro trace summarize`` and the service ``metrics`` op
-  see far more of the run than the buffered tail.  Instrumentation layers
+  :class:`~repro.trace.reservoir.ReservoirSampler` for latency
+  percentiles), so ``repro trace summarize``, the service ``metrics`` op
+  and a traced session's per-request latency
+  (``phase_summary()["algorithm.process"]``) see far more of the run than
+  the buffered tail.  Instrumentation layers
   choose what to record per request: phases whose duration is measured
   anyway (``algorithm.process``, engine tasks, service wire ops) fold on
   *every* occurrence, while sub-phases that would need their own clock
@@ -40,8 +42,8 @@ from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.telemetry.reservoir import ReservoirSampler
 from repro.trace.clock import wall_now
+from repro.trace.reservoir import ReservoirSampler
 from repro.trace.span import Span
 
 __all__ = ["Tracer", "TraceError", "TRACE_FORMAT", "TRACE_VERSION"]
@@ -50,7 +52,6 @@ __all__ = ["Tracer", "TraceError", "TRACE_FORMAT", "TRACE_VERSION"]
 TRACE_FORMAT = "repro.trace"
 TRACE_VERSION = 1
 
-#: Sentinel for "no further replacements" mirrored from the reservoir.
 _DEFAULT_BUFFER = 4096
 _DEFAULT_STRIDE = 1024
 _DEFAULT_RESERVOIR = 256
@@ -129,6 +130,8 @@ class Tracer:
             raise TraceError(f"buffer_size must be >= 1, got {buffer_size}")
         if detail_stride < 1:
             raise TraceError(f"detail_stride must be >= 1, got {detail_stride}")
+        if reservoir_capacity < 1:
+            raise TraceError(f"reservoir_capacity must be >= 1, got {reservoir_capacity}")
         self._buffer_size = int(buffer_size)
         self._detail_stride = int(detail_stride)
         self._sample_seed = int(sample_seed)

@@ -49,8 +49,9 @@ array pass.  Its oracle is the object log those replaced:
   assignment and recomputes every cost from the frozen solution.
 
 The streaming offline bound of :mod:`repro.analysis.competitive` answers an
-arrival from one bit of a per-commodity coverage mask, and the reservoir
-sample jumps from one replacement index to the next over a batch.  Their
+arrival from one bit of a per-commodity coverage mask, and the tracer's
+reservoir sample (:mod:`repro.trace.reservoir`) jumps from one replacement
+index to the next over a batch.  Their
 oracles are the loops those replaced:
 
 * :class:`ReferenceOfflineBound` — a memo of seen points per commodity and,
@@ -98,7 +99,7 @@ from repro.core.state import OnlineState
 from repro.core.trace import RequestAssignedEvent
 from repro.exceptions import AlgorithmError, InfeasibleSolutionError, SnapshotError
 from repro.metric.base import MetricSpace
-from repro.telemetry.reservoir import ReservoirSampler
+from repro.trace.reservoir import ReservoirSampler
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Tests for c-ordered covering (Definition 9, Lemmas 10-12) and set cover."""
+"""Tests for c-ordered covering (Definition 9, Lemmas 10-12)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.covering import (
     OrderedCoveringInstance,
-    SetCoverInstance,
     cover_ordered_instance,
-    greedy_set_cover,
     random_ordered_instance,
 )
 from repro.exceptions import InvalidInstanceError
@@ -93,38 +91,3 @@ def test_lemma12_bound_holds(n, density, c, seed):
     solution = cover_ordered_instance(instance)
     assert solution.is_cover_of(n)
     assert solution.total_weight <= instance.harmonic_bound() + 1e-9
-
-
-class TestSetCover:
-    def test_greedy_cover(self):
-        instance = SetCoverInstance(
-            universe=frozenset({1, 2, 3, 4}),
-            sets={"a": frozenset({1, 2}), "b": frozenset({3}), "c": frozenset({3, 4}), "d": frozenset({1, 2, 3, 4})},
-            weights={"a": 1.0, "b": 1.0, "c": 1.0, "d": 10.0},
-        )
-        chosen, weight = greedy_set_cover(instance)
-        covered = frozenset().union(*(instance.sets[k] for k in chosen))
-        assert covered == instance.universe
-        assert weight == pytest.approx(2.0)
-
-    def test_uncoverable_universe_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            SetCoverInstance(
-                universe=frozenset({1, 2}),
-                sets={"a": frozenset({1})},
-                weights={"a": 1.0},
-            )
-
-    def test_missing_weight_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            SetCoverInstance(
-                universe=frozenset({1}), sets={"a": frozenset({1})}, weights={}
-            )
-
-    def test_greedy_bound_helper(self):
-        instance = SetCoverInstance(
-            universe=frozenset({1, 2, 3}),
-            sets={"a": frozenset({1, 2, 3})},
-            weights={"a": 2.0},
-        )
-        assert instance.greedy_bound(2.0) == pytest.approx(2.0 * harmonic_number(3))

@@ -2,13 +2,13 @@
 
 A session hands its telemetry sink a batch of served events at a time
 (:meth:`~repro.telemetry.sink.TelemetrySink.record_batch`), each probe folds
-the batch in one pass, the reservoir sample jumps between replacement
-indices, and the tracer folds each phase's buffered observations in one pass.
-Every fold must leave exactly the state that folding the same values one by
-one leaves.  The batch sizes cross the 64-event flush cadence (63, 64, 65)
-and, with a small reservoir, the reservoir fill and many replacements (600).
-Exact ``==`` throughout; the probe states are also pinned to a digest of the
-one-event-at-a-time fold.  A traced session decides per request whether to
+the batch in one pass, and the tracer folds each phase's buffered
+observations in one pass, its reservoir sample jumping between replacement
+indices.  Every fold must leave exactly the state that folding the same
+values one by one leaves.  The batch sizes cross the 64-event flush cadence
+(63, 64, 65) and, with a small reservoir, the reservoir fill and many
+replacements (600).  Exact ``==`` throughout; the probe states are also
+pinned to a digest of the one-event-at-a-time fold.  A traced session decides per request whether to
 record detail spans by one compare against the next sampled index; the last
 tests pin that walk to the tracer's stratified sample.
 """
@@ -26,7 +26,7 @@ from repro.costs.count_based import PowerCost
 from repro.metric.euclidean import EuclideanMetric
 from repro.scenarios.run import ScenarioSession
 from repro.telemetry import METRICS_PROBES, MetricsProbe, TelemetrySink
-from repro.telemetry.reservoir import ReservoirSampler
+from repro.trace.reservoir import ReservoirSampler
 from repro.trace.tracer import Tracer
 
 from oracles import ReferenceReservoirSampler
@@ -34,19 +34,19 @@ from oracles import ReferenceReservoirSampler
 BATCH_SIZES = (1, 63, 64, 65, 600)
 NUM_EVENTS = 1300
 NUM_COMMODITIES = 4
-#: Small enough that the batches cross the reservoir fill and many
-#: replacements, and the competitive-ratio probe's anchor cap.
+#: Small enough that the batches cross the competitive-ratio probe's anchor
+#: cap.
 PROBE_SPECS = (
     {"kind": "cost-decomposition"},
     {"kind": "opening-rate"},
-    {"kind": "latency", "capacity": 40, "seed": 7},
     {"kind": "competitive-ratio", "anchor_cap": 5},
 )
 #: sha256 of the sink's state_dict (``json.dumps(..., sort_keys=True)``)
-#: after the one-probe-call-per-event fold of these events, recorded when
-#: that fold was the only one.  A change here means the probe arithmetic
-#: moved; fix the arithmetic, do not re-pin.
-SINK_STATE_DIGEST = "4509122a5b4edc39aeae6a42de4e537bcc8d19592c750adb198409f068a804b9"
+#: after the one-probe-call-per-event fold of these events, recorded before
+#: the latency probe and the elapsed-time argument were deleted (the three
+#: remaining probes' part of the state was left unchanged by that).  A change
+#: here means the probe arithmetic moved; fix the arithmetic, do not re-pin.
+SINK_STATE_DIGEST = "da48846d8ef3ac36a60813bb91fcf8ce934dadf12c7a7a4bfaf147911e0d1ac2"
 
 
 def _environment():
@@ -57,7 +57,7 @@ def _environment():
 def _events():
     """A deterministic stream of served-request events and elapsed times:
     repeated points, one to four commodities, openings on about one request
-    in six, elapsed times with repeats."""
+    in six, elapsed times with repeats (folded by the tracer tests)."""
     g = np.random.default_rng(2024)
     events, elapsed = [], []
     opening_so_far = connection_so_far = 0.0
@@ -114,10 +114,10 @@ def test_probe_batch_equals_per_event_observe(spec, batch):
     batched = METRICS_PROBES.build(spec["kind"], **{k: v for k, v in spec.items() if k != "kind"})
     for probe in (one_by_one, batched):
         probe.bind(*_environment())
-    for event, seconds in zip(EVENTS, ELAPSED):
-        one_by_one.observe(event, seconds)
+    for event in EVENTS:
+        one_by_one.observe(event)
     for start in range(0, NUM_EVENTS, batch):
-        batched.observe_batch(EVENTS[start : start + batch], ELAPSED[start : start + batch])
+        batched.observe_batch(EVENTS[start : start + batch])
     assert batched.summary() == one_by_one.summary()
     assert batched.state_dict() == one_by_one.state_dict()
 
@@ -126,11 +126,11 @@ def test_probe_batch_equals_per_event_observe(spec, batch):
 def test_sink_record_batch_matches_the_pinned_per_event_state(batch):
     sink = _bound_sink()
     for start in range(0, NUM_EVENTS, batch):
-        sink.record_batch(EVENTS[start : start + batch], ELAPSED[start : start + batch])
+        sink.record_batch(EVENTS[start : start + batch])
     reference = _bound_sink()
-    for event, seconds in zip(EVENTS, ELAPSED):
+    for event in EVENTS:
         for probe in reference.probes:
-            probe.observe(event, seconds)
+            probe.observe(event)
     assert sink.summary() == reference.summary()
     assert sink.state_dict() == reference.state_dict()
     assert _digest(sink.state_dict()) == SINK_STATE_DIGEST
@@ -146,8 +146,8 @@ def test_default_observe_batch_loops_observe():
         def __init__(self) -> None:
             self.seen = []
 
-        def observe(self, event, elapsed_seconds):
-            self.seen.append((event.request_index, elapsed_seconds))
+        def observe(self, event):
+            self.seen.append(event.request_index)
 
         def summary(self):
             return {"num_requests": len(self.seen)}
@@ -160,27 +160,19 @@ def test_default_observe_batch_loops_observe():
 
     probe = Recorder()
     sink = TelemetrySink([probe])
-    sink.record_batch(EVENTS[:65], ELAPSED[:65])
-    assert probe.seen == [(e.request_index, s) for e, s in zip(EVENTS[:65], ELAPSED[:65])]
+    sink.record_batch(EVENTS[:65])
+    assert probe.seen == [event.request_index for event in EVENTS[:65]]
 
 
 @pytest.mark.parametrize("capacity", [1, 5, 40])
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_reservoir_add_many_equals_algorithm_l_per_value(capacity, batch):
     reference = ReferenceReservoirSampler(capacity=capacity, seed=3)
-    for value in ELAPSED:
-        reference.add(value)
+    reference.add_many(ELAPSED)
     batched = ReservoirSampler(capacity=capacity, seed=3)
     for start in range(0, NUM_EVENTS, batch):
         batched.add_many(ELAPSED[start : start + batch])
     assert batched.state_dict() == reference.state_dict()
-    # A JSON round-trip mid-stream continues identically.
-    resumed = ReservoirSampler(capacity=capacity, seed=3)
-    resumed.load_state_dict(json.loads(json.dumps(batched.state_dict())))
-    resumed.add_many(ELAPSED[:batch])
-    for value in ELAPSED[:batch]:
-        reference.add(value)
-    assert resumed.state_dict() == reference.state_dict()
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -199,8 +191,7 @@ def test_tracer_flush_folds_equals_per_value_fold(batch):
         shortest = min(shortest, seconds)
         longest = max(longest, seconds)
     sampler = ReferenceReservoirSampler(capacity=40, seed=stats.sampler.seed)
-    for seconds in ELAPSED:
-        sampler.add(seconds)
+    sampler.add_many(ELAPSED)
     assert (stats.count, stats.total_seconds, stats.min_seconds, stats.max_seconds) == (
         count,
         total,

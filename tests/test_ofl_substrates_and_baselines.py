@@ -192,6 +192,44 @@ class TestPerCommodityBaseline:
         run_online(factory(), instance, rng=0)
         assert builders and set(builders) == {"repro.core.facility"}
 
+    @pytest.mark.parametrize(
+        "factory,num_commodities",
+        [
+            (FotakisOFLAlgorithm, 1),
+            (MeyersonOFLAlgorithm, 1),
+            (lambda: PerCommodityAlgorithm("meyerson"), 1),
+            (AlwaysLargeGreedy, 3),
+        ],
+        ids=["fotakis-ofl", "meyerson-ofl", "per-commodity-meyerson", "always-large-s3"],
+    )
+    def test_each_opening_folds_one_column_per_distinct_tracker(
+        self, factory, num_commodities, monkeypatch
+    ):
+        """At |S| = 1 every facility is large and F̂ is F(0): the store keeps
+        one tracker for both, so an opening makes one ``add`` call.  With
+        more commodities a large facility folds into each commodity's
+        tracker and the large one."""
+        adds = []
+        add = NearestSetTracker.add
+
+        def counting_add(tracker, column, tag=None):
+            adds.append(tag)
+            add(tracker, column, tag=tag)
+
+        monkeypatch.setattr(NearestSetTracker, "add", counting_add)
+        instance = uniform_workload(
+            num_requests=40, num_commodities=num_commodities, num_points=16, rng=4
+        ).instance
+        result = run_online(factory(), instance, rng=0)
+        facilities = result.solution.facilities
+        assert facilities
+        expected = [
+            facility.id
+            for facility in facilities
+            for _ in range(len(facility.configuration) + (num_commodities > 1))
+        ]
+        assert adds == expected
+
     def test_feasible_and_ignores_bundling(self, single_point_instance_constant):
         result = run_online(PerCommodityAlgorithm("fotakis"), single_point_instance_constant)
         result.solution.validate(single_point_instance_constant.requests)

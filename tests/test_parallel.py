@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.parallel import ParallelConfig, ParallelTaskError, parallel_map, scatter_gather
+from repro.parallel import ParallelConfig, ParallelTaskError, parallel_map
 
 
 def _square(x: int) -> int:
@@ -66,9 +66,6 @@ class TestParallelMap:
     def test_empty_input(self):
         assert parallel_map(_square, []) == []
 
-    def test_scatter_gather_wrapper(self):
-        assert scatter_gather(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
 
 class TestWorkerExceptionIdentity:
     def test_pool_failure_names_the_failing_item(self):
@@ -82,12 +79,6 @@ class TestWorkerExceptionIdentity:
         assert info.value.item_repr == "3"
         # The ExperimentError hierarchy is preserved for existing catchers.
         assert isinstance(info.value, ExperimentError)
-
-    def test_scatter_gather_surfaces_identity_too(self):
-        with pytest.raises(ParallelTaskError, match="item 3"):
-            scatter_gather(
-                _raise_on_three, list(range(20)), workers=2, chunk_size=1
-            )
 
     def test_error_survives_pickling(self):
         # The pool transports exceptions by pickle; keyword state must survive.

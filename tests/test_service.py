@@ -413,14 +413,15 @@ def test_protocol_status_and_metrics_carry_telemetry(tmp_path):
     assert set(telemetry) == {
         "cost-decomposition",
         "opening-rate",
-        "latency",
         "competitive-ratio",
     }
     assert telemetry["cost-decomposition"]["num_requests"] == 3
     assert telemetry["cost-decomposition"]["total_cost"] == pytest.approx(
         status["total_cost"]
     )
-    assert telemetry["latency"]["reservoir_size"] == 3
+    assert telemetry["opening-rate"]["num_requests"] == 3
+    assert telemetry["competitive-ratio"]["num_requests"] == 3
+    assert telemetry["competitive-ratio"]["online_cost"] == status["total_cost"]
     assert "telemetry" not in protocol.handle({"op": "status", "name": "plain"})["session"]
 
     metrics = json.loads(protocol.handle_line(json.dumps({"op": "metrics"})))["metrics"]
@@ -507,18 +508,24 @@ def test_protocol_telemetry_accepts_probe_lists_and_rejects_typos(tmp_path):
             "op": "create",
             "name": "s",
             "spec": _spec(1),
-            "telemetry": ["opening-rate", {"kind": "latency", "capacity": 4}],
+            "telemetry": ["opening-rate", {"kind": "competitive-ratio", "anchor_cap": 4}],
         }
     )
     assert created["ok"]
     protocol.handle({"op": "submit", "name": "s", "point": 1, "commodities": [0]})
     telemetry = protocol.handle({"op": "status", "name": "s"})["session"]["telemetry"]
-    assert sorted(telemetry) == ["latency", "opening-rate"]
+    assert sorted(telemetry) == ["competitive-ratio", "opening-rate"]
 
     bad = protocol.handle(
         {"op": "create", "name": "t", "spec": _spec(2), "telemetry": ["opening-rte"]}
     )
     assert bad["ok"] is False and "did you mean" in bad["error"]
+    # Per-request latency is the tracer's: the probe kind no longer exists.
+    gone = protocol.handle(
+        {"op": "create", "name": "t", "spec": _spec(2), "telemetry": ["latency"]}
+    )
+    assert gone["ok"] is False and gone["error_type"] == "UnknownComponentError"
+    assert "unknown metrics probe 'latency'" in gone["error"]
 
 
 def test_cli_serve_in_process(tmp_path, monkeypatch, capsys):

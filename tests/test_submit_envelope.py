@@ -15,6 +15,11 @@ dict.  These tests pin, with exact ``==``:
   state's facility-id order would show only here).  The
   production-vs-oracle grids cannot see such a change: both of their sides
   run through the same session, and the oracle changed with production;
+* the same runs with the stock telemetry attached: the event digests do not
+  move (telemetry is passive), and the final ``telemetry_summary()`` of
+  each run, a function of its events alone, matches a SHA-256 digest
+  recorded before the wall-clock ``latency`` probe was deleted (with that
+  probe's entry left out);
 * the generated surface of the three records: fields, ``==`` and ``hash``
   for positional and keyword builds, ``repr``, ``dataclasses.replace``,
   pickling, ``deepcopy`` and ``FrozenInstanceError``, and the checks the
@@ -122,6 +127,66 @@ GOLDEN_EVENT_DIGESTS = {
 }
 
 
+#: "algorithm/scenario/seed" -> SHA-256 of the final telemetry_summary()
+#: (JSON, sorted keys) of the same run with ``telemetry=True``.
+GOLDEN_TELEMETRY_DIGESTS = {
+    "always-large-greedy/clustered/0": "03b11878d420d6e7bcdc31e3c09d768b83cfbd61f805edf0dc86ea507a99e6a4",
+    "always-large-greedy/clustered/1": "08e20a9059e0a46544231ff2674ca2031943a73b0314b481831eb766aa2953bd",
+    "always-large-greedy/ties/0": "5bff790c7cc683550047bd4c09cb50673d3fdcb3de8455f91783a6e453d1de0b",
+    "always-large-greedy/ties/1": "b10a8a39a3d3f5f92fe49513348d19871d04c440899a1bc40b8e712d7e0ad663",
+    "always-large-greedy/uniform/0": "46e3f147ad038f7ceb34d17b5df469d9017711ac5390573a0b16376fbba3559e",
+    "always-large-greedy/uniform/1": "1ff43891dae064a41dc1d0cb004abc3b98d04c95b05118f5054d37de732555a7",
+    "fotakis-ofl/clustered/0": "7bf8dc838566dcc999d0ad7f09a3428e33f3868a443f83656ce7788504d5b15c",
+    "fotakis-ofl/clustered/1": "345d7a0d97572def5a24df28e622b29bb51832696af12bdb868a89b03e2b45ab",
+    "fotakis-ofl/ties/0": "7a9258bb67b91715a0a8793e661d33882d64aac28470eee31f51f02e1b728ada",
+    "fotakis-ofl/ties/1": "7a9258bb67b91715a0a8793e661d33882d64aac28470eee31f51f02e1b728ada",
+    "fotakis-ofl/uniform/0": "b43de7083f0602ba2ff3148baa67caf1d6916ca97e56f682bdb62fd65850516f",
+    "fotakis-ofl/uniform/1": "b1828a0dfc589ac3765197a0838cfef8046f11c4af7196d0cabc548038279403",
+    "meyerson-ofl/clustered/0": "524c670e91c4012305fe3b78513b4ca2bc06371b608709056dc927f810662cbd",
+    "meyerson-ofl/clustered/1": "393f6229dd8cd4c535d66d6f7edf2161748875dd4c745f4a0e8dacc991e89132",
+    "meyerson-ofl/ties/0": "9203d0344dc28b1fbba517a8dd966842e5345f4164f09f404874f2e3143cc006",
+    "meyerson-ofl/ties/1": "719c273344061cce51110b736cb557e386c4b5fa61c7654831f35f388981caa3",
+    "meyerson-ofl/uniform/0": "ca0822aad1ea7d4b4075ae56c8edc91f067018cf50d41c806817d4c068a1d079",
+    "meyerson-ofl/uniform/1": "265e2786409ff8dddb0feae9716ce14aee6b2257382231df195c4dfd1c61f9cc",
+    "no-prediction-greedy/clustered/0": "b25a253a12320599b5093d74e6d81aaf9d491358c4e870d78d3e503a64124cdc",
+    "no-prediction-greedy/clustered/1": "22ccb90079516db963b5fc971490ee44174d874bc399fa67f4a8ff297da85fa3",
+    "no-prediction-greedy/ties/0": "df175004d2ef74eeac6e3f84709123f4453f74b14c5f7a04f2fd1121bb414a85",
+    "no-prediction-greedy/ties/1": "6da60b23f99ed68e47f4a4b695e187cf864599ca204460369b75fa8aa6071035",
+    "no-prediction-greedy/uniform/0": "e0be27ab5bf3b56d6e1f8854f132a98fc883d1681124b0a1cac145e544fdebfe",
+    "no-prediction-greedy/uniform/1": "5135527c94cc67df13fe8e5714d9fb4bdd6daf1a37a7b3f3d3b86d91ccc1d4fc",
+    "pd-omflp/clustered/0": "1db2578723064a6e01cd4f00c94666956eb4ef5a3a867158e29dfb2205a6a217",
+    "pd-omflp/clustered/1": "afb0af40604114ef723debe240a87ce79fa8c41a69faa375702ba577e4301515",
+    "pd-omflp/ties/0": "1368c73ea7f0281fee1dd0969d6a5a9cf7d4242b8e7cfe5b492cc8e39e9075e8",
+    "pd-omflp/ties/1": "e9016939cf2af5a086061697c0d80bca2f7789784859c435b84f5188c9a2b217",
+    "pd-omflp/uniform/0": "faecff0fb9547c5ba9905c682905ca1facd869eae01b7b7c6332017abee79969",
+    "pd-omflp/uniform/1": "7423376d25cf3ecb52a2bfa8ceb57b35eab4b8a8df177a03dc5972812b5cdd6f",
+    "per-commodity-fotakis/clustered/0": "b73a54a919d6d1144826d745496a8f5b2c0c8b900c932db494c3219a29f70377",
+    "per-commodity-fotakis/clustered/1": "987ae5f4cd2d824bcc84fce1f6b7052afd91ebd67bd47e5fff79643310fd46fa",
+    "per-commodity-fotakis/ties/0": "1686830fbfa1c873611a3be71f83a00d9b38def3b1fc8d4111abfbd298df5f4d",
+    "per-commodity-fotakis/ties/1": "00083972d545729faee75c24bf17fb6f24c59dc96598c633642bfcb4b7c161de",
+    "per-commodity-fotakis/uniform/0": "2c2ecd0a809b45c8b702fe9a091e2d0a25c313d2371820c69d2c4a34cbd7c337",
+    "per-commodity-fotakis/uniform/1": "19753e7f4629cfcb8de8cf91aed8861e5c35c9badd0142e45d35128c23c14700",
+    "per-commodity-meyerson/clustered/0": "4716c641927e09705353ae67319f0585ee955a67733d59ab7f8e24a568d3640e",
+    "per-commodity-meyerson/clustered/1": "07c06ea52ce53d38c83a044b20a92f35d47c5b96a30c91a501051356c56f4d2c",
+    "per-commodity-meyerson/ties/0": "9b3913f4ae5e5e16cb425b902de40d128630751a44027b5fabe666165ddbafd5",
+    "per-commodity-meyerson/ties/1": "ad6f47c35d1e01fc617e7459c7bc3c4ec347fae605401ee37b2676d547d5ff7e",
+    "per-commodity-meyerson/uniform/0": "eb9b9d48ff2cdd6ce389a3c5ed1b45a32b1d32dfa61f04e47997cbfa63456dbd",
+    "per-commodity-meyerson/uniform/1": "71ddad26bdb86352a41125aa8dc0330513575658d5dc50001b98168fc69c25d7",
+    "rand-omflp/clustered/0": "fd360a7ea0a4c1ea88bfd4c0c29cc4c70193620ce03831da423499c55fa63ab0",
+    "rand-omflp/clustered/1": "4aca8c7766354d1514fb7c1530c2fac04bec4051dfc3a6e8dd7ec72396150621",
+    "rand-omflp/ties/0": "fe5b1d1ec11633a1834275ad9bea98b8e705191ea7c88a54f470404a312730e6",
+    "rand-omflp/ties/1": "c3b6eacd06036a7afb95f0023a56dff5ff1465dd64447bd471f1d5f0e041138d",
+    "rand-omflp/uniform/0": "8433bf0b52431065d9a05c0ce4141f0ceb5f2b06863dddfabd2d097e289e7af8",
+    "rand-omflp/uniform/1": "c077ba034e81bd2a4678907b7a893290ac7bed19802c477ab75999ac5ead1abf",
+    "threshold-pd/clustered/0": "246d2e11ff0d5a59dfa99b9e5079ab50b9282bb5940e1b29ca5258d801ceb76b",
+    "threshold-pd/clustered/1": "d28c823c7a93785f0af608fe3c24f5204d56125522a678faa0df129f1fdfb11c",
+    "threshold-pd/ties/0": "08a2b89b1099b6dc5e280d58263b490caf9855da15f0458e2c8c0027d27986a7",
+    "threshold-pd/ties/1": "a779ad21f01306665411ecb4911591f77f9bc1c1810f9e33ab2ca8b23131b1aa",
+    "threshold-pd/uniform/0": "9642b5757aa69cf275e1363824c2b523ca46cee03d6eeb59c1e117071dd0b333",
+    "threshold-pd/uniform/1": "66fbee4f96ff1616d10fd13b20b1e92612a53a69c323d53b04079ce18288578c",
+}
+
+
 def _scenario(kind: str, num_commodities: int) -> dict:
     if kind == "uniform":
         return {"kind": "uniform", "num_commodities": num_commodities, "num_points": 24,
@@ -137,7 +202,7 @@ TIE_COORDINATES = [0, 0, 1, 3, 3, 3, 4, 6, 6, 7, 9, 9]
 TIE_SCALES = [0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 1.0]
 
 
-def _tie_events(algorithm, seed: int, num_commodities: int) -> tuple:
+def _tie_events(algorithm, seed: int, num_commodities: int, telemetry) -> tuple:
     """The events of 40 arrivals drawn with ``seed`` (so points repeat) on the
     "ties" instance, and the session that served them."""
     session = OnlineSession(
@@ -146,6 +211,7 @@ def _tie_events(algorithm, seed: int, num_commodities: int) -> tuple:
         PerPointScaledCost(PowerCost(num_commodities, 1.0), TIE_SCALES),
         commodities=CommodityUniverse(num_commodities),
         rng=seed,
+        telemetry=telemetry,
     )
     draws = np.random.default_rng(seed)
     events = []
@@ -158,22 +224,27 @@ def _tie_events(algorithm, seed: int, num_commodities: int) -> tuple:
     return events, session
 
 
-def _event_digest(name: str, kind: str, seed: int) -> str:
+def _served(name: str, kind: str, seed: int, telemetry=None) -> tuple:
+    """The events of one case and the session that served them."""
     num_commodities = 1 if name in SINGLE_COMMODITY else 3
     params = (
         {"num_commodities": num_commodities, "excluded": [0]} if name == "threshold-pd" else {}
     )
     if kind == "ties":
-        events, session = _tie_events(ALGORITHMS.build(name, **params), seed, num_commodities)
-    else:
-        session = ScenarioSession(
-            {
-                "algorithm": {"kind": name, **params} if params else name,
-                "scenario": _scenario(kind, num_commodities),
-                "seed": seed,
-            }
-        )
-        events = session.advance()
+        return _tie_events(ALGORITHMS.build(name, **params), seed, num_commodities, telemetry)
+    session = ScenarioSession(
+        {
+            "algorithm": {"kind": name, **params} if params else name,
+            "scenario": _scenario(kind, num_commodities),
+            "seed": seed,
+        },
+        telemetry=telemetry,
+    )
+    return session.advance(), session
+
+
+def _event_digest(events, session) -> str:
+    """SHA-256 over the events and the finalized costs (finalizes ``session``)."""
     digest = hashlib.sha256()
     for event in events:
         digest.update(json.dumps(event.to_dict(), sort_keys=True).encode())
@@ -189,12 +260,22 @@ def _event_digest(name: str, kind: str, seed: int) -> str:
 
 def test_the_digest_grid_covers_every_online_algorithm():
     assert {key.split("/")[0] for key in GOLDEN_EVENT_DIGESTS} == set(ALGORITHMS.names())
+    assert set(GOLDEN_TELEMETRY_DIGESTS) == set(GOLDEN_EVENT_DIGESTS)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_EVENT_DIGESTS))
 def test_events_and_costs_match_the_golden_digest(case):
     name, kind, seed = case.split("/")
-    assert _event_digest(name, kind, int(seed)) == GOLDEN_EVENT_DIGESTS[case]
+    assert _event_digest(*_served(name, kind, int(seed))) == GOLDEN_EVENT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TELEMETRY_DIGESTS))
+def test_telemetry_is_passive_and_matches_the_golden_digest(case):
+    name, kind, seed = case.split("/")
+    events, session = _served(name, kind, int(seed), telemetry=True)
+    assert _event_digest(events, session) == GOLDEN_EVENT_DIGESTS[case]
+    summary = json.dumps(session.telemetry_summary(), sort_keys=True)
+    assert hashlib.sha256(summary.encode()).hexdigest() == GOLDEN_TELEMETRY_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Pins the three contracts of :mod:`repro.telemetry`:
   event, every cost and the final RNG state are exactly ``==`` with and
   without probes attached, over the full algorithm × scenario × seed grid;
 * **durability** — a snapshot carries the sink bit-identically, a resumed
-  session continues its metrics where they left off, and the rolling
-  competitive-ratio estimate at finalize exactly matches the post-hoc batch
-  computation.
+  session continues its metrics where they left off (also from a snapshot
+  written while the stock catalog still had a wall-clock ``latency`` probe,
+  whose entry is dropped on load), and the rolling competitive-ratio
+  estimate at finalize exactly matches the post-hoc batch computation.
 
 Plus the ``repro report`` renderer: golden-file markdown, HTML smoke checks,
 and the baseline regression gate in both its passing and failing modes.
@@ -49,6 +50,8 @@ SEEDS = [0, 1, 2]
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+STOCK_PROBES = ["competitive-ratio", "cost-decomposition", "opening-rate"]
+
 ZERO_COST_CASES = [
     pytest.param(algorithm, scenario, seed, id=f"{algorithm}-{scenario}-s{seed}")
     for algorithm, (_, single_only) in ALGORITHMS.items()
@@ -80,12 +83,7 @@ def _session(instance: Instance, algorithm: str, seed: int, telemetry) -> Online
 # ---------------------------------------------------------------------------
 def test_probe_registry_catalog_and_specs():
     """Every stock probe is a registry citizen with a rebuildable spec."""
-    assert sorted(METRICS_PROBES.names()) == [
-        "competitive-ratio",
-        "cost-decomposition",
-        "latency",
-        "opening-rate",
-    ]
+    assert sorted(METRICS_PROBES.names()) == STOCK_PROBES
     assert set(DEFAULT_PROBES) == set(METRICS_PROBES.names())
     for kind in METRICS_PROBES.names():
         probe = METRICS_PROBES.build(kind)
@@ -98,10 +96,22 @@ def test_probe_registry_catalog_and_specs():
 
 
 def test_probe_registry_rejects_typos_with_suggestions():
-    with pytest.raises(UnknownComponentError, match="did you mean 'latency'"):
-        METRICS_PROBES.build("latncy")
-    with pytest.raises(ReproError, match="did you mean 'capacity'"):
-        METRICS_PROBES.build("latency", capacty=16)
+    with pytest.raises(UnknownComponentError, match="did you mean 'opening-rate'"):
+        METRICS_PROBES.build("opening-rte")
+    with pytest.raises(ReproError, match="did you mean 'anchor_cap'"):
+        METRICS_PROBES.build("competitive-ratio", anchor_cp=16)
+
+
+@pytest.mark.parametrize("telemetry", [["latency"], [{"kind": "latency", "capacity": 4}]])
+def test_the_deleted_latency_probe_is_an_unknown_kind(telemetry):
+    """Wall-clock latency is the span tracer's; asking telemetry for it
+    fails like any unknown probe, naming the registered ones."""
+    with pytest.raises(
+        UnknownComponentError,
+        match="^unknown metrics probe 'latency'; registered: "
+        "cost-decomposition, opening-rate, competitive-ratio$",
+    ):
+        TelemetrySink(telemetry)
 
 
 def test_fresh_probe_state_round_trips_through_json():
@@ -123,7 +133,7 @@ def test_probe_state_dict_validation():
     with pytest.raises(TelemetryError, match="version"):
         probe.load_state_dict(dict(good, version=99))
     with pytest.raises(TelemetryError, match="kind"):
-        METRICS_PROBES.build("latency").load_state_dict(good)
+        METRICS_PROBES.build("cost-decomposition").load_state_dict(good)
 
 
 def test_sink_coercion_and_misuse_guards():
@@ -132,12 +142,12 @@ def test_sink_coercion_and_misuse_guards():
     stock = TelemetrySink.coerce(True)
     assert stock.kinds == list(DEFAULT_PROBES)
     assert TelemetrySink.coerce(stock) is stock
-    assert TelemetrySink.coerce(["latency"]).kinds == ["latency"]
+    assert TelemetrySink.coerce(["opening-rate"]).kinds == ["opening-rate"]
 
     with pytest.raises(TelemetryError, match="duplicate probe kind"):
-        TelemetrySink(["latency", {"kind": "latency", "capacity": 8}])
+        TelemetrySink(["competitive-ratio", {"kind": "competitive-ratio", "anchor_cap": 8}])
     with pytest.raises(TelemetryError, match="'kind'"):
-        TelemetrySink([{"capacity": 8}])
+        TelemetrySink([{"anchor_cap": 8}])
     with pytest.raises(TelemetryError, match="cannot build a probe"):
         TelemetrySink([42])
 
@@ -152,7 +162,7 @@ def test_sink_coercion_and_misuse_guards():
     event_source = _session(instance, "pd-omflp", 0, None)
     event = event_source.submit(0, [0])
     with pytest.raises(TelemetryError, match="before bind"):
-        unbound.observe(event, 0.0)
+        unbound.observe(event)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +209,9 @@ def test_telemetry_is_exactly_zero_cost(algorithm, scenario, seed):
 def test_snapshot_resume_carries_every_probe(kind, seed):
     """All 16 scenario kinds: a resumed session continues its metrics exactly.
 
-    The restored sink must equal the snapshotted one bit-for-bit (including
-    the latency reservoir and its private RNG state); after streaming the
-    remainder, every non-wall-clock probe matches an uninterrupted run
-    exactly, and the latency probe has counted every request.
+    The restored sink must equal the snapshotted one bit-for-bit; after
+    streaming the remainder, the whole sink state equals an uninterrupted
+    run's (probes read no clock, so nothing differs across the interruption).
     """
     spec = {"algorithm": "pd-omflp", "scenario": EXAMPLE_SPECS[kind], "seed": seed}
     reference = ScenarioSession(spec, telemetry=True)
@@ -217,21 +226,42 @@ def test_snapshot_resume_carries_every_probe(kind, seed):
     tail = restored.advance(12)
     assert head + tail == reference_events
 
-    reference_state = reference.telemetry.state_dict()
-    restored_state = restored.telemetry.state_dict()
-    for ref_entry, res_entry in zip(
-        reference_state["probes"], restored_state["probes"]
-    ):
-        assert res_entry["spec"] == ref_entry["spec"]
-        if ref_entry["spec"]["kind"] == "latency":
-            # Wall-clock values differ across the interruption by nature;
-            # the counting side must not.
-            assert (
-                res_entry["state"]["state"]["count"]
-                == ref_entry["state"]["state"]["count"]
-            )
-        else:
-            assert res_entry == ref_entry
+    assert restored.telemetry.state_dict() == reference.telemetry.state_dict()
+
+
+#: A ScenarioSession snapshot (rand-omflp, stock telemetry, 24 of 60
+#: clustered requests) written while the stock catalog had a ``latency``
+#: probe, and the uninterrupted run's total recorded with it.
+LATENCY_ERA_SNAPSHOT = GOLDEN_DIR / "rand_omflp_telemetry_snapshot.json"
+LATENCY_ERA_TOTAL = 14.537262820605534
+
+
+def test_a_snapshot_with_a_latency_probe_resumes_equal():
+    """The older sink state loads with its latency entry dropped; the run
+    continues equal to an uninterrupted one in events, costs and every
+    remaining probe's state."""
+    data = json.loads(LATENCY_ERA_SNAPSHOT.read_text())
+    probes = data["telemetry"]["probes"]
+    assert [entry["spec"]["kind"] for entry in probes] == [
+        "cost-decomposition",
+        "opening-rate",
+        "latency",
+        "competitive-ratio",
+    ]
+    restored = ScenarioSession.restore(data)
+    assert restored.telemetry.kinds == list(DEFAULT_PROBES)
+    uninterrupted = ScenarioSession(data["spec"], telemetry=True)
+    uninterrupted.advance(data["num_requests"])
+    assert restored.telemetry.state_dict() == uninterrupted.telemetry.state_dict()
+    assert restored.telemetry.state_dict()["probes"] == [
+        entry for entry in probes if entry["spec"]["kind"] != "latency"
+    ]
+
+    assert restored.advance() == uninterrupted.advance()
+    records = restored.finalize(), uninterrupted.finalize()
+    assert records[0].total_cost == records[1].total_cost == LATENCY_ERA_TOTAL
+    assert records[0].num_facilities == records[1].num_facilities
+    assert restored.telemetry.state_dict() == uninterrupted.telemetry.state_dict()
 
 
 def test_sink_from_state_dict_is_unbound_and_exact():

@@ -14,7 +14,10 @@ Pins the contracts of :mod:`repro.trace`:
   observation;
 * **structure** — retained spans form a well-nested tree with a monotone
   event clock, and cross-process engine shards re-base into the parent
-  trace deterministically.
+  trace deterministically;
+* **layering** — timing lives only here: a traced session's per-request
+  latency percentiles are its ``algorithm.process`` phase, and importing
+  :mod:`repro.trace` loads no :mod:`repro.telemetry` module.
 
 Plus the Chrome trace-event export/validation surface and the ``repro
 trace`` record/export/summarize CLI.
@@ -23,6 +26,9 @@ trace`` record/export/summarize CLI.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +105,44 @@ def test_tracer_coercion_and_validation():
         Tracer(buffer_size=0)
     with pytest.raises(TraceError, match="detail_stride"):
         Tracer(detail_stride=0)
+    with pytest.raises(TraceError, match="reservoir_capacity"):
+        Tracer(reservoir_capacity=0)
+
+
+def test_importing_the_trace_package_loads_no_telemetry():
+    """repro.trace sits below repro.telemetry: a fresh interpreter that
+    imports the package and its exports holds no repro.telemetry module."""
+    code = (
+        "import sys\n"
+        "import repro.trace\n"
+        "from repro.trace import Tracer, summarize_trace\n"
+        "from repro.trace.reservoir import ReservoirSampler\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'telemetry']))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert completed.stdout.strip() == "[]"
+
+
+def test_a_traced_session_reports_per_request_latency():
+    """Per-request latency comes from the tracer, not from telemetry: every
+    request folds its algorithm.process time into the phase aggregates."""
+    spec = {
+        "algorithm": "meyerson-ofl",
+        "scenario": {"kind": "uniform", "num_commodities": 1, "num_points": 64, "max_demand": 1},
+        "seed": 3,
+    }
+    session = ScenarioSession(spec, telemetry=True, tracer=True)
+    session.advance(300)
+    process = session.tracer.phase_summary()["algorithm.process"]
+    assert process["count"] == 300
+    assert 0.0 < process["min_seconds"] <= process["p50"] <= process["p99"]
+    assert process["p99"] <= process["max_seconds"]
+    assert "latency" not in session.telemetry_summary()
 
 
 def test_end_must_match_innermost_open_span():
