@@ -11,7 +11,9 @@ families of distance queries per arriving request:
 * ``d(C_i, r)`` against the *static* facility cost classes — answered by
   :class:`~repro.accel.classes.ClassDistanceIndex`: one memoized column per
   query point, kept as a tuple of floats for the scalar per-request loops,
-  O(1) per query, instead of an O(n) scan per class per request.
+  O(1) per query, instead of an O(n) scan per class per request.  The
+  nearest point of a class, read only when a facility opens, is the plain
+  ``metric.nearest`` scan on each call.
 
 The primal–dual algorithms additionally need O(h x n) bid sums over their
 request history each arrival;

@@ -21,13 +21,14 @@ arithmetic beats a NumPy call.  No O(n^2) precomputation and no pairwise
 matrix are ever needed.
 
 The *nearest point* of a class is needed only when a coin flip succeeds or a
-feasibility fallback fires — a handful of times per run — so it is resolved
-lazily with exactly the reference's scan (``metric.nearest`` over the
-caller's cumulative point array, in the caller's order) and memoized.  This
-keeps tie-breaking trivially bit-identical: different callers enumerate their
-cumulative sets in different orders (ascending point index for the Meyerson
-helper, class-concatenation for :class:`~repro.costs.classes.CostClassIndex`)
-and ``np.argmin`` resolves equal distances by that order.
+feasibility fallback fires — a handful of times per run, rarely twice for the
+same class and point — so it is not memoized: each call runs exactly the
+reference's scan (``metric.nearest`` over the caller's cumulative point
+array, in the caller's order).  This keeps tie-breaking trivially
+bit-identical: different callers enumerate their cumulative sets in
+different orders (ascending point index for the Meyerson helper,
+class-concatenation for :class:`~repro.costs.classes.CostClassIndex`) and
+``np.argmin`` resolves equal distances by that order.
 
 Bit-identicality of the columns holds because every entry is a minimum over
 exactly the floats the reference reads (entries of ``distances_from(r)``),
@@ -36,11 +37,10 @@ and a minimum is order-independent.  ``cheapest_open_option`` scans the
 strict ``<``, so it keeps the first class attaining the minimum, as the
 reference's scan does.
 
-The index holds no run-dependent state — columns and nearest-point entries
-are memoized pure functions of the static metric and cost classes — so the
-session snapshot codec (:mod:`repro.service.snapshot`) never serializes it; a
-restored session simply repopulates the memos on demand with identical
-values.
+The index holds no run-dependent state — its columns are memoized pure
+functions of the static metric and cost classes — so the session snapshot
+codec (:mod:`repro.service.snapshot`) never serializes it; a restored
+session simply refills the columns on demand with identical values.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class ClassDistanceIndex:
     cumulative_point_sets:
         For each class, the points of rounded cost at most that class value,
         **in the caller's reference enumeration order** — used verbatim for
-        the lazy nearest-point scans so ties break exactly as in the caller's
+        the nearest-point scans so ties break exactly as in the caller's
         reference path.
     """
 
@@ -108,7 +108,6 @@ class ClassDistanceIndex:
             ([0], np.cumsum([points.size for points in sets])[:-1])
         )
         self._columns: Dict[int, Tuple[float, ...]] = {}
-        self._nearest_cache: Dict[Tuple[int, int], Tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,16 +148,10 @@ class ClassDistanceIndex:
         """Closest point of rounded cost at most ``C_i`` and its distance.
 
         Resolved with the reference's own scan over the caller's cumulative
-        point order (memoized) — see the module docstring.
+        point order — see the module docstring.
         """
-        key = (index, point)
-        cached = self._nearest_cache.get(key)
-        if cached is None:
-            points = self._cumulative[class_position(index, len(self._values))]
-            nearest, distance = self._metric.nearest(point, points)
-            cached = (int(nearest), float(distance))
-            self._nearest_cache[key] = cached
-        return cached
+        points = self._cumulative[class_position(index, len(self._values))]
+        return self._metric.nearest(point, points)
 
     def cheapest_open_option(self, point: int) -> Tuple[int, float]:
         """``(argmin_i, min_i { C_i + d(C_i, point) })`` with 1-based index.

@@ -54,7 +54,7 @@ allocates no ``(h x n)`` temporaries at all.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -124,13 +124,12 @@ class BidHistoryBuffer:
         """``distances_from(point)``, read from the metric once per run (a read-only view)."""
         index = self._row_index.get(point)
         if index is None:
-            index = self._add_row(point, None)
+            index = self._add_row(point)
         return self._store[index]
 
-    def _add_row(self, point: int, row: Optional[np.ndarray]) -> int:
+    def _add_row(self, point: int) -> int:
         point = int(point)
-        if row is None:
-            row = self._metric.distances_from(point)
+        row = self._metric.distances_from(point)
         index = len(self._row_index)
         capacity = self._store.shape[0]
         if index == capacity:
@@ -159,23 +158,11 @@ class BidHistoryBuffer:
     # ------------------------------------------------------------------
     # Entries
     # ------------------------------------------------------------------
-    def append(
-        self,
-        point: int,
-        dual: float,
-        nearest: float,
-        *,
-        row: Optional[np.ndarray] = None,
-        slot: int = 0,
-    ) -> None:
-        """Record a processed demand in ``slot`` (its dual is frozen and never changes).
-
-        ``row`` may pass the caller's ``distances_from(point)`` for a point
-        the store does not hold yet; otherwise it is fetched from the metric.
-        """
+    def append(self, point: int, dual: float, nearest: float, *, slot: int = 0) -> None:
+        """Record a processed demand in ``slot`` (its dual is frozen and never changes)."""
         index = self._row_index.get(point)
         if index is None:
-            index = self._add_row(point, row)
+            index = self._add_row(point)
         h = self._sizes[slot]
         if h == self._points[slot].shape[0]:
             self._grow_slot(slot)
@@ -271,7 +258,7 @@ class BidHistoryBuffer:
         if len(row_index) + len(unseen) > self._store.shape[0]:
             self._reserve(len(row_index) + len(unseen))
         for point in unseen:
-            self._add_row(point, None)
+            self._add_row(point)
         capacity = max(_INITIAL_CAPACITY, len(points))
         for columns, values in (
             (self._points, points),

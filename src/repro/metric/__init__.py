@@ -8,11 +8,12 @@ metric spaces with a uniform, numpy-vectorized interface:
   (``distance``, vectorized ``distances_from``, nearest-point queries and
   axiom validation).
 * :class:`~repro.metric.matrix.ExplicitMetric` — an arbitrary metric given by
-  its full distance matrix.
+  its full distance matrix; the graph, tree and single-point spaces below
+  are its subclasses.
 * :class:`~repro.metric.line.LineMetric` — points on the real line (the
   metric used by the paper's lower bounds, Corollary 3).
 * :class:`~repro.metric.euclidean.EuclideanMetric` — points in R^d with the
-  Euclidean distance (optionally a KD-tree for nearest-neighbour queries).
+  Euclidean distance.
 * :class:`~repro.metric.grid.GridMetric` — lattice points under the L1
   (Manhattan) distance, a common stand-in for network topologies.
 * :class:`~repro.metric.graph.GraphMetric` — shortest-path distances of a

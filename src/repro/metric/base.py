@@ -7,9 +7,10 @@ form ``(bid_j - d(m, j))_+`` summed over earlier requests ``j`` and over all
 candidate facility points ``m``.  The hot path therefore needs *rows* of the
 distance matrix (``distances_from``) as contiguous numpy arrays rather than
 scalar ``distance(i, j)`` calls; following the scientific-Python optimization
-guide we vectorize over points and avoid building the full pairwise matrix
-unless it is explicitly requested (``pairwise_matrix`` caches it lazily and
-only for spaces small enough for that to be sensible).
+guide we vectorize over points and never build the full pairwise matrix on
+the hot path.  A space keeps only what it is built from (its points, or the
+matrix of a matrix-backed space); ``pairwise_matrix`` computes the matrix
+each time it is asked for and keeps nothing.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ class MetricSpace(abc.ABC):
 
     Subclasses must implement :meth:`distances_from`; the convenience
     queries are derived from it.  The scalar :meth:`distance` must equal
-    ``distances_from(a)[b]`` bit for bit, before and after
-    :meth:`pairwise_matrix` caches the matrix (pinned for every space by
-    ``tests/test_metric_properties.py``).  The default reads the cached
-    matrix or one row; the Euclidean space overrides it with an O(d) form
-    of the row's own formula.
+    ``distances_from(a)[b]`` bit for bit (pinned for every space by
+    ``tests/test_metric_properties.py``).  The default reads one row; the
+    Euclidean space overrides it with an O(d) form of the row's own formula,
+    and matrix-backed spaces read the entry.
     """
 
     #: Absolute tolerance used when validating the metric axioms.
@@ -63,9 +63,6 @@ class MetricSpace(abc.ABC):
         """Distance between two points, bit-for-bit ``distances_from(a)[b]``."""
         self._check_point(a)
         self._check_point(b)
-        cached = getattr(self, "_pairwise_cache", None)
-        if cached is not None:
-            return float(cached[a, b])
         return float(self.distances_from(a)[b])
 
     def distances_between(self, point: int, targets: Sequence[int]) -> np.ndarray:
@@ -85,20 +82,15 @@ class MetricSpace(abc.ABC):
 
         The contract required by :mod:`repro.accel` is exactness:
         ``distances_to(p)[q]`` must be bit-for-bit equal to
-        ``distances_from(q)[p]`` for every ``q``.  When a pairwise matrix is
-        cached (matrix-backed spaces, or after :meth:`pairwise_matrix`) the
-        column is sliced from it, which satisfies the contract even for
-        matrices that are only symmetric up to floating-point noise.
-        Otherwise the row ``distances_from(point)`` is returned, which is
-        exact for the coordinate-based spaces because their distance formulas
-        are symmetric in IEEE arithmetic (``|a - b|`` and ``(a - b)**2`` are
-        unchanged under operand swap).  Subclasses with asymmetric rounding
-        must override this method.
+        ``distances_from(q)[p]`` for every ``q``.  This default returns the
+        row ``distances_from(point)``, which is exact for the coordinate-based
+        spaces because their distance formulas are symmetric in IEEE
+        arithmetic (``|a - b|`` and ``(a - b)**2`` are unchanged under operand
+        swap).  Matrix-backed spaces slice the column instead, which holds
+        even for matrices that are only symmetric up to floating-point noise;
+        any other space with asymmetric rounding must override this method.
         """
         self._check_point(point)
-        cached = getattr(self, "_pairwise_cache", None)
-        if cached is not None:
-            return np.ascontiguousarray(cached[:, point])
         return self.distances_from(point)
 
     def nearest(self, point: int, candidates: Sequence[int]) -> Tuple[int, float]:
@@ -119,15 +111,11 @@ class MetricSpace(abc.ABC):
         return float(np.min(self.distances_between(point, candidates)))
 
     def pairwise_matrix(self) -> np.ndarray:
-        """Return (and cache) the full ``num_points x num_points`` distance matrix."""
-        cached = getattr(self, "_pairwise_cache", None)
-        if cached is not None:
-            return cached
+        """The full ``num_points x num_points`` distance matrix, built row by row."""
         n = self.num_points
         matrix = np.empty((n, n), dtype=np.float64)
         for i in range(n):
             matrix[i] = self.distances_from(i)
-        self._pairwise_cache = matrix
         return matrix
 
     def diameter(self) -> float:

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-try:  # pragma: no cover - scipy is a hard dependency, but keep the import local
-    from scipy.spatial import cKDTree
-except Exception:  # pragma: no cover
-    cKDTree = None
 
 from repro.exceptions import InvalidMetricError
 from repro.metric.base import MetricSpace
@@ -21,12 +16,10 @@ class EuclideanMetric(MetricSpace):
     """Finite metric induced by points in ``R^d`` with the Euclidean norm.
 
     Distances from a point are computed with a vectorized norm over the whole
-    coordinate array; nearest-candidate queries over *all* points can use a
-    KD-tree when scipy is available (``use_kdtree=True``), which matters for
-    the larger experiment sweeps.
+    coordinate array.
     """
 
-    def __init__(self, coordinates: Sequence[Sequence[float]], *, use_kdtree: bool = True) -> None:
+    def __init__(self, coordinates: Sequence[Sequence[float]]) -> None:
         coords = np.asarray(coordinates, dtype=np.float64)
         if coords.ndim == 1:
             coords = coords[:, None]
@@ -39,9 +32,6 @@ class EuclideanMetric(MetricSpace):
         self._coords = np.ascontiguousarray(coords)
         # Read on every request; the coordinates are private and never reshaped.
         self._num_points = int(coords.shape[0])
-        self._tree = None
-        if use_kdtree and cKDTree is not None and coords.shape[0] >= 32:
-            self._tree = cKDTree(self._coords)
 
     @property
     def num_points(self) -> int:
@@ -81,12 +71,10 @@ class EuclideanMetric(MetricSpace):
         Each chunk evaluates the same ``sqrt(einsum((a-b)**2))`` expression as
         :meth:`distances_from`, contracting over the (small) coordinate axis
         in the same order, so every row is bit-for-bit the row
-        ``distances_from`` would return — a requirement of the
-        :meth:`~repro.metric.base.MetricSpace.distances_to` contract.
+        ``distances_from`` would return: an instance saved through
+        :func:`~repro.core.serialization.instance_to_dict`, which stores this
+        matrix, reads the same distances.
         """
-        cached = getattr(self, "_pairwise_cache", None)
-        if cached is not None:
-            return cached
         n, d = self._coords.shape
         matrix = np.empty((n, n), dtype=np.float64)
         # Cap the (chunk, n, d) difference tensor at ~8M elements (~64 MB).
@@ -95,19 +83,4 @@ class EuclideanMetric(MetricSpace):
             stop = min(n, start + chunk)
             delta = self._coords[None, :, :] - self._coords[start:stop, None, :]
             np.sqrt(np.einsum("bij,bij->bi", delta, delta), out=matrix[start:stop])
-        self._pairwise_cache = matrix
         return matrix
-
-    def nearest_any(self, point: int) -> Tuple[int, float]:
-        """Closest *other* point in the whole space (KD-tree accelerated)."""
-        self._check_point(point)
-        if self.num_points == 1:
-            return point, 0.0
-        if self._tree is not None:
-            distances, indices = self._tree.query(self._coords[point], k=2)
-            # k=2 because the nearest hit is the point itself at distance 0.
-            return int(indices[1]), float(distances[1])
-        row = self.distances_from(point).copy()
-        row[point] = np.inf
-        index = int(np.argmin(row))
-        return index, float(row[index])

@@ -3,9 +3,10 @@
 The introduction of the paper motivates OMFLP with a service provider placing
 service instances in a *network infrastructure*; the natural metric for that
 scenario is the shortest-path distance of the network graph.  Distances are
-computed once with scipy's sparse-graph Dijkstra/Floyd-Warshall routines and
-cached as a dense matrix, so that the per-request hot path is a plain row
-lookup.
+computed once, at construction, with scipy's sparse-graph Dijkstra routine;
+the dense result is the matrix of an
+:class:`~repro.metric.matrix.ExplicitMetric`, so the per-request hot path is
+a plain row lookup.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from repro.exceptions import InvalidMetricError
-from repro.metric.base import MetricSpace
+from repro.metric.matrix import ExplicitMetric
 
 __all__ = ["GraphMetric"]
 
 
-class GraphMetric(MetricSpace):
+class GraphMetric(ExplicitMetric):
     """Finite metric given by shortest-path distances of a weighted graph.
 
     Parameters
@@ -59,12 +60,7 @@ class GraphMetric(MetricSpace):
         matrix = shortest_path(adjacency, method="D", directed=False)
         if not np.all(np.isfinite(matrix)):
             raise InvalidMetricError("the graph metric contains infinite distances")
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self._pairwise_cache = self._matrix
-
-    @property
-    def num_points(self) -> int:
-        return int(self._matrix.shape[0])
+        super().__init__(matrix)
 
     @property
     def nodes(self) -> list:
@@ -77,10 +73,3 @@ class GraphMetric(MetricSpace):
             return self._node_index[node]
         except KeyError as error:
             raise InvalidMetricError(f"unknown graph node {node!r}") from error
-
-    def distances_from(self, point: int) -> np.ndarray:
-        self._check_point(point)
-        return self._matrix[point]
-
-    def pairwise_matrix(self) -> np.ndarray:
-        return self._matrix

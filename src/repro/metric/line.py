@@ -51,12 +51,7 @@ class LineMetric(MetricSpace):
         return np.abs(self._coords - self._coords[point])
 
     def pairwise_matrix(self) -> np.ndarray:
-        cached = getattr(self, "_pairwise_cache", None)
-        if cached is not None:
-            return cached
-        matrix = np.abs(self._coords[:, None] - self._coords[None, :])
-        self._pairwise_cache = matrix
-        return matrix
+        return np.abs(self._coords[:, None] - self._coords[None, :])
 
     def leftmost(self) -> int:
         """Index of the leftmost point (ties broken by index)."""

@@ -1,4 +1,8 @@
-"""Metric space given by an explicit distance matrix."""
+"""Metric space given by an explicit distance matrix.
+
+The one matrix-backed space: the graph, tree and single-point spaces are
+subclasses that differ only in how they build the matrix.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +18,10 @@ __all__ = ["ExplicitMetric"]
 
 class ExplicitMetric(MetricSpace):
     """A finite metric space defined by its full pairwise distance matrix.
+
+    Rows are views of the matrix, and a column (:meth:`distances_to`) is a
+    copy sliced from it, so the exact-transpose contract holds even for a
+    matrix that is only symmetric up to floating-point noise.
 
     Parameters
     ----------
@@ -42,7 +50,6 @@ class ExplicitMetric(MetricSpace):
         if array.shape[0] == 0:
             raise InvalidMetricError("a metric space must contain at least one point")
         self._matrix = np.ascontiguousarray(array)
-        self._pairwise_cache = self._matrix
         if labels is not None and len(labels) != array.shape[0]:
             raise InvalidMetricError(
                 f"got {len(labels)} labels for {array.shape[0]} points"
@@ -59,12 +66,24 @@ class ExplicitMetric(MetricSpace):
         self._check_point(point)
         return self._matrix[point]
 
+    def distance(self, a: int, b: int) -> float:
+        self._check_point(a)
+        self._check_point(b)
+        return float(self._matrix[a, b])
+
+    def distances_to(self, point: int) -> np.ndarray:
+        self._check_point(point)
+        return np.ascontiguousarray(self._matrix[:, point])
+
     def pairwise_matrix(self) -> np.ndarray:
         return self._matrix
 
-    @classmethod
-    def from_points_and_metric(cls, num_points: int, distance_fn) -> "ExplicitMetric":
-        """Materialize a metric from a callable ``distance_fn(i, j)``."""
+    @staticmethod
+    def from_points_and_metric(num_points: int, distance_fn) -> "ExplicitMetric":
+        """Materialize a metric from a callable ``distance_fn(i, j)``.
+
+        Always an :class:`ExplicitMetric`, also when called on a subclass.
+        """
         if num_points <= 0:
             raise InvalidMetricError("num_points must be positive")
         matrix = np.zeros((num_points, num_points), dtype=np.float64)
@@ -73,4 +92,4 @@ class ExplicitMetric(MetricSpace):
                 value = float(distance_fn(i, j))
                 matrix[i, j] = value
                 matrix[j, i] = value
-        return cls(matrix)
+        return ExplicitMetric(matrix)

@@ -8,24 +8,13 @@ decisions matter.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.metric.base import MetricSpace
+from repro.metric.matrix import ExplicitMetric
 
 __all__ = ["SinglePointMetric"]
 
 
-class SinglePointMetric(MetricSpace):
-    """A metric space with exactly one point (all distances are zero)."""
+class SinglePointMetric(ExplicitMetric):
+    """A metric space with exactly one point: the 1 x 1 zero matrix."""
 
     def __init__(self) -> None:
-        self._row = np.zeros(1, dtype=np.float64)
-        self._pairwise_cache = self._row.reshape(1, 1)
-
-    @property
-    def num_points(self) -> int:
-        return 1
-
-    def distances_from(self, point: int) -> np.ndarray:
-        self._check_point(point)
-        return self._row
+        super().__init__([[0.0]])

@@ -254,7 +254,7 @@ class ScenarioSession:
 
     def advance(self, count: Optional[int] = None) -> List[AssignmentEvent]:
         """Stream up to ``count`` requests (all remaining when ``None``)
-        and return their events.
+        and return their events.  Unbounded scenarios need a ``count``.
 
         When tracing is on, each call records one ``session.advance`` chunk
         span (ordinal = call sequence) parenting the chunk's detail spans —
@@ -263,6 +263,11 @@ class ScenarioSession:
         """
         if count is not None and count < 0:
             raise ScenarioError(f"advance() count must be non-negative, got {count}")
+        if count is None and self._stream.length is None:
+            raise ScenarioError(
+                f"scenario {self.scenario.kind!r} is unbounded; advance() needs "
+                "a count"
+            )
         tracer = self._tracer
         chunk_span = None
         if tracer is not None:
@@ -344,8 +349,8 @@ class ScenarioSession:
             )
         if snapshot.scenario_state is None:
             raise ScenarioError(
-                "snapshot carries no scenario stream state; it was not taken "
-                "through ScenarioSession.snapshot()"
+                "snapshot carries no scenario stream state, so the scenario's "
+                "generator cannot resume"
             )
         spec = RunSpec.from_dict(dict(snapshot.spec))
         if spec.seed is None:

@@ -11,7 +11,10 @@ number of times produces exactly the stream an always-resident one would.
 
 An eviction writes the whole session to its snapshot file, and a reload
 always reads it back through :meth:`OnlineSession.restore
-<repro.api.session.OnlineSession.restore>`.  The metric, the cost and the
+<repro.api.session.OnlineSession.restore>`; a scenario-backed session goes
+through :meth:`ScenarioSession.restore
+<repro.scenarios.run.ScenarioSession.restore>`, which also refuses a stream
+position that disagrees with the session.  The metric, the cost and the
 commodities are fixed before the first request (the paper's online model),
 so a manager with a ``max_live_sessions`` bound also keeps, when it evicts a
 session whose spec draws a stock workload, the spec and the request-free
@@ -274,23 +277,12 @@ class SessionManager:
                     )
                 stream = None
                 if snapshot.spec.get("scenario") is not None:
-                    # Scenario-backed: one environment build serves both the
-                    # session restore and the resumed stream, whose exact
-                    # generator position comes from the snapshot.
-                    from repro.scenarios.run import scenario_session_components
+                    # Scenario-backed: the session and its resumed stream,
+                    # checked against each other as any scenario restore is.
+                    from repro.scenarios.run import ScenarioSession
 
-                    if snapshot.scenario_state is None:
-                        raise ServiceError(
-                            f"snapshot for scenario session {name!r} carries no "
-                            "scenario stream state; cannot resume its generator"
-                        )
-                    algorithm, instance, _generator, stream = (
-                        scenario_session_components(snapshot.spec)
-                    )
-                    session = OnlineSession.restore(
-                        snapshot, algorithm=algorithm, instance=instance
-                    )
-                    stream.load_state_dict(snapshot.scenario_state)
+                    restored = ScenarioSession.restore(snapshot)
+                    session, stream = restored.session, restored.stream
                 elif kept is not None and kept[0] == snapshot.spec:
                     # The instance this session ran on: only the algorithm
                     # and the state are rebuilt.

@@ -307,7 +307,7 @@ def test_bid_history_base_matches_full_recompute(num_points, open_share, seed):
             dual = float(rng.uniform(0.0, 0.1))
             near = float("inf") if rng.uniform() < 0.3 else float(rng.uniform(0.0, 0.1))
             row = metric.distances_from(point)
-            eager.append(point, dual, near, row=row)
+            eager.append(point, dual, near)
             lazy.append(point, dual, near)
             points.append(point)
             rows.append(row.copy())

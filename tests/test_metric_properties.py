@@ -12,10 +12,10 @@ hypothesis-drawn ``(seed, size)``; every property then holds uniformly:
   ``distances_from(q)[p]``;
 * the scalar contract of :meth:`MetricSpace.distance`: ``distance(p, q)``
   is bit-for-bit ``distances_from(p)[q]`` on a fresh space (the O(d)
-  Euclidean override, or one row) and again once the pairwise matrix is
-  cached.  Connection costs are sums of these scalars, and the equivalence
-  grids cannot catch a wrong one: production and the test oracle share
-  ``Assignment.connection_cost``.
+  Euclidean override, the matrix entry, or one row) and again after
+  ``pairwise_matrix()`` has run.  Connection costs are sums of these
+  scalars, and the equivalence grids cannot catch a wrong one: production
+  and the test oracle share ``Assignment.connection_cost``.
 """
 
 from __future__ import annotations
@@ -143,15 +143,15 @@ def test_derived_queries_match_pairwise_matrix(metric_builder, seed, size):
 @given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 24))
 def test_distances_to_is_exact_transpose(metric_builder, seed, size):
     """The accel-layer contract: distances_to(p)[q] == distances_from(q)[p],
-    bit for bit, for every implementation — both before and after the
-    pairwise matrix is cached."""
+    bit for bit, for every implementation — both before and after
+    pairwise_matrix() has run."""
     metric = metric_builder(seed, size)
     n = metric.num_points
     for p in range(n):
         column = metric.distances_to(p)
         for q in range(n):
             assert column[q] == metric.distances_from(q)[p]
-    metric.pairwise_matrix()  # force the cache, then re-check the sliced path
+    metric.pairwise_matrix()  # building the matrix must not change a column
     for p in range(n):
         column = metric.distances_to(p)
         for q in range(n):
@@ -160,9 +160,9 @@ def test_distances_to_is_exact_transpose(metric_builder, seed, size):
 
 def _assert_scalar_distance_matches_row(metric) -> None:
     """``distance(p, q) == distances_from(p)[q]`` bit for bit, for all p, q,
-    on the space as given and again once its pairwise matrix is cached."""
+    on the space as given and again after its pairwise_matrix() has run."""
     n = metric.num_points
-    for _ in ("fresh", "cached"):
+    for _ in ("fresh", "after pairwise_matrix()"):
         for p in range(n):
             row = metric.distances_from(p)
             for q in range(n):

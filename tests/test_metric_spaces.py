@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.instance import Instance
+from repro.core.requests import RequestSequence
+from repro.core.serialization import instance_to_dict
+from repro.costs.count_based import PowerCost
 from repro.exceptions import InvalidMetricError
 from repro.metric import (
     EuclideanMetric,
@@ -67,16 +71,6 @@ class TestEuclideanMetric:
         metric = EuclideanMetric([0.0, 2.0, 5.0])
         assert metric.dimension == 1
         assert metric.distance(0, 2) == pytest.approx(5.0)
-
-    def test_nearest_any_with_and_without_kdtree(self):
-        points = np.random.default_rng(0).uniform(size=(40, 2))
-        with_tree = EuclideanMetric(points, use_kdtree=True)
-        without_tree = EuclideanMetric(points, use_kdtree=False)
-        assert with_tree.nearest_any(3) == pytest.approx(without_tree.nearest_any(3))
-
-    def test_nearest_any_single_point(self):
-        metric = EuclideanMetric([[0.0, 0.0]])
-        assert metric.nearest_any(0) == (0, 0.0)
 
     def test_axioms(self):
         random_euclidean_metric(25, rng=1).validate()
@@ -225,6 +219,33 @@ class TestMetricQueries:
     def test_len_and_points(self, line_metric):
         assert len(line_metric) == 5
         assert list(line_metric.points()) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_euclidean_metric(70, rng=0),
+        lambda: random_line_metric(70, rng=1),
+        lambda: random_grid_metric(70, rng=2),
+    ],
+    ids=["euclidean", "line", "grid"],
+)
+def test_coordinate_metrics_keep_no_pairwise_matrix(build):
+    """A coordinate metric computes its matrix on request and keeps only its points."""
+    metric = build()
+    n = metric.num_points
+    matrix = metric.pairwise_matrix()
+    metric.validate(rng=0)
+    metric.diameter()
+    instance_to_dict(Instance(metric, PowerCost(2, 1.0), RequestSequence([])))
+    held = [
+        name
+        for name, value in vars(metric).items()
+        if isinstance(value, np.ndarray) and value.size >= n * n
+    ]
+    assert held == []
+    again = metric.pairwise_matrix()
+    assert again is not matrix and np.array_equal(again, matrix)
 
 
 @settings(max_examples=25, deadline=None)

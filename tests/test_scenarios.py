@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
 from types import SimpleNamespace
 from typing import List
 
@@ -570,6 +571,27 @@ def test_unbounded_session_run_requires_max_requests():
     assert record.num_requests == 40
 
 
+
+def _advance_timed_out(signum, frame):
+    raise TimeoutError("advance() did not return")
+
+
+def test_unbounded_session_advance_requires_a_count():
+    """Without a count, advance() on an unbounded scenario would never return."""
+    spec = {"algorithm": "pd-omflp",
+            "scenario": {"kind": "uniform", "num_commodities": 3}, "seed": 0}
+    session = ScenarioSession(spec)
+    previous = signal.signal(signal.SIGALRM, _advance_timed_out)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ScenarioError, match="scenario 'uniform' is unbounded"):
+            session.advance()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert session.position == 0
+    assert len(session.advance(40)) == 40
+
 # ---------------------------------------------------------------------------
 # RunSpec / run() wiring
 # ---------------------------------------------------------------------------
@@ -731,6 +753,26 @@ def test_service_scenario_eviction_resumes_generator_bit_identically(tmp_path):
     ]
     assert manager.finalize("s").total_cost == reference_record.total_cost
 
+
+
+def test_service_refuses_a_scenario_snapshot_whose_stream_moved(tmp_path):
+    """A reload checks the file as ScenarioSession.restore does: a stream
+    position that disagrees with the served requests is refused, on the
+    wire too, and the file stays on disk as it was."""
+    manager = SessionManager(snapshot_dir=tmp_path)
+    manager.create("s", _service_spec())
+    manager.advance("s", 20)
+    path = manager.evict("s")
+    data = json.loads(path.read_text())
+    data["scenario_state"]["position"] += 5
+    damaged = json.dumps(data)
+    path.write_text(damaged)
+    with pytest.raises(ScenarioError, match="stream position 25 vs 20 session requests"):
+        manager.advance("s", 3)
+    response = ServiceProtocol(manager).handle({"op": "advance", "name": "s", "count": 3})
+    assert response["ok"] is False and response["error_type"] == "ScenarioError"
+    assert path.read_text() == damaged
+    assert manager.status("s").get("evicted")
 
 def test_protocol_advance_op_round_trip():
     protocol = ServiceProtocol(SessionManager())

@@ -15,6 +15,11 @@ dict.  These tests pin, with exact ``==``:
   state's facility-id order would show only here).  The
   production-vs-oracle grids cannot see such a change: both of their sides
   run through the same session, and the oracle changed with production;
+* the same digests on seven more metric spaces, recorded while a metric
+  that had built its pairwise matrix kept it and read distances from it:
+  graph, tree, an explicit matrix, the single point (through its scenario),
+  and a Euclidean, line and grid space whose ``pairwise_matrix()`` was
+  called before the session started;
 * the same runs with the stock telemetry attached: the event digests do not
   move (telemetry is passive), and the final ``telemetry_summary()`` of
   each run, a function of its events alone, matches a SHA-256 digest
@@ -57,8 +62,15 @@ from repro.exceptions import (
     InvalidCostFunctionError,
     InvalidInstanceError,
 )
-from repro.metric.factories import uniform_line_metric
+from repro.metric.factories import (
+    random_euclidean_metric,
+    random_graph_metric,
+    random_grid_metric,
+    random_tree_metric,
+    uniform_line_metric,
+)
 from repro.metric.line import LineMetric
+from repro.metric.matrix import ExplicitMetric
 from repro.scenarios import ScenarioSession
 
 # ---------------------------------------------------------------------------
@@ -187,10 +199,88 @@ GOLDEN_TELEMETRY_DIGESTS = {
 }
 
 
+#: The metric spaces of the space grid: the matrix-backed ones, and the
+#: coordinate ones once their pairwise_matrix() has been built.
+SPACES = ("graph", "tree", "single-point", "explicit", "euclidean-after-matrix",
+          "line-after-matrix", "grid-after-matrix")
+
+#: "algorithm/space/seed" -> the same digest as GOLDEN_EVENT_DIGESTS, for
+#: every online algorithm on each of SPACES (``single-point`` through its
+#: scenario, the others through drawn arrivals).
+GOLDEN_SPACE_DIGESTS = {
+    "always-large-greedy/euclidean-after-matrix/0": "c8a71d86345d8a0415bc6cf80902f21c19387b28a93a45a8fe5fe650ef84abe4",
+    "always-large-greedy/explicit/0": "223793cef4d9065b83901a4abf55cc8043a62f855d0f3b582ea6a26688f321f1",
+    "always-large-greedy/graph/0": "9a56ca9ac342f880886e392a06dae66ab19ec0655918b992665fc861d196765f",
+    "always-large-greedy/grid-after-matrix/0": "a58d2c3386221cadad5481fff21abeda6c3d0728a96616a2c66ad91b16b6cdda",
+    "always-large-greedy/line-after-matrix/0": "6c5d51a5503c30b801858f96b2446deaef5c6c78b528826949f74a955a4c73ac",
+    "always-large-greedy/single-point/0": "0d8a8aa974b583455be508eea96c654d92e89a308141023af9ec42f5d64b7e82",
+    "always-large-greedy/tree/0": "fb97bb0342cfb9f4e5213482ec49795d5ad64f364c36aa42363918ebf18fd978",
+    "fotakis-ofl/euclidean-after-matrix/0": "c98e4eccaf75d879ef09691fbf0aeabcda8ae463a16362fbbe3635db8561afdc",
+    "fotakis-ofl/explicit/0": "86a4af7660c246d89dfdbb65db2d49abed4077b0223786b3c30236ac40651cf2",
+    "fotakis-ofl/graph/0": "182d260845ae1b36e780a1520c3836f0c32364e0fbf29f255637e39bd60e4e65",
+    "fotakis-ofl/grid-after-matrix/0": "7836d4234639fcfad015a123f958604aaa28b35d5a4f00e43b61edce737aaa5d",
+    "fotakis-ofl/line-after-matrix/0": "7a1305e39c8f0206a1a6baee9d3bfa3c378a05ca10873a9230d5cd8f72a32bd6",
+    "fotakis-ofl/single-point/0": "76c1ece44b48515157351a4aa14a64c77fb32959f1af04f77fd76504eea52b76",
+    "fotakis-ofl/tree/0": "2b653ef7d2899f3a72e24ce484dd6ab41c401999e0e18a6f34b34c297cbebe6c",
+    "meyerson-ofl/euclidean-after-matrix/0": "cffd79b6fa1facc892dc465313eccfebf3ddbfe7f7aac1c44d23596963e9e78d",
+    "meyerson-ofl/explicit/0": "3803587469cd382119febf4d47de967bd401d0de8a043f6fac722c761d855c3f",
+    "meyerson-ofl/graph/0": "89a33b210a61c45eaff50545ae114c7175fe6b17c98188523e35f2c914df1444",
+    "meyerson-ofl/grid-after-matrix/0": "66d0afc599bc56beab6905cd8f4fdf0a07a92ac16e4194b4498c44db71b2a2e7",
+    "meyerson-ofl/line-after-matrix/0": "1f9bb7908c2463d0f3eaba4e0484cb2e3b162ce687f2dae1570d84ca303a1e6b",
+    "meyerson-ofl/single-point/0": "76c1ece44b48515157351a4aa14a64c77fb32959f1af04f77fd76504eea52b76",
+    "meyerson-ofl/tree/0": "0db3b85dc26ed93d013c016e27ae999fc1f6e86a1984cc893a06a7d1653f2bf2",
+    "no-prediction-greedy/euclidean-after-matrix/0": "2e25d791c7153bbaab346d6df45892b3b2d608bde60dae5b16d5c55391248426",
+    "no-prediction-greedy/explicit/0": "30a54b5c8cd020c15f142310fc0fc6e2b0b71215756881afb8dea6fba09e1d7d",
+    "no-prediction-greedy/graph/0": "f080b02772c08b0464e4374df62c7cf8b78784c250c287c1527c7f7b4fd44981",
+    "no-prediction-greedy/grid-after-matrix/0": "c1f379d232fd3341e222e57e19532618fa47a77386cf7206f41d48427b3dbfc4",
+    "no-prediction-greedy/line-after-matrix/0": "df8855540073efda7fd15958033641b508051424c80cdd81a8b842a67e1b1c5a",
+    "no-prediction-greedy/single-point/0": "73a69a72f84a52d6e7d128473fb4035f97602dbe2b99280a2b8565ff52d8de2f",
+    "no-prediction-greedy/tree/0": "531113cbdf26ded80e6b22f5626d7f293ca239940ebae0d889bb939850f84d09",
+    "pd-omflp/euclidean-after-matrix/0": "550b4cf8790ef1244fff4c7d02c4fc44ea3d0a79cf64765fb03a35468452fbb9",
+    "pd-omflp/explicit/0": "2fa4df122fdbd43db6cc437709f38279eb2281350ab6f94312b89e87670c46b3",
+    "pd-omflp/graph/0": "54653da195327abaed2237d05aa02e6490ac79f6a63e2724278939545d9ba914",
+    "pd-omflp/grid-after-matrix/0": "07d8cf92462a46ea632f6940c3ddcff9e11f9d3e6be06ed372597cad6aac5273",
+    "pd-omflp/line-after-matrix/0": "9c7cffd1e2b222207158d0b2490ce7cce84321703b1ceff05798101d2a68af60",
+    "pd-omflp/single-point/0": "73a69a72f84a52d6e7d128473fb4035f97602dbe2b99280a2b8565ff52d8de2f",
+    "pd-omflp/tree/0": "5c68008b8905bab755bf16cdc02d4d5c06cfbf1df0f56240cd86760634dba2f1",
+    "per-commodity-fotakis/euclidean-after-matrix/0": "385cbf681e4bc8f0666194d1cf02ced8bb74c6fe6d0a090ab4825cdaf84290af",
+    "per-commodity-fotakis/explicit/0": "7eddb13aa76179a9d54a1e03151c3f523e4f3779784bb02c6f988f42cc033c45",
+    "per-commodity-fotakis/graph/0": "a98194c94ce2428f256b645db1c46e975ab2edb9e2f4d70607599903ab571a06",
+    "per-commodity-fotakis/grid-after-matrix/0": "85166a5c9fb199c8185a605be840f0bdbc45dd98488b29eb21f02ac4f5c75f18",
+    "per-commodity-fotakis/line-after-matrix/0": "5a3fe01c912d5022534be762fce4869f90fbfa3540828a8ed24f0c8c24a63d6e",
+    "per-commodity-fotakis/single-point/0": "73a69a72f84a52d6e7d128473fb4035f97602dbe2b99280a2b8565ff52d8de2f",
+    "per-commodity-fotakis/tree/0": "8b2e21b1e46833614ea02ea229033b7bdc23ee52f10ba14e03273f5742f11838",
+    "per-commodity-meyerson/euclidean-after-matrix/0": "990c4e0fe9fc25c21d7b8ca4d5e93b532d56181a60b6dfab19c706daa9f94a77",
+    "per-commodity-meyerson/explicit/0": "a9d167661e42980185824239880c912c782efe74416b0d5323558016f1f6a4fa",
+    "per-commodity-meyerson/graph/0": "d70d76dce1a9653c847bd1a0d135d3cfe6c52453fb8e6051b6ef88d28adfe426",
+    "per-commodity-meyerson/grid-after-matrix/0": "f66d7fa628455376f17fce26b7edd54cb57b4488b6fe50ca66804cf4446cd1f3",
+    "per-commodity-meyerson/line-after-matrix/0": "9828b40a56ff62ee6a3ad611fd173e9cdd0a603ed6c0a0923d2cb02de599c6a4",
+    "per-commodity-meyerson/single-point/0": "73a69a72f84a52d6e7d128473fb4035f97602dbe2b99280a2b8565ff52d8de2f",
+    "per-commodity-meyerson/tree/0": "a4d8589ce32cb17ffe621d4dbf5895022f384b965332d64b9e52efdf2d6b0723",
+    "rand-omflp/euclidean-after-matrix/0": "5e3faaebdc47bbee9f7b46a97e89bfe4a73c42fc3df565d34713761995035d11",
+    "rand-omflp/explicit/0": "0332dbfedff785314c7b73b7a5e583be27025cebe554270cf975049cd07f09b4",
+    "rand-omflp/graph/0": "7d46f8998bea8c1913421ceeda1e6949ea3047c6a2b05064fd7522ad72eba435",
+    "rand-omflp/grid-after-matrix/0": "503e3864cff7d96b075f06ed70b785d5abce8182af9b929db2038eaf67c6ca82",
+    "rand-omflp/line-after-matrix/0": "e48b5a132aa48fcc5da937a66eab9db3fe2ec78b54182804f4edfc9c2231f09b",
+    "rand-omflp/single-point/0": "9a1e5fbfdd61fead65cc0a6ae622944b8357316c9891b3365e38e43b3eaf7536",
+    "rand-omflp/tree/0": "17bd3d710f0ddf67d7ff68d6e5911bf27b520cc813b0514a8d63ee5f82a52675",
+    "threshold-pd/euclidean-after-matrix/0": "9a01b8d9633e24bf30b5c3e509fbbfbb7fafeba06cc8c72a676db3705a0dcb28",
+    "threshold-pd/explicit/0": "57e33467ea9b1386c736aeeac9b4fe57bcd33ee15e678fa826ff0460cb540cdc",
+    "threshold-pd/graph/0": "7da31432bea1fd7bad8f5815d35ef067775ff5a6ba77c3951c22c721bb6099a5",
+    "threshold-pd/grid-after-matrix/0": "48107b65efb8cd652896a0e80983a7a652df57b65d66f1184c3b413b87bb2e09",
+    "threshold-pd/line-after-matrix/0": "9996a32dc7d22528ab5fb7db69848c832c79988785ef086f38a134770996b012",
+    "threshold-pd/single-point/0": "73a69a72f84a52d6e7d128473fb4035f97602dbe2b99280a2b8565ff52d8de2f",
+    "threshold-pd/tree/0": "4eff54314ec12ec2a31797738d8695ba33693ed3e129fe828fb444e01fed9192",
+}
+
+
 def _scenario(kind: str, num_commodities: int) -> dict:
     if kind == "uniform":
         return {"kind": "uniform", "num_commodities": num_commodities, "num_points": 24,
                 "num_requests": 40}
+    if kind == "single-point":
+        return {"kind": "single-point", "num_commodities": num_commodities,
+                "subset_size": max(1, num_commodities - 1), "rounds": 10}
     return {"kind": "clustered", "num_commodities": num_commodities, "num_clusters": 3,
             "points_per_cluster": 6, "num_requests": 40}
 
@@ -202,13 +292,43 @@ TIE_COORDINATES = [0, 0, 1, 3, 3, 3, 4, 6, 6, 7, 9, 9]
 TIE_SCALES = [0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 1.0]
 
 
-def _tie_events(algorithm, seed: int, num_commodities: int, telemetry) -> tuple:
-    """The events of 40 arrivals drawn with ``seed`` (so points repeat) on the
-    "ties" instance, and the session that served them."""
+def _after_matrix(metric):
+    """``metric`` once its ``pairwise_matrix()`` has been built."""
+    metric.pairwise_matrix()
+    return metric
+
+
+def _scales(num_points: int) -> list:
+    return [float(1 + point % 3) for point in range(num_points)]
+
+
+#: Spaces served by drawn arrivals: name -> a builder of (metric, per-point
+#: cost scales).  Each call builds a fresh metric.
+DRAWN_SPACES = {
+    "ties": lambda: (LineMetric(TIE_COORDINATES), TIE_SCALES),
+    "graph": lambda: (random_graph_metric(14, edge_probability=0.25, rng=21), _scales(14)),
+    "tree": lambda: (random_tree_metric(14, rng=22), _scales(14)),
+    "explicit": lambda: (
+        ExplicitMetric(random_graph_metric(14, rng=23).pairwise_matrix()), _scales(14)
+    ),
+    "euclidean-after-matrix": lambda: (
+        _after_matrix(random_euclidean_metric(14, rng=24)), _scales(14)
+    ),
+    "line-after-matrix": lambda: (_after_matrix(LineMetric(TIE_COORDINATES)), TIE_SCALES),
+    "grid-after-matrix": lambda: (
+        _after_matrix(random_grid_metric(14, width=4, height=4, rng=25)), _scales(14)
+    ),
+}
+
+
+def _drawn_events(algorithm, space: str, seed: int, num_commodities: int, telemetry) -> tuple:
+    """The events of 40 arrivals drawn with ``seed`` (so points repeat) on a
+    :data:`DRAWN_SPACES` space, and the session that served them."""
+    metric, scales = DRAWN_SPACES[space]()
     session = OnlineSession(
         algorithm,
-        LineMetric(TIE_COORDINATES),
-        PerPointScaledCost(PowerCost(num_commodities, 1.0), TIE_SCALES),
+        metric,
+        PerPointScaledCost(PowerCost(num_commodities, 1.0), scales),
         commodities=CommodityUniverse(num_commodities),
         rng=seed,
         telemetry=telemetry,
@@ -216,7 +336,7 @@ def _tie_events(algorithm, seed: int, num_commodities: int, telemetry) -> tuple:
     draws = np.random.default_rng(seed)
     events = []
     for _ in range(40):
-        point = int(draws.integers(len(TIE_COORDINATES)))
+        point = int(draws.integers(metric.num_points))
         size = int(draws.integers(1, num_commodities + 1))
         events.append(
             session.submit(point, draws.choice(num_commodities, size, replace=False).tolist())
@@ -230,8 +350,10 @@ def _served(name: str, kind: str, seed: int, telemetry=None) -> tuple:
     params = (
         {"num_commodities": num_commodities, "excluded": [0]} if name == "threshold-pd" else {}
     )
-    if kind == "ties":
-        return _tie_events(ALGORITHMS.build(name, **params), seed, num_commodities, telemetry)
+    if kind in DRAWN_SPACES:
+        return _drawn_events(
+            ALGORITHMS.build(name, **params), kind, seed, num_commodities, telemetry
+        )
     session = ScenarioSession(
         {
             "algorithm": {"kind": name, **params} if params else name,
@@ -261,12 +383,21 @@ def _event_digest(events, session) -> str:
 def test_the_digest_grid_covers_every_online_algorithm():
     assert {key.split("/")[0] for key in GOLDEN_EVENT_DIGESTS} == set(ALGORITHMS.names())
     assert set(GOLDEN_TELEMETRY_DIGESTS) == set(GOLDEN_EVENT_DIGESTS)
+    assert set(GOLDEN_SPACE_DIGESTS) == {
+        f"{name}/{space}/0" for name in ALGORITHMS.names() for space in SPACES
+    }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_EVENT_DIGESTS))
 def test_events_and_costs_match_the_golden_digest(case):
     name, kind, seed = case.split("/")
     assert _event_digest(*_served(name, kind, int(seed))) == GOLDEN_EVENT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SPACE_DIGESTS))
+def test_every_space_matches_the_golden_digest(case):
+    name, space, seed = case.split("/")
+    assert _event_digest(*_served(name, space, int(seed))) == GOLDEN_SPACE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TELEMETRY_DIGESTS))
