@@ -81,8 +81,13 @@ class OnlineAlgorithm(abc.ABC):
 
         Must be called after :meth:`prepare` ran against an equivalent
         instance, and before any :meth:`process` call.  The default accepts
-        only the empty snapshot of a stateless algorithm.
+        only the empty snapshot of a stateless algorithm: anything but a JSON
+        object, or an object with keys, raises :class:`SnapshotError`.
         """
+        if not isinstance(state, Mapping):
+            raise SnapshotError(
+                f"{self.name} state must be a JSON object, got {type(state).__name__}"
+            )
         if state:
             raise SnapshotError(
                 f"{self.name} is stateless and cannot load a non-empty "

@@ -14,8 +14,10 @@ runs one helper per commodity, and ``fotakis-ofl`` (used by the substrate
 sanity experiment) is that baseline at ``|S| = 1``
 (:mod:`repro.algorithms.online.per_commodity`).
 
-The helper keeps only what the state does not hold: the bid sums over
-earlier demands, in a one-slot bid ledger
+The helper reads its opening costs ``f^{{e}}_m`` from the instance's tables
+(``instance.tables.cost_vector((e,))``, the vector PD-OMFLP reads) and keeps
+only what neither the state nor the tables hold: the bid sums over earlier
+demands, in a one-slot bid ledger
 (:class:`~repro.accel.history.BidHistoryBuffer`; an exact running sum makes a
 request O(n) unless an opening lowered some bid), which also keeps each
 distinct point's distance row once per run.  The ledger's entries are the
@@ -24,15 +26,14 @@ helper's snapshot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.accel.history import BidHistoryBuffer, open_trigger
+from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
-from repro.exceptions import AlgorithmError
-from repro.metric.base import MetricSpace
 from repro.utils.validation import snapshot_field
 
 __all__ = ["SingleCommodityPrimalDual"]
@@ -43,26 +44,17 @@ class SingleCommodityPrimalDual:
 
     Parameters
     ----------
-    metric:
-        The underlying metric space.
-    opening_costs:
-        Vector of facility opening costs per point for this commodity.
+    instance:
+        The instance whose metric and cost tables the helper reads.
     commodity:
         The commodity ``e`` whose facilities ``F(e)`` the helper reads and opens.
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], commodity: int
-    ) -> None:
-        costs = np.asarray(opening_costs, dtype=np.float64)
-        if costs.shape != (metric.num_points,):
-            raise AlgorithmError(
-                f"opening_costs must have one entry per point, got shape {costs.shape}"
-            )
-        self._costs = costs
+    def __init__(self, instance: Instance, commodity: int) -> None:
         self._commodity = commodity
         self._configuration = (commodity,)
-        self._ledger = BidHistoryBuffer(metric)
+        self._costs = instance.tables.cost_vector(self._configuration)
+        self._ledger = BidHistoryBuffer(instance.metric)
 
     # ------------------------------------------------------------------
     def _row(self, point: int) -> np.ndarray:

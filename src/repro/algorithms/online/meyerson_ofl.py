@@ -14,30 +14,33 @@ is the run's only facility set.  The per-commodity baseline runs one helper
 per commodity, and ``meyerson-ofl`` is that baseline at ``|S| = 1``
 (:mod:`repro.algorithms.online.per_commodity`).
 
-The helper keeps only what the state does not hold: the memoized per-class
-distance columns (:class:`~repro.accel.classes.ClassDistanceIndex`), a pure
-function of the instance, so a demand costs O(classes) plus O(n) per opened
-facility or unseen point, and its snapshot is empty.  The coins are flipped
-in one scalar loop over the class values and the memoized class distances:
-each class's probability is a float expression of two neighbouring
-distances, and a class with a positive probability takes one ``random()``
-draw.  A column holds one to a few classes, so plain float arithmetic is
-cheaper here than NumPy calls on tiny arrays.
+The helper reads its cost classes, with their memoized per-class distance
+columns, from the instance's tables (``instance.tables.cost_classes((e,))``,
+a :class:`~repro.costs.classes.CostClassIndex`, the one RAND-OMFLP reads), so
+a demand costs O(classes) plus O(n) per opened facility or unseen point, and
+a session reloaded onto its kept instance builds no class index and reads no
+metric row for one.  The helper keeps only what neither the state nor the
+tables hold: each class's cumulative points in ascending point order, for its
+nearest-point scan, which breaks equal distances towards the lowest point
+index (the tables' scan goes class by class).  Its snapshot is empty.
+The coins are flipped in one scalar loop over the class values and the
+memoized class distances: each class's probability is a float expression of
+two neighbouring distances, and a class with a positive probability takes
+one ``random()`` draw.  A column holds one to a few classes, so plain float
+arithmetic is cheaper here than NumPy calls on tiny arrays.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.accel.classes import ClassDistanceIndex
+from repro.core.instance import Instance
 from repro.core.requests import Request
 from repro.core.state import OnlineState
 from repro.costs.classes import class_position
-from repro.exceptions import AlgorithmError, SnapshotError
-from repro.metric.base import MetricSpace
-from repro.utils.maths import round_down_power_of_two
+from repro.exceptions import SnapshotError
 
 __all__ = ["SingleCommodityMeyerson"]
 
@@ -47,62 +50,49 @@ class SingleCommodityMeyerson:
 
     Parameters
     ----------
-    metric:
-        The underlying metric space.
-    opening_costs:
-        Vector of facility opening costs per point for this commodity.
+    instance:
+        The instance whose metric and cost tables the helper reads.
     commodity:
         The commodity ``e`` whose facilities ``F(e)`` the helper reads and opens.
     """
 
-    def __init__(
-        self, metric: MetricSpace, opening_costs: Sequence[float], commodity: int
-    ) -> None:
-        costs = np.asarray(opening_costs, dtype=np.float64)
-        if costs.shape != (metric.num_points,):
-            raise AlgorithmError(
-                f"opening_costs must have one entry per point, got shape {costs.shape}"
-            )
+    def __init__(self, instance: Instance, commodity: int) -> None:
         self._commodity = commodity
         self._configuration = (commodity,)
-        rounded = round_down_power_of_two(costs)
-        values = np.unique(rounded).tolist()
-        self._class_values: List[float] = values
-        # cumulative point sets: points whose rounded cost is <= class value
-        # (kept as intp arrays so distances_between never re-converts them).
+        self._metric = instance.metric
+        self._classes = instance.tables.cost_classes(self._configuration)
         self._class_points: List[np.ndarray] = [
-            np.where(rounded <= value)[0].astype(np.intp) for value in values
+            np.sort(np.asarray(cls.cumulative_points, dtype=np.intp))
+            for cls in self._classes.classes
         ]
-        exact = [np.where(rounded == value)[0].astype(np.intp) for value in values]
-        # The cumulative sets are handed over in ascending point order, so
-        # lazy nearest-point scans break ties towards the lowest point index.
-        self._class_index = ClassDistanceIndex(metric, values, exact, self._class_points)
 
     # ------------------------------------------------------------------
     @property
     def num_classes(self) -> int:
-        return len(self._class_values)
+        return self._classes.num_classes
 
     def class_value(self, index: int) -> float:
         """``C_i`` for the 1-based class index."""
-        return self._class_values[class_position(index, len(self._class_values))]
+        return self._classes.class_value(index)
 
     def distance_to_class(self, index: int, point: int) -> float:
         """Distance to the nearest point of rounded cost at most ``C_i``."""
-        return self._class_index.distance_to_class(index, point)
+        return self._classes.distance_to_class(index, point)
 
     def nearest_point_of_class(self, index: int, point: int) -> int:
-        return self._class_index.nearest_point_of_class(index, point)[0]
+        """The lowest-index point of rounded cost at most ``C_i`` nearest to ``point``."""
+        points = self._class_points[class_position(index, len(self._class_points))]
+        return self._metric.nearest(point, points)[0]
 
     def cheapest_open_option(self, point: int) -> Tuple[int, float]:
         """``(argmin_i, min_i (C_i + d(C_i, r)))`` with 1-based index (first minimum)."""
-        return self._class_index.cheapest_open_option(point)
+        return self._classes.cheapest_open_option(point)
 
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Empty: the facilities are the state's ``F(e)``, the class index is static."""
+        """Empty: the facilities are the state's ``F(e)``, the classes are the tables'."""
         return {}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -131,7 +121,7 @@ class SingleCommodityMeyerson:
         best_class, cheapest_open = self.cheapest_open_option(point)
         previous = cheapest_open if nearest is None else min(nearest[1], cheapest_open)
         opened: List[int] = []
-        classes = zip(self._class_values, self._class_index.distances(point))
+        classes = zip(self._classes.values, self._classes.distances(point))
         for index, (value, distance) in enumerate(classes, start=1):
             increment = previous - distance
             previous = distance

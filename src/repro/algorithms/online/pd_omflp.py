@@ -155,14 +155,18 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
             raise SnapshotError(
                 "PDOMFLPAlgorithm.load_state_dict requires a freshly prepared run"
             )
+        duals = DualVariableStore.from_dict(snapshot_field(state, "duals", "PD-OMFLP state"))
+        num_commodities = self._instance.num_commodities
+        if duals.num_commodities != num_commodities:
+            raise SnapshotError(
+                f"duals num_commodities must be {num_commodities}, got {duals.num_commodities}"
+            )
         if "history" in state and "small_buffers" not in state:
             raise SnapshotError(
                 "PD-OMFLP snapshot holds the per-request 'history' bid state of "
                 "the removed reference hot path and cannot be restored; replay "
                 "the run's requests into a new session instead"
             )
-        self._duals = DualVariableStore.from_dict(state["duals"])
-        num_commodities = self._instance.num_commodities
         histories = snapshot_list(
             snapshot_field(state, "small_buffers", "PD-OMFLP state"), "small_buffers"
         )
@@ -183,6 +187,7 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         ledger.load_state_dict(
             snapshot_field(state, "large_buffer", "PD-OMFLP state"), slot=self._large_slot
         )
+        self._duals = duals
 
     # ------------------------------------------------------------------
     # Cached quantities

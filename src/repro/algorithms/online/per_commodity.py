@@ -7,7 +7,9 @@ example."  This baseline does exactly that: it runs one single-commodity
 online-facility-location helper per commodity (either the deterministic
 primal–dual substrate or Meyerson's randomized one) whose facility opening
 costs are the singleton costs ``f^{{e}}_m``.  Each helper reads and opens the
-state's ``F(e)``, so the baseline keeps no facility set of its own.
+state's ``F(e)``, and reads its costs (and Meyerson's its cost classes) from
+the instance's tables, so the baseline keeps no facility set and no cost
+table of its own.
 
 With ``|S| = 1`` the baseline *is* the classical algorithm:
 :class:`FotakisOFLAlgorithm` and :class:`MeyersonOFLAlgorithm` are this class
@@ -64,15 +66,10 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
     def _helper_for(self, commodity: int) -> Helper:
         helper = self._helpers.get(commodity)
         if helper is None:
-            costs = self._instance.cost_function.costs_over_points(
-                (commodity,), list(range(self._instance.num_points))
-            )
             helper_class = (
                 SingleCommodityPrimalDual if self._base == "fotakis" else SingleCommodityMeyerson
             )
-            helper = self._helpers[commodity] = helper_class(
-                self._instance.metric, costs, commodity
-            )
+            helper = self._helpers[commodity] = helper_class(self._instance, commodity)
         return helper
 
     # ------------------------------------------------------------------

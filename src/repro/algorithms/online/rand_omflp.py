@@ -35,19 +35,19 @@ feasibility fallback (DESIGN.md §4.2); this only affects constants.
 The cost classes of each configuration and their per-class distances
 ``d(C^τ_i, ·)`` are pure functions of the metric and the cost, so they come
 from the instance's tables (:mod:`repro.accel.tables`): one
-:class:`~repro.costs.classes.CostClassIndex` per configuration and its
-memoized :class:`~repro.accel.classes.ClassDistanceIndex` columns (O(1) per
-query after the first from a point) instead of an O(n) scan per class per
-request.  Another run on the same instance, such as a reloaded service
-session, reads the tables the earlier runs filled.
+:class:`~repro.costs.classes.CostClassIndex` per configuration, whose
+memoized columns answer a query in O(1) after the first from a point instead
+of an O(n) scan per class per request.  Another run on the same instance,
+such as a reloaded service session, reads the tables the earlier runs filled.
+So the algorithm keeps no per-run state of its own, and its snapshot is the
+empty one of :class:`~repro.algorithms.base.OnlineAlgorithm`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
-from repro.accel.classes import ClassDistanceIndex
-from repro.accel.tables import EnvironmentTables
+from repro.accel.tables import Configuration, EnvironmentTables
 from repro.algorithms.base import OnlineAlgorithm
 from repro.core.assignment import Assignment
 from repro.core.instance import Instance
@@ -69,7 +69,7 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
         self.name = "rand-omflp"
         self._instance: Optional[Instance] = None
         self._tables: Optional[EnvironmentTables] = None
-        self._large_classes: Optional[CostClassIndex] = None
+        self._full_set: FrozenSet[int] = frozenset()
 
     # ------------------------------------------------------------------
     def prepare(self, instance: Instance, state: OnlineState, rng) -> None:
@@ -78,43 +78,11 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
         # instance's tables build each configuration's classes once, lazily:
         # a run may never see some commodities.
         self._tables = instance.tables
-        self._large_classes = self._tables.cost_classes(instance.cost_function.full_set)
+        self._full_set = instance.cost_function.full_set
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """RAND-OMFLP carries no per-run decision state of its own.
-
-        Every table it reads (the cost classes and their class-distance
-        columns) is a pure function of the static instance and lives in the
-        instance's tables; the run's decisions live entirely in the shared
-        :class:`OnlineState` and the RNG stream, both captured by the session
-        snapshot.  The snapshot is therefore empty.
-        """
-        if self._instance is None:
-            raise AlgorithmError("prepare() was not called before state_dict()")
-        return {}
-
-    def load_state_dict(self, state) -> None:
-        if self._instance is None:
-            raise AlgorithmError("prepare() was not called before load_state_dict()")
-        if state:
-            raise AlgorithmError(
-                f"rand-omflp snapshots are empty, got keys {sorted(state)}"
-            )
-
-    def _classes_for(self, commodity: int) -> CostClassIndex:
-        return self._tables.cost_classes((commodity,))
-
-    def _provider_for(self, commodity: int) -> ClassDistanceIndex:
-        """Distance queries (``distance_to_class`` / ``nearest_point_of_class``
-        / ``cheapest_open_option``) over one commodity's cost classes."""
-        return self._tables.class_distances((commodity,))
-
-    def _large_provider(self) -> ClassDistanceIndex:
-        """Distance queries over the large configuration's cost classes."""
-        return self._tables.class_distances(self._instance.cost_function.full_set)
+    def _classes_for(self, configuration: Configuration) -> CostClassIndex:
+        """The cost classes of a commodity's ``(e,)`` or of the full set ``S``."""
+        return self._tables.cost_classes(configuration)
 
     # ------------------------------------------------------------------
     # Budgets (Section 4.1)
@@ -122,13 +90,13 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
     def _small_budget(self, state: OnlineState, request: Request, commodity: int) -> float:
         """``X(r, e)``."""
         existing = state.distance_to_nearest(commodity, request.point)
-        _, cheapest_open = self._provider_for(commodity).cheapest_open_option(request.point)
+        _, cheapest_open = self._classes_for((commodity,)).cheapest_open_option(request.point)
         return min(existing, cheapest_open)
 
     def _large_budget(self, state: OnlineState, request: Request) -> float:
         """``Z(r)``."""
         existing = state.distance_to_nearest_large(request.point)
-        _, cheapest_open = self._large_provider().cheapest_open_option(request.point)
+        _, cheapest_open = self._classes_for(self._full_set).cheapest_open_option(request.point)
         return min(existing, cheapest_open)
 
     # ------------------------------------------------------------------
@@ -146,17 +114,17 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
         # ----- coin flips for small facilities -------------------------------
         for e in commodities:
             share = (small_budgets[e] / x_total) if x_total > 0 else (1.0 / len(commodities))
-            classes = self._classes_for(e)
-            provider = self._provider_for(e)
+            classes = self._classes_for((e,))
             previous_distance = budget
-            for cls in classes.classes:
-                distance_i = provider.distance_to_class(cls.index, point)
+            for index, (value, distance_i) in enumerate(
+                zip(classes.values, classes.distances(point)), start=1
+            ):
                 increment = previous_distance - distance_i
                 previous_distance = distance_i
-                if cls.value <= 0:
+                if value <= 0:
                     probability = 1.0 if increment > 0 else 0.0
                 else:
-                    probability = min(max(increment / cls.value, 0.0), 1.0) * share
+                    probability = min(max(increment / value, 0.0), 1.0) * share
                 success = probability > 0 and rng.random() < probability
                 if state.trace.enabled:
                     state.trace.record(
@@ -164,26 +132,27 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
                             request_index=request.index,
                             kind="small",
                             commodity=e,
-                            class_index=cls.index,
+                            class_index=index,
                             probability=probability,
                             success=success,
                         )
                     )
                 if success:
-                    target, _ = provider.nearest_point_of_class(cls.index, point)
+                    target, _ = classes.nearest_point_of_class(index, point)
                     state.open_facility(request, target, (e,))
 
         # ----- coin flips for the large facility -----------------------------
-        large_provider = self._large_provider()
+        large = self._classes_for(self._full_set)
         previous_distance = budget
-        for cls in self._large_classes.classes:
-            distance_i = large_provider.distance_to_class(cls.index, point)
+        for index, (value, distance_i) in enumerate(
+            zip(large.values, large.distances(point)), start=1
+        ):
             increment = previous_distance - distance_i
             previous_distance = distance_i
-            if cls.value <= 0:
+            if value <= 0:
                 probability = 1.0 if increment > 0 else 0.0
             else:
-                probability = min(max(increment / cls.value, 0.0), 1.0)
+                probability = min(max(increment / value, 0.0), 1.0)
             success = probability > 0 and rng.random() < probability
             if state.trace.enabled:
                 state.trace.record(
@@ -191,21 +160,21 @@ class RandOMFLPAlgorithm(OnlineAlgorithm):
                         request_index=request.index,
                         kind="large",
                         commodity=None,
-                        class_index=cls.index,
+                        class_index=index,
                         probability=probability,
                         success=success,
                     )
                 )
             if success:
-                target, _ = large_provider.nearest_point_of_class(cls.index, point)
-                state.open_facility(request, target, self._instance.cost_function.full_set)
+                target, _ = large.nearest_point_of_class(index, point)
+                state.open_facility(request, target, self._full_set)
 
         # ----- feasibility fallback ------------------------------------------
         for e in commodities:
             if state.distance_to_nearest(e, point) == float("inf"):
-                provider = self._provider_for(e)
-                best_index, _ = provider.cheapest_open_option(point)
-                target, _ = provider.nearest_point_of_class(best_index, point)
+                classes = self._classes_for((e,))
+                best_index, _ = classes.cheapest_open_option(point)
+                target, _ = classes.nearest_point_of_class(best_index, point)
                 state.open_facility(request, target, (e,))
 
         # ----- connect the request in the cheapest feasible way --------------

@@ -1,4 +1,4 @@
-"""Facility cost classes (powers of two) for RAND-OMFLP.
+"""Facility cost classes (powers of two) and their distance queries.
 
 Section 4.1 of the paper: "Fix a configuration sigma.  Consider the set of all
 possible different ``f^sigma_m`` rounded down to the nearest power of 2 in
@@ -12,12 +12,31 @@ most ``C^sigma_i``.  This makes the distances non-increasing in ``i`` (zero
 from class ``i`` onwards once ``r``'s own location belongs to a class
 ``<= i``), which is what gives the telescoping expectation of Lemma 20 and
 keeps the per-class probabilities inside ``[0, 1]``.
+
+:class:`CostClassIndex` is the one implementation of these classes: RAND-OMFLP
+and the Meyerson helper of the per-commodity baseline read it from the
+instance's tables (:mod:`repro.accel.tables`), one per configuration.  Every
+arriving request asks for the whole column ``(d(C_1, r), ..., d(C_k, r))``,
+so the index computes it on the first query from ``r`` out of one metric row:
+the row is gathered in class-major point order, reduced to per-class minima
+with one ``np.minimum.reduceat`` pass and turned into the cumulative
+convention with ``np.minimum.accumulate``.  The column is memoized as a tuple
+of floats (the scalar per-request loops walk one to a few classes, where plain
+float arithmetic beats a NumPy call), so repeat queries are O(1) and the work
+is O(n) per distinct query point.  Each entry is a minimum over exactly the
+floats of ``distances_from(r)`` that a per-class scan reads, and a minimum is
+order-independent, so the columns equal the scans bit for bit.
+
+The nearest point of a class is needed only when a facility opens, so it is
+not memoized: each call is a ``metric.nearest`` scan over the class's
+cumulative points in class-major order, whose ``np.argmin`` breaks equal
+distances towards the cheapest class, then the lowest point index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
@@ -56,7 +75,8 @@ class CostClass:
         Point indices whose rounded cost equals ``value`` exactly.
     cumulative_points:
         Point indices whose rounded cost is at most ``value`` (the set used
-        for the distance convention described in the module docstring).
+        for the distance convention described in the module docstring), class
+        by class.
     """
 
     index: int
@@ -66,7 +86,12 @@ class CostClass:
 
 
 class CostClassIndex:
-    """Power-of-two cost classes of one configuration over all metric points."""
+    """Power-of-two cost classes of one configuration and their memoized distances.
+
+    Class indexes are 1-based; an index outside ``[1, k]`` raises
+    :class:`InvalidCostFunctionError`.  The index holds no run-dependent
+    state, so a session snapshot never carries it.
+    """
 
     def __init__(
         self,
@@ -79,16 +104,13 @@ class CostClassIndex:
         if not self._configuration:
             raise InvalidCostFunctionError("cost classes require a non-empty configuration")
         points = list(range(metric.num_points))
-        raw_costs = cost_function.costs_over_points(self._configuration, points)
-        rounded = round_down_power_of_two(raw_costs)
-        self._rounded_costs = rounded
-
-        distinct = np.unique(rounded).tolist()
+        rounded = round_down_power_of_two(
+            cost_function.costs_over_points(self._configuration, points)
+        )
         classes: List[CostClass] = []
         cumulative: List[int] = []
-        cumulative_arrays: List[np.ndarray] = []
-        for i, value in enumerate(distinct, start=1):
-            exact = tuple(int(p) for p in np.where(rounded == value)[0])
+        for i, value in enumerate(np.unique(rounded).tolist(), start=1):
+            exact = tuple(np.flatnonzero(rounded == value).tolist())
             cumulative.extend(exact)
             classes.append(
                 CostClass(
@@ -98,12 +120,15 @@ class CostClassIndex:
                     cumulative_points=tuple(cumulative),
                 )
             )
-            cumulative_arrays.append(np.asarray(cumulative, dtype=np.intp))
         self._classes = classes
-        # Pre-converted cumulative point arrays: the distance queries below
-        # run per request per class, and handing distances_between a ready
-        # intp array avoids a list -> array conversion on every call.
-        self._cumulative_arrays = cumulative_arrays
+        #: ``(C_1, ..., C_k)``, ascending.
+        self.values: Tuple[float, ...] = tuple(cls.value for cls in classes)
+        # Class-major point order: class i's cumulative points are its prefix
+        # of length ends[i - 1]; starts are the reduceat segment offsets.
+        self._order = np.asarray(cumulative, dtype=np.intp)
+        self._ends = [len(cls.cumulative_points) for cls in classes]
+        self._starts = np.asarray([0] + self._ends[:-1], dtype=np.intp)
+        self._columns: Dict[int, Tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -120,49 +145,45 @@ class CostClassIndex:
 
     def class_value(self, index: int) -> float:
         """``C^sigma_i`` for the 1-based class index ``i``."""
-        return self._class_at(index).value
+        return self.values[class_position(index, len(self.values))]
 
-    def rounded_cost_at(self, point: int) -> float:
-        """Rounded (power-of-two) cost of the configuration at ``point``."""
-        return float(self._rounded_costs[point])
-
-    def class_of_point(self, point: int) -> int:
-        """1-based class index of ``point``'s rounded cost."""
-        value = self.rounded_cost_at(point)
-        for cls in self._classes:
-            if cls.value == value:
-                return cls.index
-        raise InvalidCostFunctionError(f"point {point} has no cost class")  # pragma: no cover
+    # ------------------------------------------------------------------
+    def distances(self, point: int) -> Tuple[float, ...]:
+        """``(d(C_1, point), ..., d(C_k, point))``, computed once per point."""
+        column = self._columns.get(point)
+        if column is None:
+            row = np.asarray(self._metric.distances_from(point), dtype=np.float64)
+            per_class = np.minimum.reduceat(row[self._order], self._starts)
+            column = tuple(np.minimum.accumulate(per_class).tolist())
+            self._columns[point] = column
+        return column
 
     def distance_to_class(self, index: int, from_point: int) -> float:
         """``d(C^sigma_i, r)`` under the cumulative convention (see module docstring)."""
-        self._class_at(index)
-        return self._metric.nearest_distance(from_point, self._cumulative_arrays[index - 1])
+        position = class_position(index, len(self.values))
+        return self.distances(from_point)[position]
 
     def nearest_point_of_class(self, index: int, from_point: int) -> Tuple[int, float]:
-        """Closest point whose rounded cost is at most ``C^sigma_i``."""
-        self._class_at(index)
-        return self._metric.nearest(from_point, self._cumulative_arrays[index - 1])
+        """Closest point whose rounded cost is at most ``C^sigma_i``, and its distance.
+
+        Equal distances go to the cheapest class, then the lowest point index.
+        """
+        end = self._ends[class_position(index, len(self.values))]
+        return self._metric.nearest(from_point, self._order[:end])
 
     def cheapest_open_option(self, from_point: int) -> Tuple[int, float]:
         """``(argmin_i, min_i { C^sigma_i + d(C^sigma_i, r) })`` for ``r = from_point``.
 
         This is the "open a new facility of some class and connect to it" term
-        inside ``X(r, e)`` and ``Z(r)`` of Section 4.1.
+        inside ``X(r, e)`` and ``Z(r)`` of Section 4.1.  The classes are
+        scanned in ascending order and the best moves only on a strict ``<``,
+        so the first class attaining the minimum wins.
         """
         best_index, best_value = 1, float("inf")
-        for cls in self._classes:
-            value = cls.value + self.distance_to_class(cls.index, from_point)
-            if value < best_value:
-                best_index, best_value = cls.index, value
+        for index, (value, distance) in enumerate(
+            zip(self.values, self.distances(from_point)), start=1
+        ):
+            option = value + distance
+            if option < best_value:
+                best_index, best_value = index, option
         return best_index, best_value
-
-    def opening_option_values(self, from_point: int) -> np.ndarray:
-        """Vector of ``C^sigma_i + d(C^sigma_i, r)`` over all classes ``i``."""
-        return np.array(
-            [cls.value + self.distance_to_class(cls.index, from_point) for cls in self._classes],
-            dtype=np.float64,
-        )
-
-    def _class_at(self, index: int) -> CostClass:
-        return self._classes[class_position(index, len(self._classes))]

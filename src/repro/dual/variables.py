@@ -6,7 +6,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.exceptions import AlgorithmError
+from repro.exceptions import AlgorithmError, SnapshotError
+from repro.utils.validation import snapshot_field, snapshot_float, snapshot_int, snapshot_list
 
 __all__ = ["DualVariableStore"]
 
@@ -81,10 +82,45 @@ class DualVariableStore:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DualVariableStore":
-        """Inverse of :meth:`to_dict` (re-freezes entries in stored order)."""
-        store = cls(int(data["num_commodities"]))
-        for request_index, commodity, value in data["values"]:
-            store.set(int(request_index), int(commodity), float(value))
+        """Inverse of :meth:`to_dict` (re-freezes entries in stored order).
+
+        Every field is checked, not coerced: a damaged one raises
+        :class:`SnapshotError` naming it under ``duals``.
+        """
+        num_commodities = snapshot_int(
+            snapshot_field(data, "num_commodities", "duals"), "duals num_commodities"
+        )
+        if num_commodities <= 0:
+            raise SnapshotError(f"duals num_commodities must be positive, got {num_commodities}")
+        store = cls(num_commodities)
+        values = store._values
+        entries = snapshot_list(snapshot_field(data, "values", "duals"), "duals values")
+        for position, entry in enumerate(entries):
+            # Messages are formatted only on failure: a restore checks every entry.
+            if type(entry) is not list or len(entry) != 3:
+                snapshot_list(entry, f"duals values[{position}]", 3)
+            request_index, commodity, value = entry
+            if type(request_index) is not int or request_index < 0:
+                raise SnapshotError(
+                    f"duals values[{position}] request must be a non-negative JSON "
+                    f"integer, got {request_index!r}"
+                )
+            if type(commodity) is not int or not 0 <= commodity < num_commodities:
+                raise SnapshotError(
+                    f"duals values[{position}] commodity must be a JSON integer in "
+                    f"[0, {num_commodities}), got {commodity!r}"
+                )
+            if type(value) is not float:
+                value = snapshot_float(value, f"duals values[{position}] value")
+            if not value >= 0:
+                raise SnapshotError(
+                    f"duals values[{position}] value must be non-negative, got {value}"
+                )
+            if (request_index, commodity) in values:
+                raise SnapshotError(
+                    f"duals values repeats request {request_index} commodity {commodity}"
+                )
+            values[request_index, commodity] = value
         return store
 
     def as_dense_matrix(self, num_requests: int) -> np.ndarray:

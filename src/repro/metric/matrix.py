@@ -19,9 +19,12 @@ __all__ = ["ExplicitMetric"]
 class ExplicitMetric(MetricSpace):
     """A finite metric space defined by its full pairwise distance matrix.
 
-    Rows are views of the matrix, and a column (:meth:`distances_to`) is a
-    copy sliced from it, so the exact-transpose contract holds even for a
-    matrix that is only symmetric up to floating-point noise.
+    The matrix is read-only and the space's own: a caller's writeable array
+    is copied once, so no write through another reference changes a
+    distance.  Rows and :meth:`pairwise_matrix` are read-only views of it,
+    and a column (:meth:`distances_to`) is a copy sliced from it, so the
+    exact-transpose contract holds even for a matrix that is only symmetric
+    up to floating-point noise.
 
     Parameters
     ----------
@@ -49,7 +52,11 @@ class ExplicitMetric(MetricSpace):
             )
         if array.shape[0] == 0:
             raise InvalidMetricError("a metric space must contain at least one point")
+        # Copy the caller's array, or a view of other data, unless it is read-only.
+        if array.flags.writeable and (array is matrix or not array.flags.owndata):
+            array = array.copy()
         self._matrix = np.ascontiguousarray(array)
+        self._matrix.flags.writeable = False
         if labels is not None and len(labels) != array.shape[0]:
             raise InvalidMetricError(
                 f"got {len(labels)} labels for {array.shape[0]} points"

@@ -13,8 +13,8 @@ run **bit-identically** in a fresh process —
 * session metadata (seed, validation flag, instance name).
 
 What is deliberately *not* stored: opening and connection costs and accel
-caches (:class:`~repro.accel.tracker.NearestSetTracker`,
-:class:`~repro.accel.classes.ClassDistanceIndex`,
+caches (:class:`~repro.accel.tracker.NearestSetTracker`, the class-distance
+columns of :class:`~repro.costs.classes.CostClassIndex`,
 :class:`~repro.accel.history.BidHistoryBuffer` rows).  They are deterministic
 folds/functions of static instance data and the stored mutation log, so
 restore rebuilds them bit-for-bit — which also keeps snapshots small:

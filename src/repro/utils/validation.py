@@ -17,6 +17,7 @@ __all__ = [
     "snapshot_list",
     "snapshot_int",
     "snapshot_indices",
+    "snapshot_float",
     "snapshot_floats",
     "snapshot_commodities",
 ]
@@ -119,15 +120,24 @@ def snapshot_indices(value: Any, where: str, bound: int) -> List[int]:
     return indices
 
 
+def snapshot_float(value: Any, where: str) -> float:
+    """``value`` as a float if it is a JSON number, non-finite ones spelled as
+    :mod:`repro.utils.encoding` writes them; strings and booleans are refused."""
+    kind = type(value)
+    if kind is not float and kind is not int and not (
+        kind is str and value in _NONFINITE_SPELLINGS
+    ):
+        raise SnapshotError(f"{where} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def snapshot_floats(value: Any, where: str) -> List[float]:
-    """A JSON list of numbers, non-finite ones spelled as :mod:`repro.utils.encoding` writes them."""
+    """A JSON list of numbers (see :func:`snapshot_float`)."""
     numbers = snapshot_list(value, where)
     for position, number in enumerate(numbers):
         kind = type(number)
-        if kind is not float and kind is not int and not (
-            kind is str and number in _NONFINITE_SPELLINGS
-        ):
-            raise SnapshotError(f"{where}[{position}] must be a JSON number, got {number!r}")
+        if kind is not float and kind is not int:
+            snapshot_float(number, f"{where}[{position}]")
     return [float(number) for number in numbers]
 
 

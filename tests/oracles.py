@@ -3,10 +3,10 @@
 Production has one hot path: the online algorithms answer their distance
 queries from the caches of :mod:`repro.accel` — nearest-facility minima
 (:class:`~repro.accel.tracker.NearestSetTracker`), memoized cost-class
-columns (:class:`~repro.accel.classes.ClassDistanceIndex`) and running bid
-sums (:class:`~repro.accel.history.BidHistoryBuffer`).  This module keeps the
-plain computations those caches replace, with the same float operations,
-order and tie-breaks:
+columns (:class:`~repro.costs.classes.CostClassIndex`, held by the instance's
+tables) and running bid sums (:class:`~repro.accel.history.BidHistoryBuffer`).
+This module keeps the plain computations those caches replace, with the same
+float operations, order and tie-breaks:
 
 * :class:`ScanFacilityStore` — ``d(F(e), r)`` / ``d(F̂, r)`` and nearest
   facilities by one scan over the open facilities per query;
@@ -16,8 +16,10 @@ order and tie-breaks:
   demand history;
 * :class:`ReferenceMeyerson` — the Meyerson helper's per-class scans and
   scalar coin probabilities;
+* :class:`ScanCostClasses` — a cost-class index's queries as one scan per
+  class per call, over the production index's class values and point sets;
 * :class:`ReferenceRandOMFLPAlgorithm` — RAND-OMFLP on
-  :class:`~repro.costs.classes.CostClassIndex` scan providers.
+  :class:`ScanCostClasses`.
 
 The offline greedy solver computes each round's ratio table over arrays; its
 oracle is the plain loop over every (point, configuration) candidate:
@@ -27,9 +29,11 @@ oracle is the plain loop over every (point, configuration) candidate:
 * :func:`reference_optimal_assignment` — the assignment DP whose
   reconstruction asks the metric again for every distance it already holds.
 
-No query here reads a tracker, class index or bid buffer (the inherited
-constructors still build them; nothing consults them).  The single-commodity
-helpers read ``F(e)`` through the state, whose store is the scan store inside
+No query here reads a tracker, a memoized class-distance column or a bid
+buffer: the scans take only the class values and point sets of the
+production class index, and nothing consults what the inherited
+constructors still build.  The single-commodity helpers read ``F(e)``
+through the state, whose store is the scan store inside
 :func:`reference_scans`.  Production code does not know this module: the
 reference classes override private hooks of the production ones, and
 :func:`reference_scans` patches the module globals production constructs its
@@ -97,6 +101,7 @@ from repro.core.requests import Request, RequestSequence
 from repro.core.solution import CostBreakdown, Solution
 from repro.core.state import OnlineState
 from repro.core.trace import RequestAssignedEvent
+from repro.costs.classes import CostClassIndex
 from repro.exceptions import AlgorithmError, InfeasibleSolutionError, SnapshotError
 from repro.metric.base import MetricSpace
 from repro.trace.reservoir import ReservoirSampler
@@ -225,9 +230,9 @@ class _HistoryEntry:
 class ReferencePrimalDual(SingleCommodityPrimalDual):
     """Fotakis' primal–dual helper with a rebuilt bid sum."""
 
-    def __init__(self, metric, opening_costs, commodity: int) -> None:
-        super().__init__(metric, opening_costs, commodity)
-        self._metric = metric
+    def __init__(self, instance: Instance, commodity: int) -> None:
+        super().__init__(instance, commodity)
+        self._metric = instance.metric
         self._history: List[_HistoryEntry] = []
 
     def _bid_base(self) -> np.ndarray:
@@ -252,11 +257,10 @@ class ReferencePrimalDual(SingleCommodityPrimalDual):
 
 
 class ReferenceMeyerson(SingleCommodityMeyerson):
-    """Meyerson's helper with per-class scans and scalar coin probabilities."""
+    """Meyerson's helper with per-class scans and scalar coin probabilities.
 
-    def __init__(self, metric, opening_costs, commodity: int) -> None:
-        super().__init__(metric, opening_costs, commodity)
-        self._metric = metric
+    The scans walk the helper's ascending cumulative point arrays.
+    """
 
     def distance_to_class(self, index: int, point: int) -> float:
         points = self._class_points[index - 1]
@@ -311,14 +315,46 @@ class ReferenceMeyerson(SingleCommodityMeyerson):
 # ---------------------------------------------------------------------------
 # RAND-OMFLP (Algorithm 2)
 # ---------------------------------------------------------------------------
+class ScanCostClasses:
+    """A :class:`~repro.costs.classes.CostClassIndex`'s queries answered by one
+    scan per class per call, over the index's class values and cumulative
+    point sets: no memoized column is read."""
+
+    def __init__(self, metric: MetricSpace, index: CostClassIndex) -> None:
+        self._metric = metric
+        self.values = index.values
+        self._cumulative = [
+            np.asarray(cls.cumulative_points, dtype=np.intp) for cls in index.classes
+        ]
+
+    def distances(self, point: int) -> Tuple[float, ...]:
+        return tuple(self._metric.nearest_distance(point, points) for points in self._cumulative)
+
+    def nearest_point_of_class(self, index: int, point: int) -> Tuple[int, float]:
+        return self._metric.nearest(point, self._cumulative[index - 1])
+
+    def cheapest_open_option(self, point: int) -> Tuple[int, float]:
+        best_index, best_value = 1, float("inf")
+        for index, value in enumerate(self.values, start=1):
+            option = value + self._metric.nearest_distance(point, self._cumulative[index - 1])
+            if option < best_value:
+                best_index, best_value = index, option
+        return best_index, best_value
+
+
 class ReferenceRandOMFLPAlgorithm(RandOMFLPAlgorithm):
-    """RAND-OMFLP answering its class-distance queries by CostClassIndex scans."""
+    """RAND-OMFLP answering its class-distance queries by :class:`ScanCostClasses`."""
 
-    def _provider_for(self, commodity: int):
-        return self._classes_for(commodity)
+    def prepare(self, instance: Instance, state, rng) -> None:
+        super().prepare(instance, state, rng)
+        self._scans: Dict[Any, ScanCostClasses] = {}
 
-    def _large_provider(self):
-        return self._large_classes
+    def _classes_for(self, configuration) -> ScanCostClasses:
+        scans = self._scans.get(configuration)
+        if scans is None:
+            index = super()._classes_for(configuration)
+            scans = self._scans[configuration] = ScanCostClasses(self._instance.metric, index)
+        return scans
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ once, and every slot's running bid sum.  These tests pin that
 * PD-OMFLP's ``state_dict()`` is byte for byte the one the per-commodity
   buffers wrote, and a snapshot they wrote resumes equal;
 * damaged bid entries in a snapshot raise a ``SnapshotError`` naming the
-  field, instead of restoring coerced, aliased or silently replaced bids.
+  field, instead of restoring coerced, aliased or silently replaced bids;
+* so do damaged PD-OMFLP duals, before the algorithm changes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from repro.algorithms.online.per_commodity import FotakisOFLAlgorithm
 from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
+from repro.core.instance import Instance
+from repro.core.requests import RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.exceptions import SnapshotError
 from repro.metric.base import MetricSpace
@@ -382,6 +386,77 @@ def test_restore_rejects_damaged_bid_entries(damage, message):
     assert [e for e, _ in data["algorithm_state"]["small_buffers"]] == [0, 1, 3, 2]
     damage(data["algorithm_state"])
     with pytest.raises(SnapshotError, match=message):
+        _restore(data, cost)
+
+
+#: (damage, message) against the same state's duals: 17 entries
+#: ``[request, commodity, value]`` over |S| = 4, the first two
+#: ``[0, 0, 1/3]`` and ``[0, 1, 1/3]``.
+DAMAGED_DUALS = [
+    pytest.param(_put("duals", "values", 0, 0, 0.7),
+                 r"^duals values\[0\] request must be a non-negative JSON integer, got 0\.7$",
+                 id="request-float"),
+    pytest.param(_put("duals", "values", 0, 0, -1),
+                 r"^duals values\[0\] request must be a non-negative JSON integer, got -1$",
+                 id="request-negative"),
+    pytest.param(_put("duals", "values", 0, 1, True),
+                 r"^duals values\[0\] commodity must be a JSON integer in \[0, 4\), got True$",
+                 id="commodity-bool"),
+    pytest.param(_put("duals", "values", 0, 1, 4),
+                 r"^duals values\[0\] commodity must be a JSON integer in \[0, 4\), got 4$",
+                 id="commodity-out-of-range"),
+    pytest.param(_put("duals", "values", 0, 2, "1.0"),
+                 r"^duals values\[0\] value must be a JSON number, got '1\.0'$",
+                 id="value-string"),
+    pytest.param(_put("duals", "values", 0, 2, -0.5),
+                 r"^duals values\[0\] value must be non-negative, got -0\.5$",
+                 id="value-negative"),
+    pytest.param(_put("duals", "values", 0, 2, "nan"),
+                 r"^duals values\[0\] value must be non-negative, got nan$", id="value-nan"),
+    pytest.param(_put("duals", "values", 1, [0, 0, 0.25]),
+                 r"^duals values repeats request 0 commodity 0$", id="repeated-pair"),
+    pytest.param(_put("duals", "values", 1, [0, 0, 1 / 3]),
+                 r"^duals values repeats request 0 commodity 0$", id="repeated-pair-same-value"),
+    pytest.param(_put("duals", "values", 0, [0, 0]),
+                 r"^duals values\[0\] must have 3 items, got 2$", id="not-a-triple"),
+    pytest.param(_put("duals", "values", {}),
+                 r"^duals values must be a JSON list, got dict$", id="values-not-a-list"),
+    pytest.param(_put("duals", "num_commodities", 9),
+                 r"^duals num_commodities must be 4, got 9$", id="num-commodities-mismatch"),
+    pytest.param(_put("duals", "num_commodities", 4.0),
+                 r"^duals num_commodities must be a JSON integer, got 4\.0$",
+                 id="num-commodities-float"),
+    pytest.param(lambda state: state["duals"].pop("values"),
+                 r"^duals has no 'values' field$", id="no-values"),
+    pytest.param(_put("duals", []), r"^duals must be a JSON object, got list$",
+                 id="duals-not-an-object"),
+    pytest.param(lambda state: state.pop("duals"),
+                 r"^PD-OMFLP state has no 'duals' field$", id="no-duals"),
+]
+
+
+@pytest.mark.parametrize("damage,message", DAMAGED_DUALS)
+def test_restore_rejects_damaged_duals_before_the_algorithm_changes(damage, message):
+    """Damaged duals raise a ``SnapshotError`` naming them instead of
+    restoring coerced, deduplicated or foreign values, and leave the run
+    freshly prepared: the undamaged state still loads onto it."""
+    data, session, cost = _grid_snapshot()
+    state = data["algorithm_state"]
+    damaged = json.loads(json.dumps(state))
+    damage(damaged)
+    instance = Instance(GridMetric.full_grid(5, 5), cost, RequestSequence.from_tuples([]))
+    algorithm = PDOMFLPAlgorithm()
+    algorithm.prepare(instance, OnlineState(instance), None)
+    with pytest.raises(SnapshotError, match=message):
+        algorithm.load_state_dict(damaged)
+    algorithm.load_state_dict(state)
+    assert algorithm.state_dict() == session.algorithm.state_dict()
+
+
+def test_restore_rejects_a_state_that_is_not_an_object():
+    data, _, cost = _grid_snapshot()
+    data["algorithm_state"] = []
+    with pytest.raises(SnapshotError, match=r"^PD-OMFLP state must be a JSON object, got list$"):
         _restore(data, cost)
 
 

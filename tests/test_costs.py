@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel.classes import ClassDistanceIndex
 from repro.algorithms.online.meyerson_ofl import SingleCommodityMeyerson
+from repro.core.instance import Instance
+from repro.core.requests import RequestSequence
 from repro.costs import (
     AdversaryCost,
     ConstantCost,
@@ -253,17 +254,24 @@ class TestOrderedLinearCost:
             cost.cost(3, {0})
 
 
-CLASS_PROVIDERS = ["CostClassIndex", "ClassDistanceIndex", "SingleCommodityMeyerson"]
+#: The two readers of one configuration's cost classes: the instance's
+#: CostClassIndex, which RAND-OMFLP reads, and the Meyerson helper of the
+#: per-commodity baseline, which answers through that same index except for
+#: its own nearest-point scan.
+CLASS_PROVIDERS = ["CostClassIndex", "SingleCommodityMeyerson"]
+
+
+def _one_commodity_instance(metric, scales):
+    cost = ConstantCost(1, point_scales=scales)
+    return Instance(metric, cost, RequestSequence.from_tuples([]))
 
 
 def _class_provider(name, metric, scales):
     """A provider of 1-based class queries over one commodity costing ``scales``."""
+    instance = _one_commodity_instance(metric, scales)
     if name == "SingleCommodityMeyerson":
-        return SingleCommodityMeyerson(metric, scales, 0)
-    classes = CostClassIndex(metric, ConstantCost(1, point_scales=scales), {0})
-    if name == "ClassDistanceIndex":
-        return ClassDistanceIndex.from_cost_index(metric, classes)
-    return classes
+        return SingleCommodityMeyerson(instance, 0)
+    return instance.tables.cost_classes((0,))
 
 
 class TestCostClassIndex:
@@ -289,12 +297,9 @@ class TestCostClassIndex:
         cost = ConstantCost(2, point_scales=scales)
         index = CostClassIndex(metric, cost, {0})
         assert [c.value for c in index.classes] == values
+        assert index.values == tuple(values)
         assert [c.points for c in index.classes] == points
         assert index.num_classes == len(values)
-        for cls in index.classes:
-            for point in cls.points:
-                assert index.class_of_point(point) == cls.index
-                assert index.rounded_cost_at(point) == cls.value
 
     def test_distance_convention_is_cumulative(self):
         metric = uniform_line_metric(4)
@@ -315,8 +320,7 @@ class TestCostClassIndex:
         best_class, value = index.cheapest_open_option(0)
         assert value == pytest.approx(1.0 + 0.5)
         assert index.class_value(best_class) == 1.0
-        options = index.opening_option_values(0)
-        assert value == pytest.approx(float(options.min()))
+        assert value == min(c + d for c, d in zip(index.values, index.distances(0)))
 
     def test_empty_configuration_rejected(self):
         metric = uniform_line_metric(2)
@@ -357,6 +361,29 @@ class TestCostClassIndex:
         metric = LineMetric([0.0, 4.0, 5.0])
         target = _class_provider(provider, metric, [8.0, 2.0, 1.0])
         assert target.cheapest_open_option(0) == (1, 6.0)
+
+    def test_nearest_point_tie_orders(self):
+        """The two nearest-point orders differ on ties, and both are pinned.
+
+        Seen from point 1, points 0, 2, 3 and 4 all lie 1 away.  Their
+        classes are 3, 2, 1 and 1 (costs 4, 2, 1, 1; point 1 costs 16, class
+        4).  The table scans class by class, so it returns the tied point of
+        the cheapest class, the lowest index within that class: 3.  The
+        Meyerson helper scans in ascending point order, so it returns the
+        lowest tied index: 0 for class 3, 2 for class 2.  Unifying the two
+        orders moves golden digests, so it must not happen silently.
+        """
+        metric = LineMetric([1.0, 2.0, 3.0, 1.0, 3.0])
+        instance = _one_commodity_instance(metric, [4.0, 16.0, 2.0, 1.0, 1.0])
+        table = instance.tables.cost_classes((0,))
+        helper = SingleCommodityMeyerson(instance, 0)
+        assert [c.points for c in table.classes] == [(3, 4), (2,), (0,), (1,)]
+        expected = {1: (3, 3), 2: (3, 2), 3: (3, 0), 4: (1, 1)}
+        for index, (table_point, helper_point) in expected.items():
+            point, distance = table.nearest_point_of_class(index, 1)
+            assert (point, distance) == (table_point, table.distance_to_class(index, 1))
+            assert helper.nearest_point_of_class(index, 1) == helper_point
+            assert metric.distance(1, helper_point) == distance
 
 
 class TestPropertyCheckers:

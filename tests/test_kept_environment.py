@@ -13,7 +13,8 @@ that
   and online state and the RNG state, whether or not a reload hits the kept
   set;
 * a hit restores onto the very kept instance and builds no cost classes
-  again: one ``CostClassIndex`` per configuration per session;
+  again: one ``CostClassIndex`` per configuration per session, for
+  RAND-OMFLP and for the per-commodity Meyerson helpers alike;
 * only the environment is kept: the evicted algorithm and state are freed;
 * a snapshot file replaced on disk with another spec, and a restarted
   manager, rebuild the environment from the spec;
@@ -148,12 +149,26 @@ class _CountingClasses(CostClassIndex):
         self.builds.append((id(metric), self.configuration))
 
 
-def test_kept_reloads_build_each_configuration_once_per_session(tmp_path, monkeypatch):
+SINGLETONS = [frozenset({e}) for e in range(WORKLOAD["num_commodities"])]
+
+
+@pytest.mark.parametrize(
+    "algorithm,configurations",
+    [
+        # All four singletons and the full set.
+        ("rand-omflp", SINGLETONS + [frozenset(range(WORKLOAD["num_commodities"]))]),
+        # One singleton per helper: the helpers read the instance's tables.
+        ("per-commodity-meyerson", SINGLETONS),
+    ],
+)
+def test_kept_reloads_build_each_configuration_once_per_session(
+    algorithm, configurations, tmp_path, monkeypatch
+):
     """Two sessions alternating under one live slot: every reload after the
     first eviction hits, so no cost class is built twice for one session."""
     monkeypatch.setattr(_CountingClasses, "builds", [])
     monkeypatch.setattr(tables_module, "CostClassIndex", _CountingClasses)
-    specs = {"a": _spec(6), "b": _spec(7)}
+    specs = {"a": _spec(6, algorithm), "b": _spec(7, algorithm)}
     manager = SessionManager(snapshot_dir=tmp_path, max_live_sessions=1)
     requests = {name: _requests(spec) for name, spec in specs.items()}
     for name, spec in specs.items():
@@ -167,9 +182,8 @@ def test_kept_reloads_build_each_configuration_once_per_session(tmp_path, monkey
     assert manager.metrics()["counters"]["reloads"] == 12
     builds = Counter(_CountingClasses.builds)
     assert builds and set(builds.values()) == {1}
-    # All four singletons and the full set, for each session.
     for metric in metrics.values():
-        assert sum(1 for key in builds if key[0] == metric) == 5
+        assert {key[1] for key in builds if key[0] == metric} == set(configurations)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +339,6 @@ def test_cost_vectors_are_read_only_and_shared():
             vector[0] = 0.0
         assert tables.cost_vector(configuration) is vector
     assert tables.cost_classes((1,)) is tables.cost_classes((1,))
-    assert tables.class_distances((1,)) is tables.class_distances((1,))
     # Another form of one commodity set gets an equal table.
     assert np.array_equal(tables.cost_vector(frozenset({2})), tables.cost_vector((2,)))
     assert tables.cost_classes(frozenset({1})).classes == tables.cost_classes((1,)).classes

@@ -191,6 +191,22 @@ class TestExplicitAndSinglePoint:
         with pytest.raises(InvalidMetricError):
             ExplicitMetric([[0.0]], labels=["a", "b"])
 
+    def test_explicit_matrix_is_read_only_and_its_own(self):
+        """No write reaches a matrix-backed space's distances: not one through
+        a space sharing its matrix, and not one to the caller's array."""
+        graph = random_graph_metric(6, rng=0)
+        expected = graph.pairwise_matrix().copy()
+        shared = ExplicitMetric(graph.pairwise_matrix())
+        for view in (shared.pairwise_matrix(), shared.distances_from(0), graph.distances_from(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[1] = 99.0
+        array = expected.copy()
+        own = ExplicitMetric(array)
+        array[0, 1] = array[1, 0] = 99.0
+        for metric in (graph, shared, own):
+            assert np.array_equal(metric.pairwise_matrix(), expected)
+            assert metric.distance(0, 1) == expected[0, 1]
+
     def test_single_point(self):
         metric = SinglePointMetric()
         metric.validate()

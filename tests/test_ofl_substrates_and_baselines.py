@@ -60,7 +60,7 @@ class TestSingleCommodityPrimalDualHelper:
     def test_opens_then_reuses(self):
         metric = uniform_line_metric(3)
         state = one_commodity_state(metric, [1.0, 1.0, 1.0])
-        helper = SingleCommodityPrimalDual(metric, [1.0, 1.0, 1.0], 0)
+        helper = SingleCommodityPrimalDual(state.instance, 0)
         opened = helper.decide(demand(0, 0), state, None)
         assert duals(helper) == [pytest.approx(1.0)]
         assert helper.decide(demand(1, 0), state, None) == opened
@@ -68,15 +68,10 @@ class TestSingleCommodityPrimalDualHelper:
         assert [f.point for f in state.store.facilities_offering(0)] == [0]
         assert duals(helper) == [1.0, 0.0]
 
-    def test_costs_shape_checked(self):
-        metric = uniform_line_metric(3)
-        with pytest.raises(AlgorithmError):
-            SingleCommodityPrimalDual(metric, [1.0, 1.0], 0)
-
     def test_prefers_cheap_remote_point(self):
         metric = uniform_line_metric(3)
         state = one_commodity_state(metric, [10.0, 0.1, 10.0])
-        helper = SingleCommodityPrimalDual(metric, [10.0, 0.1, 10.0], 0)
+        helper = SingleCommodityPrimalDual(state.instance, 0)
         opened = helper.decide(demand(0, 0), state, None)
         assert len(state.store) == 1
         assert state.store[opened].point == 1
@@ -87,7 +82,7 @@ class TestSingleCommodityMeyersonHelper:
     def test_classes_and_budget(self):
         metric = uniform_line_metric(4)
         state = one_commodity_state(metric, [1.0, 2.0, 4.0, 8.0])
-        helper = SingleCommodityMeyerson(metric, [1.0, 2.0, 4.0, 8.0], 0)
+        helper = SingleCommodityMeyerson(state.instance, 0)
         assert helper.num_classes == 4
         assert helper.class_value(1) == 1.0
         assert helper.distance_to_class(4, 0) == 0.0
@@ -99,17 +94,12 @@ class TestSingleCommodityMeyersonHelper:
     def test_decide_always_yields_a_facility(self):
         metric = uniform_line_metric(4)
         state = one_commodity_state(metric, [1.0, 1.0, 1.0, 1.0])
-        helper = SingleCommodityMeyerson(metric, [1.0, 1.0, 1.0, 1.0], 0)
+        helper = SingleCommodityMeyerson(state.instance, 0)
         rng = np.random.default_rng(0)
         facility_id = helper.decide(demand(0, 2), state, rng)
         assert state.store.facilities_offering(0)
         assert state.nearest_offering(0, 2)[0].id == facility_id
         assert state.distance_to_nearest(0, 2) < float("inf")
-
-    def test_costs_shape_checked(self):
-        metric = uniform_line_metric(2)
-        with pytest.raises(AlgorithmError):
-            SingleCommodityMeyerson(metric, [1.0], 0)
 
 
 class TestOFLAlgorithms:

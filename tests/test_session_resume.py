@@ -426,6 +426,34 @@ def test_pd_snapshot_in_reference_format_is_refused():
         _restore_and_finish(data, "pd-omflp", "clustered-euclidean", 0)
 
 
+#: (algorithm state, message after the algorithm's name): a stateless
+#: algorithm's snapshot is the empty JSON object and nothing else.
+DAMAGED_STATELESS = [
+    pytest.param([], r"state must be a JSON object, got list", id="list"),
+    pytest.param(0, r"state must be a JSON object, got int", id="zero"),
+    pytest.param(None, r"state must be a JSON object, got NoneType", id="null"),
+    pytest.param("", r"state must be a JSON object, got str", id="empty-string"),
+    pytest.param({"x": 1}, r"is stateless and cannot load a non-empty snapshot state "
+                 r"\(got keys \['x'\]\)", id="keys"),
+]
+
+
+@pytest.mark.parametrize("state,message", DAMAGED_STATELESS)
+@pytest.mark.parametrize("algorithm_name", ["rand-omflp", "no-prediction-greedy",
+                                            "always-large-greedy"])
+def test_a_stateless_algorithm_refuses_any_state_but_the_empty_object(
+    algorithm_name, state, message
+):
+    session, instance = _session_for(algorithm_name, "clustered-euclidean", 0)
+    for request in instance.requests[:SPLIT]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    assert data["algorithm_state"] == {}
+    data["algorithm_state"] = state
+    with pytest.raises(SnapshotError, match=f"^{algorithm_name} {message}$"):
+        _restore_and_finish(data, algorithm_name, "clustered-euclidean", 0)
+
+
 def test_restore_rejects_truncated_assignment_log():
     """A state snapshot with fewer assignments than requests is refused
     instead of silently dropping the unassigned requests."""
