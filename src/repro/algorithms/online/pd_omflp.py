@@ -148,10 +148,15 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Load :meth:`state_dict` output into a freshly prepared run.
+
+        The duals and bid slots load into a new ledger that replaces the
+        run's only once every entry passed, so a refused state leaves the
+        run freshly prepared.
+        """
         if self._duals is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
-        ledger = self._ledger
-        if len(self._duals) or len(ledger):
+        if len(self._duals) or len(self._ledger):
             raise SnapshotError(
                 "PDOMFLPAlgorithm.load_state_dict requires a freshly prepared run"
             )
@@ -170,6 +175,8 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
         histories = snapshot_list(
             snapshot_field(state, "small_buffers", "PD-OMFLP state"), "small_buffers"
         )
+        ledger = BidHistoryBuffer(self._instance.metric, slots=self._large_slot + 1)
+        joined: List[int] = []
         for position, pair in enumerate(histories):
             where = f"small_buffers[{position}]"
             commodity, history = snapshot_list(pair, where, 2)
@@ -178,16 +185,16 @@ class PDOMFLPAlgorithm(OnlineAlgorithm):
                 raise SnapshotError(
                     f"{where} commodity must lie in [0, {num_commodities}), got {commodity}"
                 )
-            if commodity in self._joined:
+            if commodity in joined:
                 raise SnapshotError(f"small_buffers repeats commodity {commodity}")
             ledger.load_state_dict(history, slot=commodity)
             if not ledger.entries(commodity):
                 raise SnapshotError(f"{where} holds no bid entries for commodity {commodity}")
-            self._joined.append(commodity)
+            joined.append(commodity)
         ledger.load_state_dict(
             snapshot_field(state, "large_buffer", "PD-OMFLP state"), slot=self._large_slot
         )
-        self._duals = duals
+        self._duals, self._ledger, self._joined = duals, ledger, joined
 
     # ------------------------------------------------------------------
     # Cached quantities

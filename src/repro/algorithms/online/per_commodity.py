@@ -66,11 +66,14 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
     def _helper_for(self, commodity: int) -> Helper:
         helper = self._helpers.get(commodity)
         if helper is None:
-            helper_class = (
-                SingleCommodityPrimalDual if self._base == "fotakis" else SingleCommodityMeyerson
-            )
-            helper = self._helpers[commodity] = helper_class(self._instance, commodity)
+            helper = self._helpers[commodity] = self._new_helper(commodity)
         return helper
+
+    def _new_helper(self, commodity: int) -> Helper:
+        helper_class = (
+            SingleCommodityPrimalDual if self._base == "fotakis" else SingleCommodityMeyerson
+        )
+        return helper_class(self._instance, commodity)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -86,6 +89,11 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Load :meth:`state_dict` output into a freshly prepared run.
+
+        The helpers are built aside and replace the run's only once every
+        entry loaded, so a refused state leaves the run freshly prepared.
+        """
         if self._instance is None:
             raise AlgorithmError("prepare() was not called before load_state_dict()")
         if self._helpers:
@@ -94,6 +102,7 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
             )
         helpers = snapshot_list(snapshot_field(state, "helpers", f"{self.name} state"), "helpers")
         num_commodities = self._instance.num_commodities
+        loaded: Dict[int, Helper] = {}
         for position, entry in enumerate(helpers):
             at = f"helpers[{position}]"
             commodity, helper_state = snapshot_list(entry, at, 2)
@@ -102,12 +111,14 @@ class PerCommodityAlgorithm(OnlineAlgorithm):
                 raise SnapshotError(
                     f"{at} commodity must lie in [0, {num_commodities}), got {commodity}"
                 )
-            if commodity in self._helpers:
+            if commodity in loaded:
                 raise SnapshotError(f"helpers repeats commodity {commodity}")
+            helper = loaded[commodity] = self._new_helper(commodity)
             try:
-                self._helper_for(commodity).load_state_dict(helper_state)
+                helper.load_state_dict(helper_state)
             except SnapshotError as error:
                 raise SnapshotError(f"{at}: {error}") from None
+        self._helpers = loaded
 
     def process(self, request: Request, state: OnlineState, rng) -> None:
         if self._instance is None:

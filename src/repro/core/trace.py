@@ -182,9 +182,11 @@ class Trace:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replace the trace contents with a snapshot's events."""
+        """Replace the trace contents with a snapshot's events; a snapshot
+        that fails to parse changes nothing."""
+        events = [event_from_dict(entry) for entry in state["events"]]
         self.enabled = bool(state["enabled"])
-        self._events = [event_from_dict(entry) for entry in state["events"]]
+        self._events = events
 
     @property
     def events(self) -> List[TraceEvent]:

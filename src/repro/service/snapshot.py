@@ -21,9 +21,22 @@ restore rebuilds them bit-for-bit — which also keeps snapshots small:
 O(requests + facilities) instead of O(requests x points).  Facilities are
 replayed one ``open`` at a time, each reading one distance column for all
 its trackers; the request log is rebuilt in one array pass, its connection
-costs re-summed in arrival order.  A log value that is not a JSON integer
-or list, or a repeated commodity, raises
-:class:`~repro.exceptions.SnapshotError` naming the row and the field.
+costs re-summed in arrival order.
+
+Version 2 writes the request log as the state holds it, four flat JSON
+integer lists: ``state["log"] = {"points", "counts", "commodities",
+"facilities"}``, with one point and one pair count per request and one
+commodity and facility id per ``(commodity, facility)`` pair.  The lists
+come straight from the state's int64 arrays and parse back with the C JSON
+decoder, so an eviction and a reload build no Python list per request; the
+file is also smaller than version 1's.  Version 1 wrote ``state["requests"]``
+(``[point, commodities]`` per request) and ``state["assignments"]`` (the
+``[commodity, facility]`` pairs per request); it still loads, and a session
+restored from it snapshots as version 2.  A log value that is not a JSON
+integer, a column of the wrong length, or a repeated commodity raises
+:class:`~repro.exceptions.SnapshotError` naming the column and position
+(version 2) or the row and field (version 1).  A ``version`` other than 1
+or 2, or one its state's log layout disagrees with, is refused.
 
 An embedded spec is rebuilt only as far as restore needs it: a stock
 ``workload`` spec draws its environment (metric, cost, commodities) and
@@ -53,6 +66,7 @@ from repro.api.components import WORKLOADS
 from repro.api.spec import RunSpec
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
+from repro.core.state import log_layout
 from repro.costs.base import FacilityCostFunction
 from repro.exceptions import SnapshotError
 from repro.metric.base import MetricSpace
@@ -70,8 +84,9 @@ __all__ = ["SessionSnapshot", "components_from_spec"]
 #: Format marker embedded in every serialized snapshot.
 SNAPSHOT_FORMAT = "repro-session-snapshot"
 
-#: Current codec version (bump on breaking changes to the state shapes).
-SNAPSHOT_VERSION = 1
+#: Current codec version (bump on breaking changes to the state shapes):
+#: 2 since the request log is written as columns.
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -137,10 +152,17 @@ class SessionSnapshot:
                 f"expected {SNAPSHOT_FORMAT!r})"
             )
         version = data.get("version")
-        if version != SNAPSHOT_VERSION:
+        # Version 1 differs only in its request log's layout.
+        if type(version) is not int or version not in (1, SNAPSHOT_VERSION):
             raise SnapshotError(
                 f"unsupported snapshot version {version!r}; this build reads "
-                f"version {SNAPSHOT_VERSION}"
+                f"versions 1 and {SNAPSHOT_VERSION}"
+            )
+        layout = log_layout(data.get("state"))
+        if layout is not None and layout != version:
+            raise SnapshotError(
+                f"snapshot version {version} disagrees with its state, which holds "
+                f"a version-{layout} request log"
             )
         # Snapshots written while a scan-based hot path still existed carry
         # a session-level "use_accel" flag.  Both paths computed the same

@@ -46,11 +46,15 @@ arrays, finalizes from its running totals and restores a snapshot in one
 array pass.  Its oracle is the object log those replaced:
 
 * :class:`ObjectLogState` — the log as ``Request`` and ``Assignment``
-  objects, a snapshot replay that re-records every request, and connection
-  costs from :func:`reference_connection_cost`, the plain loop over the
-  facility-id frozenset; :func:`object_log` makes new sessions use it;
+  objects, a snapshot replay of either format that re-records every
+  request, and connection costs from :func:`reference_connection_cost`, the
+  plain loop over the facility-id frozenset; :func:`object_log` makes new
+  sessions use it;
 * :func:`reference_finalize` — the finalize that validates every request's
-  assignment and recomputes every cost from the frozen solution.
+  assignment and recomputes every cost from the frozen solution;
+* :func:`v1_state_dict` and :func:`v1_snapshot` — the per-row writer of
+  snapshot format 1, one list per request and per pair, which the column
+  log of format 2 replaced.
 
 The streaming offline bound of :mod:`repro.analysis.competitive` answers an
 arrival from one bit of a per-commodity coverage mask, and the tracer's
@@ -71,6 +75,7 @@ and ``tests/test_observer_batches.py`` run production against it with exact
 from __future__ import annotations
 
 import contextlib
+import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -555,43 +560,54 @@ class ObjectLogState(OnlineState):
             )
 
     def state_dict(self) -> Dict[str, Any]:
+        """The format-2 snapshot, written from the objects."""
+        pairs = [
+            list(self._assignments[r.index].facility_of_commodity.items())
+            for r in self._processed_requests
+        ]
         return {
             "store": self._store.state_dict(),
-            "requests": [
-                [r.point, sorted(r.commodities)] for r in self._processed_requests
-            ],
-            "assignments": [
-                [
-                    [int(e), int(fid)]
-                    for e, fid in self._assignments[
-                        r.index
-                    ].facility_of_commodity.items()
-                ]
-                for r in self._processed_requests
-            ],
+            "log": {
+                "points": [r.point for r in self._processed_requests],
+                "counts": [len(items) for items in pairs],
+                "commodities": [int(e) for items in pairs for e, _ in items],
+                "facilities": [int(fid) for items in pairs for _, fid in items],
+            },
             "trace": self._trace.state_dict(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Replay the snapshot by re-recording every request."""
+        """Replay a snapshot of either format by re-recording every request.
+
+        A format-2 request demands the commodities its pairs serve.
+        """
         if self._processed_requests or len(self._store):
             raise SnapshotError(
                 "OnlineState.load_state_dict requires a fresh state; this one "
                 f"already processed {len(self._processed_requests)} requests"
             )
-        requests, assignments = state["requests"], state["assignments"]
-        if len(requests) != len(assignments):
-            raise SnapshotError(
-                f"OnlineState snapshot has {len(requests)} requests but "
-                f"{len(assignments)} assignments"
-            )
+        if "log" in state:
+            log, rows, stop = state["log"], [], 0
+            for point, count in zip(log["points"], log["counts"]):
+                start, stop = stop, stop + count
+                items = list(zip(log["commodities"][start:stop], log["facilities"][start:stop]))
+                rows.append((point, sorted(e for e, _ in items), items))
+        else:
+            requests, assignments = state["requests"], state["assignments"]
+            if len(requests) != len(assignments):
+                raise SnapshotError(
+                    f"OnlineState snapshot has {len(requests)} requests but "
+                    f"{len(assignments)} assignments"
+                )
+            rows = [
+                (point, commodities, items)
+                for (point, commodities), items in zip(requests, assignments)
+            ]
         self._store.load_state_dict(state["store"])
         enabled = self._trace.enabled
         self._trace.enabled = False
         try:
-            for index, ((point, commodities), items) in enumerate(
-                zip(requests, assignments)
-            ):
+            for index, (point, commodities, items) in enumerate(rows):
                 request = Request(
                     index=index,
                     point=int(point),
@@ -613,6 +629,33 @@ class ObjectLogState(OnlineState):
             self._store.facilities,
             self._assignments.values(),
         )
+
+
+def v1_state_dict(state: Mapping[str, Any]) -> Dict[str, Any]:
+    """A format-2 :meth:`OnlineState.state_dict` as format 1 wrote it.
+
+    Per request, ``requests`` holds ``[point, sorted commodities]`` and
+    ``assignments`` its ``[commodity, facility]`` pairs in ``assign`` order.
+    The store and the trace are copied unchanged.
+    """
+    log = state["log"]
+    requests, assignments, stop = [], [], 0
+    for point, count in zip(log["points"], log["counts"]):
+        start, stop = stop, stop + count
+        served = log["commodities"][start:stop]
+        requests.append([point, sorted(served)])
+        assignments.append(list(map(list, zip(served, log["facilities"][start:stop]))))
+    return {
+        "store": copy.deepcopy(state["store"]),
+        "requests": requests,
+        "assignments": assignments,
+        "trace": copy.deepcopy(state["trace"]),
+    }
+
+
+def v1_snapshot(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """A version-2 session snapshot dictionary as version 1 wrote it."""
+    return {**copy.deepcopy(dict(data)), "state": v1_state_dict(data["state"]), "version": 1}
 
 
 def reference_finalize(state: OnlineState, *, validate: bool = True) -> CostBreakdown:

@@ -41,7 +41,7 @@ from repro.algorithms.online.pd_omflp import PDOMFLPAlgorithm
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
-from repro.core.requests import RequestSequence
+from repro.core.requests import Request, RequestSequence
 from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.exceptions import SnapshotError
@@ -52,6 +52,8 @@ from repro.metric.single_point import SinglePointMetric
 from repro.scenarios import ScenarioSession
 from repro.utils.rng import ensure_rng
 from repro.workloads.clustered import clustered_workload
+
+from oracles import v1_snapshot
 
 SEEDS = [0, 1, 2]
 
@@ -286,7 +288,8 @@ def test_snapshot_of_the_per_commodity_buffers_resumes_equal():
     uninterrupted = ScenarioSession(data["spec"])
     for _ in range(data["num_requests"]):
         uninterrupted.step()
-    written = uninterrupted.snapshot().to_dict()
+    # The golden file is version 1: compare the fresh snapshot's version-1 form.
+    written = v1_snapshot(uninterrupted.snapshot().to_dict())
     for snapshot in (written, data):
         snapshot.pop("runtime_seconds")
     assert written == data
@@ -450,6 +453,38 @@ def test_restore_rejects_damaged_duals_before_the_algorithm_changes(damage, mess
     with pytest.raises(SnapshotError, match=message):
         algorithm.load_state_dict(damaged)
     algorithm.load_state_dict(state)
+    assert algorithm.state_dict() == session.algorithm.state_dict()
+
+
+def test_a_refused_bid_slot_leaves_the_run_freshly_prepared():
+    """A bid slot refused after earlier slots loaded leaves none of them in
+    the ledger: the undamaged state then loads into the same run, which
+    goes on equal to the uninterrupted one."""
+    data, session, cost = _grid_snapshot()
+    state = data["algorithm_state"]
+    damaged = json.loads(json.dumps(state))
+    assert damaged["small_buffers"][2][0] == 3
+    damaged["small_buffers"][2][1]["points"][0] = 2.5
+    instance = Instance(GridMetric.full_grid(5, 5), cost, RequestSequence.from_tuples([]))
+    online_state = OnlineState(instance)
+    online_state.load_state_dict(data["state"])
+    algorithm = PDOMFLPAlgorithm()
+    algorithm.prepare(instance, online_state, None)
+    with pytest.raises(
+        SnapshotError, match=r"^bid slot 3 points\[0\] must be a JSON integer, got 2\.5$"
+    ):
+        algorithm.load_state_dict(damaged)
+    algorithm.load_state_dict(state)
+    assert algorithm.state_dict() == session.algorithm.state_dict()
+
+    rng = ensure_rng(9)
+    for index in range(session.num_requests, session.num_requests + 12):
+        point = int(rng.integers(0, 25))
+        demand = [int(e) for e in rng.choice(4, size=2, replace=False)]
+        session.submit(point, demand)
+        algorithm.process(Request(index, point, frozenset(demand)), online_state, None)
+    assert online_state.current_costs() == session.state.current_costs()
+    assert online_state.state_dict()["log"] == session.state.state_dict()["log"]
     assert algorithm.state_dict() == session.algorithm.state_dict()
 
 

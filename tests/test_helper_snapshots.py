@@ -32,10 +32,16 @@ from repro.algorithms.online.per_commodity import (
 )
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
+from repro.core.instance import Instance
+from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.exceptions import SnapshotError
 from repro.metric.factories import random_euclidean_metric
 from repro.scenarios import ScenarioSession
+from repro.utils.rng import rng_from_state
+
+from oracles import v1_snapshot
 
 #: Algorithm name -> (factory, |S|).
 HELPER_ALGORITHMS: Dict[str, Tuple[Callable[[], Any], int]] = {
@@ -142,6 +148,40 @@ def test_a_damaged_helper_snapshot_is_refused_by_name(name, damage, message):
         _restore(name, data)
 
 
+def test_a_refused_helper_leaves_the_run_freshly_prepared():
+    """A helper refused after an earlier one loaded leaves no helper behind:
+    the undamaged state then loads into the same run, which goes on equal
+    to the uninterrupted one."""
+    name = "per-commodity-fotakis"
+    session = _session(name)
+    for point, commodities in _requests(name):
+        session.submit(point, commodities)
+    data = json.loads(session.snapshot().to_json())
+    damaged = json.loads(json.dumps(data["algorithm_state"]))
+    damaged["helpers"][1][1]["history"]["points"][0] = 2.5
+    instance = Instance(
+        random_euclidean_metric(NUM_POINTS, rng=1), PowerCost(3, 1.0), RequestSequence([])
+    )
+    state = OnlineState(instance)
+    state.load_state_dict(data["state"])
+    algorithm = PerCommodityAlgorithm("fotakis")
+    algorithm.prepare(instance, state, None)
+    with pytest.raises(SnapshotError, match=r"^helpers\[1\]: bid slot 0 points\[0\]"):
+        algorithm.load_state_dict(damaged)
+    algorithm.load_state_dict(data["algorithm_state"])
+    assert algorithm.state_dict() == session.algorithm.state_dict()
+
+    rng = rng_from_state(data["rng_state"])
+    for index, (point, commodities) in enumerate(
+        [(5, [0, 1]), (9, [2]), (3, [1]), (2, [0, 2])], start=session.num_requests
+    ):
+        session.submit(point, commodities)
+        algorithm.process(Request(index, point, frozenset(commodities)), state, rng)
+    assert state.current_costs() == session.state.current_costs()
+    assert state.state_dict()["log"] == session.state.state_dict()["log"]
+    assert algorithm.state_dict() == session.algorithm.state_dict()
+
+
 @pytest.mark.parametrize("name", list(HELPER_ALGORITHMS))
 def test_an_undamaged_helper_snapshot_restores_and_continues(name):
     data = _snapshot(name)
@@ -183,7 +223,8 @@ def test_an_older_per_commodity_snapshot_resumes_equal(name):
     uninterrupted = ScenarioSession(data["spec"])
     for _ in range(data["num_requests"]):
         uninterrupted.step()
-    written = uninterrupted.snapshot().to_dict()
+    # The golden file is version 1: compare the fresh snapshot's version-1 form.
+    written = v1_snapshot(uninterrupted.snapshot().to_dict())
     for snapshot in (written, data):
         snapshot.pop("runtime_seconds")
         snapshot.pop("algorithm_state")

@@ -277,14 +277,14 @@ def test_protocol_reports_damaged_request_log_as_snapshot_error(tmp_path):
     assert json.loads(protocol.handle_line(line))["ok"]
     path = tmp_path / "a.session.json"  # creating "b" evicted "a"
     data = json.loads(path.read_text())
-    data["state"]["requests"][0][0] = 1.5
+    data["state"]["log"]["points"][0] = 1.5
     path.write_text(json.dumps(data))
 
     line = json.dumps({"op": "submit", "name": "a", "point": 1, "commodities": [0]})
     response = json.loads(protocol.handle_line(line))
     assert response["ok"] is False
     assert response["error_type"] == "SnapshotError"
-    assert "requests[0] point must be a JSON integer, got 1.5" in response["error"]
+    assert "snapshot log points[0] must be a JSON integer, got 1.5" in response["error"]
 
 
 def test_protocol_registry_typo_gets_suggestion():

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 import pytest
@@ -42,6 +43,7 @@ from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
 from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.costs.general import PerPointScaledCost
 from repro.exceptions import InfeasibleSolutionError, InvalidInstanceError, SnapshotError
@@ -51,7 +53,13 @@ from repro.service.snapshot import SessionSnapshot
 from repro.utils.rng import ensure_rng
 from repro.workloads.clustered import clustered_workload
 
-from oracles import REFERENCE_ALGORITHMS, ReferencePDOMFLPAlgorithm, reference_scans
+from oracles import (
+    REFERENCE_ALGORITHMS,
+    ReferencePDOMFLPAlgorithm,
+    reference_scans,
+    v1_snapshot,
+    v1_state_dict,
+)
 
 SEEDS = [0, 1, 2]
 
@@ -301,6 +309,33 @@ def test_restore_rejects_mismatched_codec_versions():
         SessionSnapshot.from_dict(data)
 
 
+def test_restore_refuses_version_3_and_a_version_its_log_disagrees_with():
+    session, instance = _session_for("pd-omflp", "grid-l1", 0)
+    for request in instance.requests[:3]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    assert data["version"] == 2 and set(data["state"]) == {"store", "log", "trace"}
+    with pytest.raises(
+        SnapshotError, match=r"^unsupported snapshot version 3; this build reads versions 1 and 2$"
+    ):
+        SessionSnapshot.from_dict(dict(data, version=3))
+    with pytest.raises(
+        SnapshotError,
+        match=r"^snapshot version 1 disagrees with its state, which holds a version-2 "
+        r"request log$",
+    ):
+        SessionSnapshot.from_dict(dict(data, version=1))
+    with pytest.raises(
+        SnapshotError,
+        match=r"^snapshot version 2 disagrees with its state, which holds a version-1 "
+        r"request log$",
+    ):
+        SessionSnapshot.from_dict(dict(v1_snapshot(data), version=2))
+    with pytest.raises(SnapshotError, match=r"^unsupported snapshot version True"):
+        SessionSnapshot.from_dict(dict(v1_snapshot(data), version=True))
+    assert SessionSnapshot.from_dict(v1_snapshot(data)).version == 1
+
+
 def test_restore_requires_components_or_spec():
     session, _ = _session_for("pd-omflp", "grid-l1", 0)
     snapshot = session.snapshot()
@@ -417,7 +452,9 @@ def test_pd_snapshot_in_reference_format_is_refused():
         "duals": duals,
         "history": [
             [index, point, commodities]
-            for index, (point, commodities) in enumerate(data["state"]["requests"])
+            for index, (point, commodities) in enumerate(
+                v1_state_dict(data["state"])["requests"]
+            )
         ],
         "nearest_small": [],
         "nearest_large": [],
@@ -460,7 +497,7 @@ def test_restore_rejects_truncated_assignment_log():
     session, instance = _session_for("pd-omflp", "grid-l1", 0)
     for request in instance.requests[:3]:
         session.submit(request.point, request.commodities)
-    data = session.snapshot().to_dict()
+    data = v1_snapshot(session.snapshot().to_dict())
     data["state"]["assignments"] = data["state"]["assignments"][:2]
     with pytest.raises(SnapshotError, match="3 requests but 2 assignments"):
         OnlineSession.restore(
@@ -532,12 +569,12 @@ DAMAGED_STATES = [
 
 @pytest.mark.parametrize("damage,error,message", DAMAGED_STATES)
 def test_restore_rejects_damaged_request_log(damage, error, message):
-    """A damaged log is refused with an error naming the row and field,
-    never restored with coerced or de-duplicated values."""
+    """A damaged version-1 log is refused with an error naming the row and
+    field, never restored with coerced or de-duplicated values."""
     session, instance = _session_for("pd-omflp", "grid-l1", 0)
     for request in instance.requests[:3]:
         session.submit(request.point, request.commodities)
-    data = session.snapshot().to_dict()
+    data = v1_snapshot(session.snapshot().to_dict())
     assert data["state"]["store"]["facilities"] == [
         [13, [0, 1, 2, 3]], [19, [0, 1, 2, 3]], [21, [0, 1, 2, 3]]
     ]
@@ -551,6 +588,167 @@ def test_restore_rejects_damaged_request_log(damage, error, message):
             cost=instance.cost_function,
             commodities=instance.commodities,
         )
+
+
+#: (damage, error type, message) against the same state as version 2 writes
+#: it: log points [19, 24, 21], counts [2, 2, 3], commodities
+#: [1, 3, 2, 3, 1, 2, 3] and facilities [0, 0, 1, 1, 2, 2, 2].
+DAMAGED_LOGS = [
+    # Types, checked once per column and named by column and position.
+    pytest.param(_put("log", "points", 0, 1.5), SnapshotError,
+                 r"^snapshot log points\[0\] must be a JSON integer, got 1\.5$", id="point-float"),
+    pytest.param(_put("log", "points", 2, True), SnapshotError,
+                 r"^snapshot log points\[2\] must be a JSON integer, got True$", id="point-bool"),
+    pytest.param(_put("log", "points", 1, "24"), SnapshotError,
+                 r"^snapshot log points\[1\] must be a JSON integer, got '24'$",
+                 id="point-string"),
+    pytest.param(_put("log", "counts", 1, 2.0), SnapshotError,
+                 r"^snapshot log counts\[1\] must be a JSON integer, got 2\.0$", id="count-float"),
+    pytest.param(_put("log", "commodities", 4, False), SnapshotError,
+                 r"^snapshot log commodities\[4\] must be a JSON integer, got False$",
+                 id="commodity-bool"),
+    pytest.param(_put("log", "commodities", 0, "1"), SnapshotError,
+                 r"^snapshot log commodities\[0\] must be a JSON integer, got '1'$",
+                 id="commodity-string"),
+    pytest.param(_put("log", "facilities", 6, 2.5), SnapshotError,
+                 r"^snapshot log facilities\[6\] must be a JSON integer, got 2\.5$",
+                 id="facility-float"),
+    pytest.param(_put("log", "facilities", 3, None), SnapshotError,
+                 r"^snapshot log facilities\[3\] must be a JSON integer, got None$",
+                 id="facility-null"),
+    # Missing columns and columns that are not lists.
+    pytest.param(lambda state: state.pop("log"), SnapshotError,
+                 r"^snapshot state has no 'log' field$", id="no-log"),
+    pytest.param(_put("log", [[19, 2]]), SnapshotError,
+                 r"^snapshot log must be a JSON object, got list$", id="log-not-an-object"),
+    pytest.param(lambda state: state["log"].pop("counts"), SnapshotError,
+                 r"^snapshot log has no 'counts' field$", id="no-counts"),
+    pytest.param(_put("log", "facilities", 7), SnapshotError,
+                 r"^snapshot log facilities must be a JSON list, got int$",
+                 id="facilities-not-a-list"),
+    pytest.param(_put("log", "points", {"0": 19}), SnapshotError,
+                 r"^snapshot log points must be a JSON list, got dict$", id="points-not-a-list"),
+    # Lengths.
+    pytest.param(lambda state: state["log"]["points"].pop(), SnapshotError,
+                 r"^snapshot log has 2 points but 3 counts$", id="points-counts-mismatch"),
+    pytest.param(lambda state: state["log"]["facilities"].pop(), SnapshotError,
+                 r"^snapshot log has 7 commodities but 6 facilities$",
+                 id="commodities-facilities-mismatch"),
+    pytest.param(_put("log", "counts", 1, 0), SnapshotError,
+                 r"^snapshot log counts\[1\] must be at least 1, got 0$", id="count-zero"),
+    pytest.param(_put("log", "counts", 0, -2), SnapshotError,
+                 r"^snapshot log counts\[0\] must be at least 1, got -2$", id="count-negative"),
+    pytest.param(_put("log", "counts", 2, 2), SnapshotError,
+                 r"^snapshot log counts sum to 6, but the log has 7 pairs$", id="counts-sum"),
+    # A repeated commodity names its row.
+    pytest.param(_put("log", "commodities", 1, 1), SnapshotError,
+                 r"^snapshot log row 0 repeats commodity 1$", id="row-repeats-commodity"),
+    # Out-of-range values keep the errors re-recording the row raised.
+    pytest.param(_put("log", "points", 1, 25), InvalidInstanceError,
+                 r"^request 1 is located at unknown point 25$", id="point-out-of-range"),
+    pytest.param(_put("log", "points", 0, -1), InvalidInstanceError,
+                 r"^request point must be non-negative, got -1$", id="point-negative"),
+    pytest.param(_put("log", "commodities", 3, 7), InvalidInstanceError,
+                 r"^commodity 7 out of range \[0, 4\)$", id="commodity-out-of-range"),
+    pytest.param(_put("log", "facilities", 5, 5), InfeasibleSolutionError,
+                 r"^request 2: facility 5 does not exist$", id="unknown-facility"),
+    pytest.param(_put("log", "facilities", 0, -1), InfeasibleSolutionError,
+                 r"^request 0: facility -1 does not exist$", id="negative-facility"),
+    pytest.param(_put("log", "facilities", 2, 2**70), InfeasibleSolutionError,
+                 rf"^request 1: facility {2**70} does not exist$", id="facility-beyond-int64"),
+    pytest.param(_put("store", "facilities", 1, 1, [0]), InfeasibleSolutionError,
+                 r"^request 1: facility 1 does not offer commodity 2$", id="not-offered"),
+    pytest.param(lambda state: (_put("log", "facilities", 5, 5)(state),
+                                _put("log", "points", 1, 25)(state)),
+                 InvalidInstanceError, r"^request 1 is located", id="first-bad-row-wins"),
+]
+
+
+@pytest.mark.parametrize("damage,error,message", DAMAGED_LOGS)
+def test_restore_rejects_damaged_column_log(damage, error, message):
+    """A damaged version-2 log is refused with an error naming the column
+    and position, or its row, or with what re-recording the row raises."""
+    session, instance = _session_for("pd-omflp", "grid-l1", 0)
+    for request in instance.requests[:3]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    assert data["state"]["log"] == {
+        "points": [19, 24, 21],
+        "counts": [2, 2, 3],
+        "commodities": [1, 3, 2, 3, 1, 2, 3],
+        "facilities": [0, 0, 1, 1, 2, 2, 2],
+    }
+    damage(data["state"])
+    with pytest.raises(error, match=message):
+        OnlineSession.restore(
+            data,
+            algorithm=PDOMFLPAlgorithm(),
+            metric=instance.metric,
+            cost=instance.cost_function,
+            commodities=instance.commodities,
+        )
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_refused_state_leaves_the_online_state_fresh(version):
+    """A log refused after its store loaded leaves no facility behind: the
+    undamaged state then loads into the same object and runs on equal."""
+    session, instance = _session_for("pd-omflp", "grid-l1", 0)
+    for request in instance.requests[:3]:
+        session.submit(request.point, request.commodities)
+    data = session.snapshot().to_dict()
+    clean = v1_state_dict(data["state"]) if version == 1 else data["state"]
+    damaged = json.loads(json.dumps(clean))
+    if version == 1:
+        damaged["requests"][1][0] = 10**6
+    else:
+        damaged["log"]["points"][1] = 10**6
+    state = OnlineState(instance)
+    with pytest.raises(InvalidInstanceError, match=r"^request 1 is located at unknown point"):
+        state.load_state_dict(damaged)
+    assert (state.num_recorded, len(state.store), state.current_costs()) == (0, 0, (0.0, 0.0))
+    state.load_state_dict(clean)
+    assert state.state_dict() == session.state.state_dict()
+
+    algorithm = PDOMFLPAlgorithm()
+    algorithm.prepare(instance, state, None)
+    algorithm.load_state_dict(data["algorithm_state"])
+    for request in instance.requests[3:]:
+        session.submit(request.point, request.commodities)
+        algorithm.process(request, state, None)
+    expected = session.state.state_dict()
+    assert {key: state.state_dict()[key] for key in ("store", "log")} == {
+        key: expected[key] for key in ("store", "log")
+    }
+    assert state.current_costs() == session.state.current_costs()
+
+
+#: The committed snapshots written as version 1 that resume (the
+#: single-commodity ones of an older algorithm state are refused by name).
+RESUMABLE_GOLDEN = [
+    "pd_omflp_snapshot.json",
+    "per_commodity_fotakis_snapshot.json",
+    "per_commodity_meyerson_snapshot.json",
+    "rand_omflp_telemetry_snapshot.json",
+]
+
+
+@pytest.mark.parametrize("name", RESUMABLE_GOLDEN)
+def test_a_version_1_file_snapshots_again_as_version_2_and_resumes_equal(name):
+    from repro.scenarios import ScenarioSession
+
+    data = json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
+    assert data["version"] == 1 and {"requests", "assignments"} <= set(data["state"])
+    resumed = ScenarioSession.restore(data)
+    again = json.loads(resumed.snapshot().to_json())
+    assert again["version"] == 2 and set(again["state"]) == {"store", "log", "trace"}
+    assert v1_snapshot(again)["state"] == data["state"]
+    twice = ScenarioSession.restore(again)
+    assert twice.advance() == resumed.advance()
+    records = twice.finalize(), resumed.finalize()
+    assert records[0].total_cost == records[1].total_cost
+    assert twice.session.state.state_dict() == resumed.session.state.state_dict()
+    assert twice.session.algorithm.state_dict() == resumed.session.algorithm.state_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +777,8 @@ def test_to_json_encodes_exactly_the_dictionary_form(algorithm_name):
 
     # to_dict() is an independent copy: mutating it leaves the snapshot alone.
     data = snapshot.to_dict()
-    data["state"]["requests"].clear()
-    data["state"]["requests"].append([0, [0]])
+    data["state"]["log"]["points"].clear()
+    data["state"]["log"]["points"].append(0)
     assert snapshot.to_json() == text
 
 
@@ -600,6 +798,6 @@ def test_snapshot_files_round_trip_compact_and_indented(algorithm_name, tmp_path
 def test_to_json_still_refuses_nan():
     snapshot = _mid_stream_snapshot("pd-omflp")
     state = snapshot.to_dict()["state"]
-    state["assignments"].append([float("nan")])
+    state["log"]["points"].append(float("nan"))
     with pytest.raises(ValueError):
         dataclasses.replace(snapshot, state=state).to_json()

@@ -41,7 +41,13 @@ from repro.utils.rng import ensure_rng
 from repro.metric.line import LineMetric
 from repro.scenarios import ScenarioSession
 
-from oracles import ObjectLogState, object_log, reference_connection_cost, reference_finalize
+from oracles import (
+    ObjectLogState,
+    object_log,
+    reference_connection_cost,
+    reference_finalize,
+    v1_state_dict,
+)
 from test_session_resume import ALGORITHMS, SCENARIOS, SEEDS, _session_for
 
 GRID = [
@@ -287,12 +293,13 @@ def _replay_outcome(state_class, instance: Instance, snapshot: dict):
 
 @pytest.mark.parametrize("scenario_name", ["clustered-euclidean", "grid-l1"])
 def test_replay_of_a_damaged_log_fails_like_the_object_log(scenario_name):
-    """The vectorized screen finds the same first bad row as re-recording
-    every request does, and raises the same error type and message."""
+    """The vectorized screen finds the same first bad row of a version-1 log
+    as re-recording every request does, and raises the same error type and
+    message."""
     session, instance = _session_for("rand-omflp", scenario_name, 0)
     for request in instance.requests:
         session.submit(request.point, request.commodities)
-    clean = session.state.state_dict()
+    clean = v1_state_dict(session.state.state_dict())
     rng = ensure_rng(7)
     failures = 0
     for _ in range(60):
@@ -303,6 +310,59 @@ def test_replay_of_a_damaged_log_fails_like_the_object_log(scenario_name):
         assert _replay_outcome(OnlineState, instance, damaged) == expected
         failures += isinstance(expected[0], type)
     assert failures > 40
+
+
+def _damage_columns(state: dict, rng, num_points: int, num_commodities: int) -> None:
+    """One random out-of-range or inconsistent edit of a version-2 log that
+    keeps its columns well typed, their lengths consistent and each row
+    repeat-free."""
+    log = state["log"]
+    points, counts = log["points"], log["counts"]
+    commodities, facilities = log["commodities"], log["facilities"]
+    num_facilities = len(state["store"]["facilities"])
+    starts = [0]
+    for count in counts:
+        starts.append(starts[-1] + count)
+    row = int(rng.integers(len(points)))
+    served = commodities[starts[row] : starts[row + 1]]
+    pair = starts[row] + int(rng.integers(counts[row]))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        points[row] = int(rng.integers(-3, num_points + 3))
+    elif kind == 1:
+        unused = [e for e in range(-2, num_commodities + 2) if e not in served]
+        commodities[pair] = unused[int(rng.integers(len(unused)))]
+    elif kind == 2:
+        facilities[pair] = int(rng.integers(-2, num_facilities + 2))
+    elif row + 1 < len(points) and counts[row] > 1:
+        # The row's last pair moves to the next request, unless it is served there.
+        moved = commodities[starts[row + 1] - 1]
+        if moved not in commodities[starts[row + 1] : starts[row + 2]]:
+            counts[row] -= 1
+            counts[row + 1] += 1
+
+
+@pytest.mark.parametrize("scenario_name", ["clustered-euclidean", "grid-l1"])
+def test_replay_of_a_damaged_column_log_fails_like_the_object_log(scenario_name):
+    """The same for a version-2 log: re-recording the rows rebuilt from its
+    columns fails at the same row with the same error, or restores the same
+    state and costs."""
+    session, instance = _session_for("rand-omflp", scenario_name, 0)
+    for request in instance.requests:
+        session.submit(request.point, request.commodities)
+    clean = session.state.state_dict()
+    rng = ensure_rng(11)
+    failures = 0
+    for _ in range(60):
+        damaged = copy.deepcopy(clean)
+        for _ in range(int(rng.integers(1, 4))):
+            _damage_columns(damaged, rng, instance.num_points, instance.num_commodities)
+        expected = _replay_outcome(ObjectLogState, instance, damaged)
+        assert _replay_outcome(OnlineState, instance, damaged) == expected
+        failures += isinstance(expected[0], type)
+    # Some edits leave a feasible log, whose replays must then agree on
+    # the rebuilt state and its costs.
+    assert 20 < failures < 50
 
 
 # ---------------------------------------------------------------------------
