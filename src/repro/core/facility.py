@@ -10,7 +10,7 @@ notation refers to: ``F(e)`` (facilities offering commodity ``e``) and ``F̂``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -95,7 +95,10 @@ class FacilityStore:
     opened facility (see :mod:`repro.accel`);
     :meth:`nearest_covering`, needed only for restricted large
     configurations, scans the open facilities.  :meth:`connection_distance`
-    prices a connection from the same trackers.
+    prices a connection from the same trackers.  :meth:`load_state_dict`
+    replays ``open`` into a fresh store and keeps it only once every row has
+    opened, so a refused snapshot leaves the store empty; it too reads one
+    column per facility.
     """
 
     def __init__(self, metric: MetricSpace, cost_function: FacilityCostFunction) -> None:
@@ -114,6 +117,10 @@ class FacilityStore:
     # ------------------------------------------------------------------
     def open(self, point: int, configuration: Iterable[int]) -> Facility:
         """Open a facility and return it (cost is charged automatically)."""
+        return self._open(point, configuration)[0]
+
+    def _open(self, point: int, configuration: Iterable[int]) -> Tuple[Facility, np.ndarray]:
+        """:meth:`open`, also returning the ``distances_to`` column its trackers folded."""
         config = self._cost_function.normalize_configuration(configuration)
         if not config:
             raise InvalidInstanceError("cannot open a facility with an empty configuration")
@@ -145,7 +152,7 @@ class FacilityStore:
                 self._large_tracker = tracker if len(config) == 1 else NearestSetTracker()
             if self._large_tracker is not tracker:
                 self._large_tracker.add(column, tag=facility.id)
-        return facility
+        return facility, column
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -164,10 +171,22 @@ class FacilityStore:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Rebuild the store by replaying ``open`` (requires a fresh store).
+        """Rebuild the store by replaying ``open``, all or nothing (requires an empty store).
 
         Points must be JSON integers and configurations lists of distinct
-        ones (:class:`SnapshotError`); ``open`` range-checks them.
+        ones (:class:`SnapshotError`); ``open`` range-checks them.  Each
+        facility reads its ``distances_to`` column once.  A refused row
+        leaves the store empty.
+        """
+        for _ in self._replay(state):
+            pass
+
+    def _replay(self, state: Mapping[str, Any]) -> Iterator[Tuple[Facility, np.ndarray]]:
+        """Replay ``state`` row by row into a fresh store, yielding each facility
+        with the column its trackers folded while it is the only one read.
+
+        Once every row has opened, this store takes the fresh one's contents;
+        a refused row raises and leaves this store as it was.
         """
         if self._facilities:
             raise SnapshotError(
@@ -177,13 +196,15 @@ class FacilityStore:
         rows = snapshot_list(
             snapshot_field(state, "facilities", "snapshot store"), "snapshot store facilities"
         )
+        fresh = type(self)(self._metric, self._cost_function)
         for position, row in enumerate(rows):
             where = f"snapshot store facilities[{position}]"
             point, configuration = snapshot_list(row, where, 2)
-            self.open(
+            yield fresh._open(
                 snapshot_int(point, f"{where} point"),
                 snapshot_commodities(configuration, f"{where} configuration"),
             )
+        self.__dict__.update(fresh.__dict__)
 
     # ------------------------------------------------------------------
     # Views

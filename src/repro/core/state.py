@@ -51,11 +51,16 @@ read by a second decoder.
 :meth:`~OnlineState.load_state_dict` rebuilds the log from a snapshot in one
 array pass instead of re-recording every request.  Format 1 rows become the
 same columns, so one screen serves both formats.  It type-checks each column
-once, then screens every row with vectorized checks; a row that fails gets
-the object-level checks again, so the error is the one re-recording it would
-raise.  It then reads one distance column per facility and folds the
-per-request costs in arrival order, which gives the running total bit for
-bit.  A refused snapshot changes nothing.
+once and converts it to an int64 array once; the screen, the distance gather
+and the rebuilt log share these arrays.  The screen checks every row with
+vectorized checks; a row that fails gets the object-level checks again, so
+the error is the one re-recording it would raise.  The facility replay reads
+each facility's distance column once: the facility's trackers fold it, and
+the pairs that facility serves read it at their request points.  The
+per-request costs fold from those distances in arrival order, which gives
+the running total bit for bit.  A refused snapshot changes nothing.  A
+snapshot writes no request index, so a log recorded out of arrival order is
+refused when it is written.
 """
 
 from __future__ import annotations
@@ -403,53 +408,52 @@ class OnlineState:
         """``(opening cost, connection cost)`` so far, read in one call."""
         return self._store.total_opening_cost, self._connection_cost
 
-    def _request_costs(self) -> np.ndarray:
-        """Each logged request's connection cost, recomputed from the log.
+    def _request_costs(self, distance: np.ndarray) -> np.ndarray:
+        """Each logged request's connection cost, folded from ``distance``, the
+        distance of each ``(commodity, facility)`` pair in log order.
 
-        One ``distances_to`` column per used facility, read at the request
-        points: ``distance(p, q) == distances_to(q)[p]`` bit for bit.  A
-        request served by one facility costs ``0.0 + d``; by two, ``0.0 + d1
-        + d2`` in either order (addition is commutative).  By three or more
-        (rare), the order matters: the row's ``Assignment`` is rebuilt from
-        its pairs in ``assign`` order and charged by
-        :meth:`Assignment.connection_cost`, the loop that charged it live,
-        which sums in the order of its facility-id frozenset.
+        A request served by one facility costs ``0.0 + d``; by two, ``0.0 +
+        d1 + d2`` in either order (addition is commutative).  Only rows of
+        two pairs or more are grouped by facility.  By three facilities or
+        more (rare), the order matters: the distances are summed from
+        ``0.0`` in the order of the row's facility-id frozenset, built from
+        its pairs in ``assign`` order, as :meth:`Assignment.connection_cost`
+        charged it live.  Bit for bit the live charge, since
+        ``distances_to(q)[p] == distance(p, q)``.
         """
         log = self._log
-        num_rows = len(log)
-        if not num_rows:
-            return np.zeros(0, dtype=np.float64)
-        points = np.array(log.points, dtype=np.int64)
-        facilities = np.array(log.facilities, dtype=np.int64)
-        rows = np.repeat(np.arange(num_rows), np.diff(np.array(log.offsets, dtype=np.int64)))
-        distance = np.empty(len(facilities), dtype=np.float64)
-        by_facility = np.argsort(facilities, kind="stable")
-        used, starts = np.unique(facilities[by_facility], return_index=True)
-        stops = np.append(starts[1:], len(facilities))
-        for facility_id, start, stop in zip(used.tolist(), starts.tolist(), stops.tolist()):
-            pairs = by_facility[start:stop]
-            column = self._instance.metric.distances_to(self._store[facility_id].point)
-            distance[pairs] = column[points[rows[pairs]]]
+        # Views of the log's own buffers; they die with this call.
+        offsets = np.frombuffer(log.offsets, dtype=np.int64)
+        facilities = np.frombuffer(log.facilities, dtype=np.int64)
+        counts = np.diff(offsets)
+        costs = np.zeros(len(counts), dtype=np.float64)
+        single = counts == 1
+        costs[single] += distance[offsets[:-1][single]]
+        shared = counts >= 2
+        multi = np.flatnonzero(shared)
+        if not multi.size:
+            return costs
+        pairs = np.flatnonzero(np.repeat(shared, counts))
+        rows = np.repeat(multi, counts[multi])
         # One pair per distinct (request, facility), grouped by request.
-        grouped = np.lexsort((facilities, rows))
-        grouped_rows, grouped_facilities = rows[grouped], facilities[grouped]
-        first = np.ones(len(grouped), dtype=bool)
-        first[1:] = (grouped_rows[1:] != grouped_rows[:-1]) | (
-            grouped_facilities[1:] != grouped_facilities[:-1]
-        )
-        distinct = grouped[first]
-        counts = np.bincount(rows[distinct], minlength=num_rows)
-        heads = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        costs = np.zeros(num_rows, dtype=np.float64)
-        served = counts >= 1
-        costs[served] += distance[distinct[heads[served]]]
-        two = counts == 2
-        costs[two] += distance[distinct[heads[two] + 1]]
-        facility_map = self._store.facility_map()
-        for row in np.flatnonzero(counts >= 3).tolist():
-            costs[row] = log.assignment(row).connection_cost(
-                log.request(row), facility_map, self._instance.metric
-            )
+        grouped = np.lexsort((facilities[pairs], rows))
+        pairs, rows = pairs[grouped], rows[grouped]
+        ids = facilities[pairs]
+        first = np.ones(len(pairs), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (ids[1:] != ids[:-1])
+        pairs = pairs[first]
+        num_distinct = np.bincount(rows[first], minlength=len(counts))
+        heads = np.cumsum(num_distinct) - num_distinct
+        costs[multi] += distance[pairs[heads[multi]]]
+        two = np.flatnonzero(num_distinct == 2)
+        costs[two] += distance[pairs[heads[two] + 1]]
+        for row in np.flatnonzero(num_distinct >= 3).tolist():
+            start, stop = log.offsets[row], log.offsets[row + 1]
+            distance_of = dict(zip(log.facilities[start:stop], distance[start:stop].tolist()))
+            total = 0.0
+            for facility_id in log.assignment(row).facility_ids():
+                total += distance_of[facility_id]
+            costs[row] = total
         return costs
 
     # ------------------------------------------------------------------
@@ -525,8 +529,19 @@ class OnlineState:
         ``assign``.  :meth:`load_state_dict` keeps that order, so the
         frozensets summed over iterate — and the connection costs round —
         exactly as in the original run.
+
+        No request index is written: the restore numbers the rows in arrival
+        order.  So a log recorded out of that order raises
+        :class:`SnapshotError` naming its first request out of place.
         """
         log = self._log
+        if self._rows is not None:
+            for row, index in enumerate(log.indices):
+                if index != row:
+                    raise SnapshotError(
+                        "cannot snapshot a log recorded out of arrival order: request "
+                        f"{index} was recorded as request number {row}"
+                    )
         return {
             "store": self._store.state_dict(),
             "log": {
@@ -548,7 +563,9 @@ class OnlineState:
         :class:`SnapshotError` naming the column (format 2) or the row and
         field (format 1), a repeated commodity names its row, and
         out-of-range values raise what re-recording the row would.  The
-        connection cost is re-accumulated in arrival order.  Requires a
+        connection cost is re-accumulated in arrival order from the
+        distances the replay gathers: each facility's column is read once,
+        for its trackers and for the requests it serves.  Requires a
         fresh state, which a refused snapshot leaves fresh; the trace is
         restored verbatim from the snapshot.
         """
@@ -560,82 +577,89 @@ class OnlineState:
         layout = log_layout(state)
         if layout == 1:
             requests, assignments = _row_lists(state)
-            columns = _columns(requests, assignments)
+            lists = _columns(requests, assignments)
         else:
-            log_columns = _log_columns(snapshot_field(state, "log", "snapshot state"))
-            points, counts, commodities, facilities = log_columns
-            # A request demands what its pairs serve.
-            columns = (points, counts, commodities, counts, commodities, facilities)
+            lists = _log_columns(snapshot_field(state, "log", "snapshot state"))
+        # Each column becomes an int64 array once, read by the screen, the
+        # gather and the rebuilt log; a value beyond int64 fails row 0.
+        try:
+            columns = None if lists is None else tuple(np.array(c, dtype=np.int64) for c in lists)
+        except OverflowError:
+            columns = None
         store = FacilityStore(self._instance.metric, self._instance.cost_function)
-        store.load_state_dict(snapshot_field(state, "store", "snapshot state"))
+        store_state = snapshot_field(state, "store", "snapshot state")
+        if columns is None:
+            store.load_state_dict(store_state)
+            failing: Optional[int] = 0
+        else:
+            points, *_, counts, commodities, facilities = columns
+            distance = _replay_gathering(
+                store._replay(store_state), np.repeat(points, counts), facilities
+            )
+            offsets = np.zeros(len(points) + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            failing = self._first_failing_row(store, columns, offsets)
         trace = snapshot_field(state, "trace", "snapshot state")
-        failing = None if columns is None else self._first_failing_row(store, *columns)
-        if columns is None or failing is not None:
+        if failing is not None:
             if layout == 2:
-                requests, assignments = _column_rows(*log_columns)
-            for row in range(failing or 0, len(requests)):
+                requests, assignments = _column_rows(*lists)
+            for row in range(failing, len(requests)):
                 self._check_row(store, row, requests[row], assignments[row], _ROW_NAMES[layout])
             raise SnapshotError(
                 "snapshot log failed the vectorized screen but passed every row check"
             )
-        points, _, _, pair_counts, pair_commodities, pair_facilities = columns
         log = _Log()
-        log.indices = array("q", range(len(points)))
-        log.points = array("q", points)
-        log.offsets.extend(np.cumsum(pair_counts, dtype=np.int64).tolist())
-        log.commodities = array("q", pair_commodities)
-        log.facilities = array("q", pair_facilities)
+        log.indices = array("q", np.arange(len(points), dtype=np.int64).tobytes())
+        log.points = array("q", points.tobytes())
+        log.offsets = array("q", offsets.tobytes())
+        log.commodities = array("q", commodities.tobytes())
+        log.facilities = array("q", facilities.tobytes())
         # The last step that can refuse the snapshot; it changes nothing
         # when it does.
         self._trace.load_state_dict(trace)
         self._store, self._log = store, log
         # A 1-D cumsum adds in order, like the live `+=`; a pairwise sum
         # would round differently.
-        costs = self._request_costs()
+        costs = self._request_costs(distance)
         if len(costs):
             self._connection_cost = float(np.cumsum(costs)[-1])
 
     def _first_failing_row(
-        self,
-        store: FacilityStore,
-        points: List[int],
-        demand_counts: List[int],
-        demanded: List[int],
-        pair_counts: List[int],
-        pair_commodities: List[int],
-        pair_facilities: List[int],
+        self, store: FacilityStore, columns: Tuple[np.ndarray, ...], offsets: np.ndarray
     ) -> Optional[int]:
         """The first row the object-level checks against ``store`` would
-        reject, or ``None``."""
-        try:
-            point = np.array(points, dtype=np.int64)
-            demand = np.array(demanded, dtype=np.int64)
-            commodity = np.array(pair_commodities, dtype=np.int64)
-            facility = np.array(pair_facilities, dtype=np.int64)
-        except OverflowError:
-            return 0
+        reject, or ``None``.
+
+        ``columns`` are the int64 log columns of either format (format 1
+        has the demand counts and commodities after the points) and
+        ``offsets`` the rows' bounds in the pair columns.
+        """
+        points, *demand, counts, commodities, facilities = columns
         num_rows = len(points)
-        num_commodities = self._instance.num_commodities
-        demand_count = np.array(demand_counts, dtype=np.int64)
-        pair_count = np.array(pair_counts, dtype=np.int64)
-        demand_rows = np.repeat(np.arange(num_rows), demand_count)
-        pair_rows = np.repeat(np.arange(num_rows), pair_count)
-        bad = (
-            (point < 0)
-            | (point >= self._instance.num_points)
-            | (demand_count == 0)
-            | (demand_count != pair_count)
-        )
-        demand_known = (demand >= 0) & (demand < num_commodities)
-        bad[demand_rows[~demand_known]] = True
-        bad[_repeated_rows(demand_rows, demand)] = True
-        bad[_repeated_rows(pair_rows, commodity)] = True
-        # With no repeats and equal counts, the served set equals the
-        # demanded set when every served commodity is demanded.
-        demanded_keys = (demand_rows * num_commodities + demand)[demand_known]
-        served_keys = pair_rows * num_commodities + commodity
-        bad[pair_rows[~np.isin(served_keys, demanded_keys)]] = True
-        bad[pair_rows[self._unserved(store, facility, commodity)]] = True
+        bad = (points < 0) | (points >= self._instance.num_points)
+        if demand:
+            # Format 1 writes each demand apart from its pairs.  A format-2
+            # request demands what its pairs serve, so it cannot fail these.
+            demand_counts, demanded = demand
+            num_commodities = self._instance.num_commodities
+            demand_rows = np.repeat(np.arange(num_rows), demand_counts)
+            pair_rows = np.repeat(np.arange(num_rows), counts)
+            bad |= (demand_counts == 0) | (demand_counts != counts)
+            known = (demanded >= 0) & (demanded < num_commodities)
+            bad[demand_rows[~known]] = True
+            bad[_repeated_rows(demand_rows, demanded)] = True
+            # With no repeats and equal counts, the served set equals the
+            # demanded set when every served commodity is demanded.
+            demanded_keys = (demand_rows * num_commodities + demanded)[known]
+            served_keys = pair_rows * num_commodities + commodities
+            bad[pair_rows[~np.isin(served_keys, demanded_keys)]] = True
+        # Only a row of two pairs or more can repeat a commodity.
+        shared = counts >= 2
+        pairs = np.flatnonzero(np.repeat(shared, counts))
+        multi = np.flatnonzero(shared)
+        bad[_repeated_rows(np.repeat(multi, counts[multi]), commodities[pairs])] = True
+        unserved = np.flatnonzero(self._unserved(store, facilities, commodities))
+        bad[np.searchsorted(offsets, unserved, side="right") - 1] = True
         failing = np.flatnonzero(bad)
         return int(failing[0]) if failing.size else None
 
@@ -802,6 +826,37 @@ def _columns(
         pair_commodities,
         pair_facilities,
     )
+
+
+def _replay_gathering(
+    replay: Iterator[Tuple[Facility, np.ndarray]], pair_points: np.ndarray, facilities: np.ndarray
+) -> np.ndarray:
+    """Run a store's replay; each facility's column, read once for its trackers,
+    is also read at the request points of the pairs it serves.
+
+    Returns each pair's distance, ``distances_to(facility point)[request
+    point]``, in log order.  One argsort groups the pairs by facility, so
+    each column takes one fancy index while it is the only one alive (the
+    gather does not depend on the order within a group, so the sort need not
+    be stable).  A point outside the metric is clipped, and a pair whose
+    facility is never opened keeps an undefined value: the screen refuses
+    both.
+    """
+    by_facility = np.argsort(facilities)
+    ids = facilities[by_facility]
+    at = pair_points[by_facility]
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    spans = dict(zip(ids[starts].tolist(), zip(starts, [*cuts, len(ids)]))) if len(ids) else {}
+    grouped = np.empty(len(ids), dtype=np.float64)
+    for facility, column in replay:
+        span = spans.get(facility.id)
+        if span is not None:
+            start, stop = span
+            grouped[start:stop] = column.take(at[start:stop], mode="clip")
+    distance = np.empty(len(ids), dtype=np.float64)
+    distance[by_facility] = grouped
+    return distance
 
 
 def _repeated_rows(rows: np.ndarray, values: np.ndarray) -> np.ndarray:

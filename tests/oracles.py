@@ -560,7 +560,17 @@ class ObjectLogState(OnlineState):
             )
 
     def state_dict(self) -> Dict[str, Any]:
-        """The format-2 snapshot, written from the objects."""
+        """The format-2 snapshot, written from the objects.
+
+        A snapshot numbers its requests by position, so a log recorded out
+        of arrival order is refused, naming its first request out of place.
+        """
+        for position, request in enumerate(self._processed_requests):
+            if request.index != position:
+                raise SnapshotError(
+                    "cannot snapshot a log recorded out of arrival order: request "
+                    f"{request.index} was recorded as request number {position}"
+                )
         pairs = [
             list(self._assignments[r.index].facility_of_commodity.items())
             for r in self._processed_requests

@@ -1,4 +1,4 @@
-"""Reloads rebuild only the environment, and an opened facility reads one distance row.
+"""Reloads rebuild only the environment, and an opened facility reads one distance column.
 
 A session restored from a snapshot with a ``workload`` spec needs the metric,
 the cost and the commodities, which the paper's online model fixes in
@@ -11,7 +11,9 @@ request log and the RNG state.  These tests pin that
 * a restore draws no request, while a custom workload builder still gets
   the full build;
 * ``FacilityStore.open`` reads a new facility's ``distances_to`` column
-  once for all the trackers it joins, and no tracker writes into it.
+  once for all the trackers it joins, and no tracker writes into it;
+* a restore reads each facility's column once, for its trackers and the
+  logged connection costs alike.
 
 ``tests/test_accel_equivalence.py`` pins the tracker answers against the
 reference scan.
@@ -28,7 +30,11 @@ import pytest
 from repro.accel import NearestSetTracker
 from repro.api.components import WORKLOADS
 from repro.api.session import OnlineSession
+from repro.core.assignment import Assignment
 from repro.core.facility import FacilityStore
+from repro.core.instance import Instance
+from repro.core.requests import Request, RequestSequence
+from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
 from repro.metric.base import MetricSpace
 from repro.metric.factories import random_euclidean_metric
@@ -36,6 +42,8 @@ from repro.scenarios.base import ScenarioStream
 from repro.service import SessionManager, components_from_spec
 from repro.service.snapshot import _restore_components
 from repro.workloads import uniform_workload
+
+from oracles import v1_state_dict
 
 #: One parameter set per stock workload kind; ``clustered`` is the
 #: ``service-mixed`` benchmark's spec.
@@ -246,6 +254,34 @@ def test_opening_a_large_facility_reads_one_column():
     assert metric.calls == Counter({"distances_to": 3})
     # Every tracker folded the metric's own buffer; none wrote into it.
     assert np.array_equal(metric._matrix, before)
+
+
+def test_a_restore_reads_one_column_per_facility():
+    """Restoring a state with F facilities reads F ``distances_to`` columns:
+    each is folded into its facility's trackers and read at the points of the
+    requests that facility serves.  No ``distances_from`` row is read, in
+    either snapshot format."""
+    metric = _CountingMetric(random_euclidean_metric(16, rng=3))
+    instance = Instance(metric, PowerCost(3, 1.0), RequestSequence([]))
+    state = OnlineState(instance)
+    anchor = Request(index=0, point=0, commodities=frozenset({0}))
+    # Facility 4 serves no request.
+    for point, configuration in [(5, {0, 1, 2}), (11, {0}), (2, {1}), (7, {2}), (9, {0, 1})]:
+        state.open_facility(anchor, point, configuration)
+    # Served by one, one (two commodities), two, three and two facilities.
+    served = [(3, {0: 0}), (8, {1: 0, 2: 0}), (1, {0: 1, 1: 2}), (14, {2: 3, 0: 1, 1: 2}),
+              (3, {0: 1, 2: 0})]
+    for index, (point, pairs) in enumerate(served):
+        request = Request(index=index, point=point, commodities=frozenset(pairs))
+        state.record_assignment(request, Assignment(index, dict(pairs)))
+    snapshot = state.state_dict()
+    for data in (snapshot, v1_state_dict(snapshot)):
+        metric.calls.clear()
+        restored = OnlineState(instance)
+        restored.load_state_dict(data)
+        assert metric.calls == Counter({"distances_to": 5})
+        assert restored.current_costs() == state.current_costs()
+        assert restored.state_dict() == snapshot
 
 
 def test_trackers_sharing_a_column_leave_it_unchanged():

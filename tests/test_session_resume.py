@@ -41,6 +41,7 @@ from repro.algorithms.online.rand_omflp import RandOMFLPAlgorithm
 from repro.algorithms.online.threshold import ThresholdPDAlgorithm
 from repro.api.session import OnlineSession
 from repro.core.commodities import CommodityUniverse
+from repro.core.facility import FacilityStore
 from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
 from repro.core.state import OnlineState
@@ -49,6 +50,7 @@ from repro.costs.general import PerPointScaledCost
 from repro.exceptions import InfeasibleSolutionError, InvalidInstanceError, SnapshotError
 from repro.metric.factories import random_euclidean_metric, random_line_metric
 from repro.metric.grid import GridMetric
+from repro.metric.line import LineMetric
 from repro.service.snapshot import SessionSnapshot
 from repro.utils.rng import ensure_rng
 from repro.workloads.clustered import clustered_workload
@@ -721,6 +723,43 @@ def test_a_refused_state_leaves_the_online_state_fresh(version):
         key: expected[key] for key in ("store", "log")
     }
     assert state.current_costs() == session.state.current_costs()
+
+
+@pytest.mark.parametrize(
+    "point,error,message",
+    [
+        pytest.param(1.5, SnapshotError,
+                     r"^snapshot store facilities\[1\] point must be a JSON integer, got 1\.5$",
+                     id="point-float"),
+        pytest.param(5, InvalidInstanceError, r"^facility point 5 out of range \[0, 3\)$",
+                     id="point-out-of-range"),
+    ],
+)
+def test_a_refused_store_load_leaves_the_store_empty(point, error, message):
+    """A store row refused after an earlier row opened leaves no facility
+    behind: the undamaged rows then load into the same store as into a
+    fresh one."""
+    metric = LineMetric([0.0, 1.0, 2.0])
+    cost = PowerCost(2, 1.0)
+    store = FacilityStore(metric, cost)
+    with pytest.raises(error, match=message):
+        store.load_state_dict({"facilities": [[0, [0, 1]], [point, [0]]]})
+    assert (len(store), store.total_opening_cost) == (0, 0.0)
+    assert store.nearest_offering(0, 1) is None and store.nearest_large(1) is None
+
+    clean = {"facilities": [[0, [0, 1]]]}
+    store.load_state_dict(clean)
+    fresh = FacilityStore(metric, cost)
+    fresh.load_state_dict(clean)
+    assert store.state_dict() == fresh.state_dict() == clean
+    assert store.facilities == fresh.facilities
+    assert store.total_opening_cost == fresh.total_opening_cost
+    for where in range(metric.num_points):
+        assert store.nearest_large(where) == fresh.nearest_large(where)
+        for commodity in range(cost.num_commodities):
+            assert store.nearest_offering(commodity, where) == fresh.nearest_offering(
+                commodity, where
+            )
 
 
 #: The committed snapshots written as version 1 that resume (the

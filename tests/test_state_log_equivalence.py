@@ -14,9 +14,13 @@ This grid runs both over the same streams and compares with exact ``==``:
   opening split, including their types;
 
 live and after a replay of the snapshot, for every registered online
-algorithm over the resume grid, two long streams and one out-of-order log.
+algorithm over the resume grid and two long streams.  A log recorded out of
+arrival order keeps every view but the snapshot, which both refuse to write.
 One more test pins the order in which a request's distinct facilities are
-summed, which the grid alone does not catch.
+summed, which the grid alone does not catch.  The per-request costs are the
+state's fold over each pair's ``metric.distance``; a restore folds the
+distances it gathers from the facility columns it replays, and the running
+total compares those.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import contextlib
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from repro import ALGORITHMS as REGISTERED_ALGORITHMS
@@ -36,7 +41,7 @@ from repro.core.instance import Instance
 from repro.core.requests import Request, RequestSequence
 from repro.core.state import OnlineState
 from repro.costs.count_based import PowerCost
-from repro.exceptions import AlgorithmError, InfeasibleSolutionError, ReproError
+from repro.exceptions import AlgorithmError, InfeasibleSolutionError, ReproError, SnapshotError
 from repro.utils.rng import ensure_rng
 from repro.metric.line import LineMetric
 from repro.scenarios import ScenarioSession
@@ -93,18 +98,42 @@ def _pairs(assignment: Assignment):
     return assignment.request_index, list(assignment.facility_of_commodity.items())
 
 
+def pair_distances(state: OnlineState) -> np.ndarray:
+    """Each logged ``(commodity, facility)`` pair's ``metric.distance`` from its
+    request point to its facility, in log order."""
+    metric, store = state.instance.metric, state.store
+    return np.array(
+        [
+            metric.distance(request.point, store[facility_id].point)
+            for request in state.processed_requests
+            for facility_id in state.assignment_of(request.index).facility_of_commodity.values()
+        ],
+        dtype=np.float64,
+    )
+
+
+def request_costs(state: OnlineState) -> list:
+    """The state's per-request fold over :func:`pair_distances`."""
+    return state._request_costs(pair_distances(state)).tolist()
+
+
 def assert_same_log(state: OnlineState, oracle: ObjectLogState) -> None:
     """Every view of the array log equals the object log's."""
-    assert isinstance(oracle, ObjectLogState) and not isinstance(state, ObjectLogState)
     snapshot = state.state_dict()
     assert snapshot == oracle.state_dict()
     assert json.dumps(snapshot) == json.dumps(oracle.state_dict())
+    assert_same_views(state, oracle)
+
+
+def assert_same_views(state: OnlineState, oracle: ObjectLogState) -> None:
+    """Every view of the array log but its snapshot equals the object log's."""
+    assert isinstance(oracle, ObjectLogState) and not isinstance(state, ObjectLogState)
     assert state.current_connection_cost() == oracle.current_connection_cost()
 
     requests = oracle.processed_requests
     facilities = oracle.store.facility_map()
     metric = oracle.instance.metric
-    assert state._request_costs().tolist() == [
+    assert request_costs(state) == [
         reference_connection_cost(oracle.assignment_of(r.index), r, facilities, metric)
         for r in requests
     ]
@@ -200,7 +229,8 @@ def test_long_streams(spec):
 
 
 def test_out_of_order_log(small_instance):
-    """Recording out of arrival order keeps every view equal to the object log."""
+    """Recording out of arrival order keeps every view but the snapshot equal
+    to the object log, and both refuse to snapshot it."""
     requests = small_instance.requests
     states = [OnlineState(small_instance), ObjectLogState(small_instance)]
     for state in states:
@@ -220,7 +250,33 @@ def test_out_of_order_log(small_instance):
     live, oracle = states
     live.validate_log()
     assert [r.index for r in live.processed_requests] == [3, 1, 0, 4]
-    assert_same_log(live, oracle)
+    assert_same_views(live, oracle)
+    # A snapshot numbers its rows in arrival order, so both refuse to write one.
+    for state in states:
+        with pytest.raises(
+            SnapshotError,
+            match=r"^cannot snapshot a log recorded out of arrival order: request 3 was "
+            r"recorded as request number 0$",
+        ):
+            state.state_dict()
+
+
+def test_a_log_recorded_out_of_order_is_refused_not_renumbered():
+    """Request 1 recorded before request 0: a snapshot would restore request
+    0's facility as request 1's, so writing it is refused."""
+    metric = LineMetric([0.0, 1.0, 2.0])
+    instance = Instance(metric, PowerCost(1, 1.0), RequestSequence([]))
+    state = OnlineState(instance)
+    requests = [Request(index=0, point=0, commodities=frozenset({0})),
+                Request(index=1, point=2, commodities=frozenset({0}))]
+    first = state.open_facility(requests[1], 2, {0})
+    second = state.open_facility(requests[0], 0, {0})
+    state.record_assignment(requests[1], Assignment(1, {0: first.id}))
+    state.record_assignment(requests[0], Assignment(0, {0: second.id}))
+    assert [r.index for r in state.processed_requests] == [1, 0]
+    assert state.assignment_of(1).facility_of_commodity == {0: first.id}
+    with pytest.raises(SnapshotError, match=r"request 1 was recorded as request number 0$"):
+        state.state_dict()
 
 
 def test_three_facility_cost_sums_in_frozenset_order():
@@ -252,8 +308,72 @@ def test_three_facility_cost_sums_in_frozenset_order():
     replayed.load_state_dict(json.loads(json.dumps(live.state_dict())))
     for state in (live, replayed, oracle):
         assert state.current_connection_cost() == expected
-    assert live._request_costs().tolist() == replayed._request_costs().tolist() == [expected]
+    assert request_costs(live) == request_costs(replayed) == [expected]
     assert_same_log(replayed, oracle)
+
+
+def play(state: OnlineState, steps) -> None:
+    """Open facilities and record requests on ``state``, in order.
+
+    ``("open", point, configuration)`` opens a facility; ``("record", point,
+    pairs)`` records the next request at ``point``, served as ``pairs`` maps
+    (``{commodity: facility id}``, in ``assign`` order).
+    """
+    for kind, point, what in steps:
+        request = Request(index=state.num_recorded, point=point, commodities=frozenset(what))
+        if kind == "open":
+            state.open_facility(request, point, what)
+        else:
+            state.record_assignment(request, Assignment(request.index, dict(what)))
+
+
+#: Points 1 and 2 share a coordinate, and so do points 4 and 5.
+MIXED_COORDINATES = [0.0, 3.0, 3.0, 7.0, 10.0, 10.0, 1.0]
+
+#: Facility 0 serves most requests, facilities 3 and 5 serve none; requests
+#: are served by one, two and three distinct facilities, some through two
+#: commodities of one facility, some at a facility's point.
+MIXED_STEPS = [
+    ("open", 1, {0, 1, 2}),
+    ("record", 0, {0: 0}),
+    ("record", 2, {1: 0, 2: 0}),
+    ("open", 2, {0}),
+    ("open", 4, {1}),
+    ("open", 6, {0, 1}),
+    ("record", 3, {0: 1, 1: 2}),
+    ("record", 3, {2: 0, 0: 0, 1: 0}),
+    ("open", 5, {2}),
+    ("record", 6, {2: 4, 0: 1, 1: 2}),
+    ("record", 5, {0: 0, 1: 2, 2: 4}),
+    ("record", 0, {1: 0, 0: 1}),
+    ("open", 0, {2}),
+    ("record", 4, {0: 0, 2: 4, 1: 0}),
+    ("record", 4, {2: 0}),
+    ("record", 1, {0: 1}),
+]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_restore_equals_re_recording_on_a_mixed_log(version):
+    """A restore's running total and every view of its log equal the object
+    log's replay of the same snapshot, which re-records each request."""
+    instance = Instance(LineMetric(MIXED_COORDINATES), PowerCost(3, 1.0), RequestSequence([]))
+    live, oracle = OnlineState(instance), ObjectLogState(instance)
+    for state in (live, oracle):
+        play(state, MIXED_STEPS)
+    assert_same_log(live, oracle)
+    distinct = [len(live.facility_ids_of(index)) for index in range(live.num_recorded)]
+    assert sorted(set(distinct)) == [1, 2, 3]
+    assert sum(0 in live.facility_ids_of(index) for index in range(live.num_recorded)) >= 6
+
+    snapshot = json.loads(json.dumps(live.state_dict()))
+    data = v1_state_dict(snapshot) if version == 1 else snapshot
+    restored, replayed = OnlineState(instance), ObjectLogState(instance)
+    restored.load_state_dict(copy.deepcopy(data))
+    replayed.load_state_dict(copy.deepcopy(data))
+    assert_same_log(restored, replayed)
+    assert_same_log(restored, oracle)
+    assert restored.current_costs() == replayed.current_costs() == live.current_costs()
 
 
 def _damage(state: dict, rng, num_points: int, num_commodities: int) -> None:
